@@ -72,6 +72,18 @@ pub struct SdmNode {
     delivered: Vec<DeliveredPacket>,
     next_path_id: u64,
     plane_scan: u8,
+    // O(1) occupancy bookkeeping, updated at every enqueue and dequeue:
+    // `owned_flits` = flits in the inject queue, the PS and CS streams,
+    // the CS queues and mid-reassembly (everything the node owns outside
+    // its router); `cs_queued` = packets across `cs_queues`. Derived
+    // state: never serialised, rebuilt by `scan_owned` after restore and
+    // cross-checked against it in `occupancy` (debug builds).
+    owned_flits: usize,
+    cs_queued: usize,
+    /// Recycled CS-burst buffers: a new burst refills one of these
+    /// instead of allocating (DESIGN.md §17). Scratch only — never
+    /// snapshotted; the pool plateaus at the most bursts in flight.
+    spare_flits: Vec<Vec<Flit>>,
 }
 
 impl SdmNode {
@@ -101,7 +113,45 @@ impl SdmNode {
             delivered: Vec::new(),
             next_path_id: 0,
             plane_scan: (id.0 % 3) as u8,
+            owned_flits: 0,
+            cs_queued: 0,
+            spare_flits: Vec::new(),
         }
+    }
+
+    /// `(owned_flits, cs_queued)` recomputed by a full scan of the queues,
+    /// streams and reassembly table.
+    fn scan_owned(&self) -> (usize, usize) {
+        let queued: usize = self.inject_queue.iter().map(|p| p.len_flits as usize).sum();
+        let ps_streams: usize = self
+            .streams
+            .iter()
+            .flatten()
+            .map(|s| (s.packet.len_flits - s.next) as usize)
+            .sum();
+        let cs_queued_flits: usize = self
+            .cs_queues
+            .values()
+            .flat_map(|q| q.iter())
+            .map(|p| p.len_flits as usize)
+            .sum();
+        let cs_streams: usize = self
+            .cs_streams
+            .values()
+            .map(|s| s.flits.len() - s.next)
+            .sum();
+        let partial = self.rx.total();
+        let cs_packets = self.cs_queues.values().map(VecDeque::len).sum();
+        (
+            queued + ps_streams + cs_queued_flits + cs_streams + partial,
+            cs_packets,
+        )
+    }
+
+    /// Queue `pkt` for packet-switched injection ahead of queued data.
+    fn enqueue_front(&mut self, pkt: Packet) {
+        self.owned_flits += pkt.len_flits as usize;
+        self.inject_queue.push_front(pkt);
     }
 
     fn fresh_path_id(&mut self) -> u64 {
@@ -117,7 +167,9 @@ impl SdmNode {
     fn dispatch(&mut self, now: Cycle, pkt: Packet) {
         let dst = pkt.dst;
         let count = self.freq.record(dst, now);
+        self.owned_flits += pkt.len_flits as usize;
         if self.registry.get(dst).is_some() {
+            self.cs_queued += 1;
             self.cs_queues.entry_or_default(dst).push_back(pkt);
             return;
         }
@@ -174,7 +226,7 @@ impl SdmNode {
             },
         );
         self.router.events.setup_attempts += 1;
-        self.inject_queue.push_front(pkt);
+        self.enqueue_front(pkt);
     }
 
     fn handle_ack(&mut self, now: Cycle, info: SetupInfo, success: bool) {
@@ -205,69 +257,74 @@ impl SdmNode {
             ConfigKind::Teardown(info),
             now,
         );
-        self.inject_queue.push_front(pkt);
+        self.enqueue_front(pkt);
     }
 
     /// Pump circuit-switched streams: every circuit serialises its burst on
     /// its own plane, immediately (no slot wait).
     fn pump_cs(&mut self, now: Cycle) {
+        if self.cs_queued == 0 && self.cs_streams.is_empty() {
+            return;
+        }
         // Start streams for idle circuits with queued work (insertion
         // order — deterministic across runs).
-        let startable: Vec<NodeId> = self
-            .cs_queues
-            .iter()
-            .filter(|(dst, q)| !q.is_empty() && !self.cs_streams.contains(*dst))
-            .map(|(dst, _)| dst)
-            .collect();
-        for dst in startable {
-            let Some(conn) = self.registry.get(dst).copied() else {
-                // Circuit vanished: drain to PS.
-                if let Some(q) = self.cs_queues.remove(dst) {
-                    self.inject_queue.extend(q);
+        if self.cs_queued != 0 {
+            for (dst, q) in self.cs_queues.iter_mut() {
+                if q.is_empty() || self.cs_streams.contains(dst) {
+                    continue;
                 }
-                continue;
-            };
-            let pkt = self
-                .cs_queues
-                .get_mut(dst)
-                .and_then(|q| q.pop_front())
-                .expect("non-empty");
-            let len = pkt.len_flits.saturating_sub(1).max(1);
-            let mut shaped = pkt.clone();
-            shaped.len_flits = len;
-            let flits = (0..len)
-                .map(|s| {
+                let Some(conn) = self.registry.get(dst).copied() else {
+                    // Circuit vanished: drain to PS. (SDM circuits are
+                    // never torn down once confirmed, so this is defensive;
+                    // the emptied entry stays so the walk stays in order.)
+                    self.cs_queued -= q.len();
+                    self.inject_queue.extend(q.drain(..));
+                    continue;
+                };
+                let mut shaped = q.pop_front().expect("non-empty");
+                self.cs_queued -= 1;
+                self.owned_flits -= shaped.len_flits as usize;
+                let len = shaped.len_flits.saturating_sub(1).max(1);
+                shaped.len_flits = len;
+                let mut flits = self.spare_flits.pop().unwrap_or_default();
+                flits.clear();
+                flits.extend((0..len).map(|s| {
                     let mut f = Flit::of_packet(&shaped, s, Switching::Circuit);
                     f.vc = conn.slot as u8; // plane id
                     f
-                })
-                .collect();
-            self.registry.touch(dst, conn.slot, now);
-            self.cs_streams.insert(
-                dst,
-                CsStream {
-                    flits,
-                    next: 0,
-                    next_allowed: now,
-                },
-            );
+                }));
+                self.owned_flits += flits.len();
+                self.registry.touch(dst, conn.slot, now);
+                self.cs_streams.insert(
+                    dst,
+                    CsStream {
+                        flits,
+                        next: 0,
+                        next_allowed: now,
+                    },
+                );
+            }
         }
-        // Advance active streams (plane spacing P).
-        let dsts: Vec<NodeId> = self.cs_streams.keys().collect();
-        for dst in dsts {
-            let s = self.cs_streams.get_mut(dst).expect("present");
+        // Advance active streams (plane spacing P). A finished burst hands
+        // its buffer to the spare pool, leaving an empty stream that
+        // `remove_where` then drops in visit order.
+        let mut finished = false;
+        for s in self.cs_streams.values_mut() {
             if now < s.next_allowed {
                 continue;
             }
-            let flit = s.flits[s.next];
-            let ok = self.router.inject_cs_local(now, flit);
+            let ok = self.router.inject_cs_local(now, s.flits[s.next]);
             assert!(ok, "SDM circuit reservation missing at {:?}", self.id);
-            let s = self.cs_streams.get_mut(dst).expect("present");
+            self.owned_flits -= 1;
             s.next += 1;
             s.next_allowed = now + self.cfg.planes as Cycle;
             if s.next == s.flits.len() {
-                self.cs_streams.remove(dst);
+                self.spare_flits.push(std::mem::take(&mut s.flits));
+                finished = true;
             }
+        }
+        if finished {
+            self.cs_streams.remove_where(|s| s.flits.is_empty());
         }
     }
 
@@ -298,6 +355,7 @@ impl SdmNode {
             let mut flit = Flit::of_packet_in(&self.arena, &s.packet, s.next, Switching::Packet);
             flit.vc = vc as u8;
             self.credits[vc] -= 1;
+            self.owned_flits -= 1;
             s.next += 1;
             s.next_allowed = now + self.cfg.planes as Cycle;
             let done = s.next == s.packet.len_flits;
@@ -321,8 +379,9 @@ impl SdmNode {
             return;
         }
         self.rx.bump(flit.packet);
+        self.owned_flits += 1;
         if flit.kind().is_tail() {
-            self.rx.remove(flit.packet);
+            self.owned_flits -= self.rx.remove(flit.packet).expect("just bumped") as usize;
             self.delivered.push(DeliveredPacket {
                 id: flit.packet,
                 src: flit.src(),
@@ -347,7 +406,7 @@ impl NodeModel for SdmNode {
     fn inject(&mut self, now: Cycle, pkt: Packet) {
         match pkt.class {
             MsgClass::Data => self.dispatch(now, pkt),
-            MsgClass::Config => self.inject_queue.push_front(pkt),
+            MsgClass::Config => self.enqueue_front(pkt),
         }
     }
 
@@ -376,7 +435,7 @@ impl NodeModel for SdmNode {
                     self.handle_ack(now, info, success);
                 }
             } else {
-                self.inject_queue.push_front(pkt);
+                self.enqueue_front(pkt);
             }
         }
         self.router.protocol_out = protocol;
@@ -425,26 +484,12 @@ impl NodeModel for SdmNode {
     }
 
     fn occupancy(&self) -> usize {
-        let queued: usize = self.inject_queue.iter().map(|p| p.len_flits as usize).sum();
-        let ps_streams: usize = self
-            .streams
-            .iter()
-            .flatten()
-            .map(|s| (s.packet.len_flits - s.next) as usize)
-            .sum();
-        let cs_queued: usize = self
-            .cs_queues
-            .values()
-            .flat_map(|q| q.iter())
-            .map(|p| p.len_flits as usize)
-            .sum();
-        let cs_streams: usize = self
-            .cs_streams
-            .values()
-            .map(|s| s.flits.len() - s.next)
-            .sum();
-        let partial = self.rx.total();
-        self.router.occupancy() + queued + ps_streams + cs_queued + cs_streams + partial
+        debug_assert_eq!(
+            (self.owned_flits, self.cs_queued),
+            self.scan_owned(),
+            "SDM node flit counters drifted from a full scan"
+        );
+        self.router.occupancy() + self.owned_flits
     }
 
     fn power_state(&self) -> PowerState {
@@ -509,6 +554,7 @@ impl NodeModel for SdmNode {
         self.delivered = Snap::load(r)?;
         self.next_path_id = r.u64()?;
         self.plane_scan = r.u8()?;
+        (self.owned_flits, self.cs_queued) = self.scan_owned();
         Ok(())
     }
 }

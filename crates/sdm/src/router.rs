@@ -83,6 +83,18 @@ pub struct SdmRouter {
     buf: SlabRegion,
     /// Per-VC pipeline control rows, parallel to the slab rings.
     ctl: Vec<VcCtl>,
+    // O(1) occupancy bookkeeping and stage-candidate masks over the flat
+    // VC index, as in the PS pipeline: `buffered` = Σ ring lengths,
+    // `rc_mask` = Idle VCs holding flits, `wait_mask` = Waiting VCs,
+    // `act_mask` = Active VCs (so the waiting/active counts are the masks'
+    // popcounts). The stage loops walk only the set bits and skip a stage
+    // whose mask is empty. Derived state: never serialised, recomputed by
+    // `scan_counters` after restore, cross-checked against it by
+    // `debug_validate_counters`.
+    buffered: u32,
+    rc_mask: u64,
+    wait_mask: u64,
+    act_mask: u64,
     outputs: Vec<SdmOutPort>,
     /// `circuits[in_port][plane]`.
     circuits: Vec<Vec<Option<CircuitEntry>>>,
@@ -110,6 +122,11 @@ impl SdmRouter {
     pub fn new(id: NodeId, mesh: Mesh, cfg: RouterConfig, planes: u8) -> Self {
         assert!(planes >= 2, "SDM needs at least one PS and one CS plane");
         let vcs = cfg.vcs_per_port as usize;
+        assert!(
+            Port::COUNT * vcs <= 64,
+            "stage masks are u64 words: at most {} VCs per port",
+            64 / Port::COUNT
+        );
         if mesh.is_torus() {
             assert!(
                 cfg.vcs_per_port >= 2 && cfg.vcs_per_port.is_multiple_of(2),
@@ -143,6 +160,10 @@ impl SdmRouter {
                 };
                 Port::COUNT * vcs
             ],
+            buffered: 0,
+            rc_mask: 0,
+            wait_mask: 0,
+            act_mask: 0,
             outputs: Port::ALL
                 .iter()
                 .map(|&p| SdmOutPort {
@@ -196,10 +217,7 @@ impl SdmRouter {
     /// any flit is buffered — the private construction-time region is
     /// dropped, not migrated.
     pub fn attach_slab(&mut self, region: SlabRegion) {
-        assert!(
-            (0..self.ctl.len()).all(|i| self.buf.is_empty(i)),
-            "attach_slab on a non-empty router"
-        );
+        assert_eq!(self.buffered, 0, "attach_slab on a non-empty router");
         assert_eq!(region.rings(), self.ctl.len(), "slab region ring count");
         assert_eq!(
             region.depth(),
@@ -255,7 +273,16 @@ impl SdmRouter {
         }
         let i = self.vci(port.index(), flit.vc as usize);
         assert!(self.buf.len(i) < self.cfg.buf_depth as usize, "VC overflow");
+        self.buffer(i, flit);
+    }
+
+    /// Buffer `flit` in ring `i` (the BW stage), keeping the counters.
+    fn buffer(&mut self, i: usize, flit: Flit) {
+        if self.ctl[i].state == VcState::Idle {
+            self.rc_mask |= 1 << i;
+        }
         self.buf.push_back(i, flit);
+        self.buffered += 1;
         self.events.buffer_writes += 1;
     }
 
@@ -374,8 +401,7 @@ impl SdmRouter {
             self.buf.len(i) < self.cfg.buf_depth as usize,
             "config buffering overflow"
         );
-        self.buf.push_back(i, flit);
-        self.events.buffer_writes += 1;
+        self.buffer(i, flit);
     }
 
     fn emit_ack(&mut self, now: Cycle, info: noc_sim::SetupInfo, success: bool) {
@@ -436,20 +462,59 @@ impl SdmRouter {
             }
         }
 
-        self.refresh_rc(now);
-        self.do_va(now);
-        self.do_sa_st(now, out);
+        // Stage gating on the candidate masks: skipping a stage is
+        // state-identical to scanning zero eligible VCs, because the
+        // round-robin arbiters only advance on a grant.
+        if self.rc_mask != 0 {
+            self.refresh_rc(now);
+        }
+        if self.wait_mask != 0 {
+            self.do_va(now);
+        }
+        if self.act_mask != 0 {
+            self.do_sa_st(now, out);
+        }
+        #[cfg(debug_assertions)]
+        self.debug_validate_counters();
+    }
+
+    /// The derived counters and masks recomputed by a full scan of the
+    /// rings and VC states: `(buffered, rc_mask, wait_mask, act_mask)`.
+    fn scan_counters(&self) -> (u32, u64, u64, u64) {
+        let (mut buffered, mut rc, mut wait, mut act) = (0u32, 0u64, 0u64, 0u64);
+        for i in 0..self.ctl.len() {
+            buffered += self.buf.len(i) as u32;
+            let bit = 1u64 << i;
+            match self.ctl[i].state {
+                VcState::Idle if !self.buf.is_empty(i) => rc |= bit,
+                VcState::Idle => {}
+                VcState::Waiting { .. } => wait |= bit,
+                VcState::Active { .. } => act |= bit,
+            }
+        }
+        (buffered, rc, wait, act)
+    }
+
+    /// Cross-check the counters and masks against a full scan (debug
+    /// builds only; the release hot path trusts the increments).
+    #[cfg(debug_assertions)]
+    fn debug_validate_counters(&self) {
+        debug_assert_eq!(
+            (self.buffered, self.rc_mask, self.wait_mask, self.act_mask),
+            self.scan_counters(),
+            "SDM router counters drifted from a full scan"
+        );
     }
 
     fn refresh_rc(&mut self, now: Cycle) {
-        // Flat ring order is (port, vc) lexicographic — identical to the
-        // old nested iteration.
-        for i in 0..self.ctl.len() {
-            if self.ctl[i].state != VcState::Idle {
-                continue;
-            }
+        // Ascending bit order is the flat (port, vc) lexicographic order
+        // of a full scan.
+        let mut cand = self.rc_mask;
+        while cand != 0 {
+            let i = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
             let Some(&front) = self.buf.front(i) else {
-                continue;
+                unreachable!("rc_mask bit on an empty VC")
             };
             if !front.kind().is_head() {
                 continue;
@@ -461,47 +526,53 @@ impl SdmRouter {
             self.buf.front_mut(i).expect("front").set_forced_out(None);
             self.ctl[i].state = VcState::Waiting { out: out_port };
             self.ctl[i].stage_cycle = now;
+            self.rc_mask &= !(1u64 << i);
+            self.wait_mask |= 1u64 << i;
         }
     }
 
     fn do_va(&mut self, now: Cycle) {
         let vcs = self.cfg.vcs_per_port as usize;
-        debug_assert!(Port::COUNT * vcs <= 64, "too many VCs per port");
         let torus = self.vc_half > 0;
         let half = self.vc_half as usize;
-        for o in 0..Port::COUNT {
-            if !self.outputs[o].exists {
+        // One walk over the Waiting VCs builds every output's request set
+        // at once. That equals a per-output rescan: a VC waits on exactly
+        // one output, so a grant at one output never changes another's
+        // set. On a torus a second mask per output marks the requesters
+        // whose next-hop VC class is 1: continuing in the same dimension
+        // carries the inbound class (encoded in the input VC index),
+        // crossing the wrap link sets it, and a dimension switch or local
+        // input resets it to 0 (same rule as the PS pipeline).
+        let mut all_reqs = [0u64; Port::COUNT];
+        let mut all_class1 = [0u64; Port::COUNT];
+        let mut cand = self.wait_mask;
+        while cand != 0 {
+            let i = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            let ctl = self.ctl[i];
+            let VcState::Waiting { out } = ctl.state else {
+                unreachable!("wait_mask bit on a non-Waiting VC")
+            };
+            if ctl.stage_cycle >= now {
                 continue;
             }
-            // On a torus a second mask marks the requesters whose next-hop
-            // VC class is 1: continuing in the same dimension carries the
-            // inbound class (encoded in the input VC index), crossing the
-            // wrap link sets it, and a dimension switch or local input
-            // resets it to 0 (same rule as the PS pipeline).
-            let mut reqs = 0u64;
-            let mut class1 = 0u64;
-            let partitioned = torus && o != Port::Local.index();
-            for p in 0..Port::COUNT {
-                for vc in 0..vcs {
-                    let ctl = self.ctl[p * vcs + vc];
-                    if let VcState::Waiting { out } = ctl.state {
-                        if out.index() == o && ctl.stage_cycle < now {
-                            let bit = 1u64 << (p * vcs + vc);
-                            reqs |= bit;
-                            if partitioned {
-                                let class_in = p != Port::Local.index() && vc >= half;
-                                let same_dim = port_dim(p) == port_dim(o);
-                                if (same_dim && class_in) || self.wrap_out[o] {
-                                    class1 |= bit;
-                                }
-                            }
-                        }
-                    }
+            let (o, bit) = (out.index(), 1u64 << i);
+            all_reqs[o] |= bit;
+            if torus && out != Port::Local {
+                let (p, vc) = (i / vcs, i % vcs);
+                let class_in = p != Port::Local.index() && vc >= half;
+                let same_dim = port_dim(p) == port_dim(o);
+                if (same_dim && class_in) || self.wrap_out[o] {
+                    all_class1[o] |= bit;
                 }
             }
-            if reqs == 0 {
+        }
+        for o in 0..Port::COUNT {
+            let (mut reqs, class1) = (all_reqs[o], all_class1[o]);
+            if reqs == 0 || !self.outputs[o].exists {
                 continue;
             }
+            let partitioned = torus && o != Port::Local.index();
             for v in 0..vcs {
                 if self.outputs[o].alloc[v].is_some() {
                     continue;
@@ -535,6 +606,8 @@ impl SdmRouter {
                     out_vc: v as u8,
                 };
                 ctl.stage_cycle = now;
+                self.wait_mask &= !(1u64 << w);
+                self.act_mask |= 1u64 << w;
                 self.outputs[o].alloc[v] = Some((p as u8, vc as u8));
                 self.events.va_ops += 1;
                 if self.trace.wants(EventKind::VaGrant) {
@@ -563,13 +636,21 @@ impl SdmRouter {
         // Phase 1: one candidate per input port.
         let mut candidates: [Option<(usize, Port, u8)>; Port::COUNT] = [None; Port::COUNT];
         for (p, cand) in candidates.iter_mut().enumerate() {
+            // This port's slice of the Active mask, visited in the
+            // rotation order `(p + off) % vcs`: the bits at or above the
+            // start VC ascending, then the bits below it.
+            let port_act = (self.act_mask >> (p * vcs)) & ((1u64 << vcs) - 1);
+            let below = (1u64 << (p % vcs)) - 1;
+            let (mut hi, mut lo) = (port_act & !below, port_act & below);
             let mut chosen = None;
-            for off in 0..vcs {
-                let vc = (p + off) % vcs; // cheap rotation
+            while hi | lo != 0 {
+                let bits = if hi != 0 { &mut hi } else { &mut lo };
+                let vc = bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
                 let i = p * vcs + vc;
                 let ctl = self.ctl[i];
                 let VcState::Active { out: o, out_vc } = ctl.state else {
-                    continue;
+                    unreachable!("act_mask bit on a non-Active VC")
                 };
                 if ctl.stage_cycle >= now {
                     continue;
@@ -623,10 +704,16 @@ impl SdmRouter {
     ) {
         let i = self.vci(in_port, in_vc);
         let mut flit = self.buf.pop_front(i).expect("granted empty VC");
+        self.buffered -= 1;
         let is_tail = flit.kind().is_tail();
         if is_tail {
             self.ctl[i].state = VcState::Idle;
             self.ctl[i].stage_cycle = now;
+            self.act_mask &= !(1u64 << i);
+            if !self.buf.is_empty(i) {
+                // The next packet's head is already queued behind the tail.
+                self.rc_mask |= 1u64 << i;
+            }
             self.outputs[out_port.index()].alloc[out_vc as usize] = None;
         }
         self.events.buffer_reads += 1;
@@ -707,7 +794,7 @@ impl SdmRouter {
     }
 
     pub fn occupancy(&self) -> usize {
-        (0..self.ctl.len()).map(|i| self.buf.len(i)).sum::<usize>()
+        self.buffered as usize
             + self.cs_incoming.len()
             + self.ejected.len()
             + self.cs_ejected.len()
@@ -815,6 +902,7 @@ impl SdmRouter {
         self.protocol_out = Snap::load(r)?;
         self.pending_credits = Snap::load(r)?;
         self.next_protocol_id = r.u64()?;
+        (self.buffered, self.rc_mask, self.wait_mask, self.act_mask) = self.scan_counters();
         Ok(())
     }
 }

@@ -2,7 +2,7 @@
 //! serialisation penalty, and the plane-count ceiling under contention.
 
 use noc_sdm::{SdmConfig, SdmNode};
-use noc_sim::{Coord, Mesh, Network, NetworkConfig, NodeId, Packet, PacketId};
+use noc_sim::{Coord, Mesh, Network, NetworkConfig, NodeId, NodeModel, Packet, PacketId};
 
 fn cfg(k: u16) -> SdmConfig {
     SdmConfig {
@@ -149,4 +149,84 @@ fn sdm_network_is_deterministic() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn restore_mid_burst_rebuilds_derived_state() {
+    // Checkpoint while a circuit burst is mid-stream at its source,
+    // partly reassembled at its destination, and more packets wait in the
+    // source's CS and PS queues. The counters and stage masks are not
+    // serialised, so the restored fabric must rebuild them from the
+    // authoritative state: same occupancy (which debug builds also check
+    // against a full rescan), same snapshot bytes, same continuation.
+    let c = cfg(4);
+    let m = c.net.mesh;
+    let (src, dst, ps_dst) = (
+        m.id(Coord::new(0, 0)),
+        m.id(Coord::new(3, 0)),
+        m.id(Coord::new(0, 3)),
+    );
+    let mut n = net(c);
+    n.collect_delivered = true;
+    let mut id = 0;
+    let mut send = |n: &mut Network<SdmNode>, to: NodeId| {
+        let mut p = data(id, src, to, n.now());
+        p.measured = true;
+        n.inject(src, p);
+        id += 1;
+    };
+    for _ in 0..20 {
+        send(&mut n, dst);
+        n.run(30);
+    }
+    assert!(n.drain(3_000));
+    assert!(
+        n.nodes[src.index()].registry.get(dst).is_some(),
+        "no circuit"
+    );
+    assert!(n.nodes[src.index()].registry.get(ps_dst).is_none());
+
+    // Two bursts on the circuit (the second queues behind the first) and
+    // six packet-switched packets (more than the NIC has VC streams).
+    for _ in 0..2 {
+        send(&mut n, dst);
+    }
+    for _ in 0..6 {
+        send(&mut n, ps_dst);
+    }
+    // The 4-flit burst leaves P = 4 cycles per flit and crosses 3 hops at
+    // 2 cycles each: after 10 cycles its head has been ejected and its
+    // tail is still at the source.
+    n.run(10);
+    let owned = |n: &Network<SdmNode>, at: NodeId| {
+        let node = &n.nodes[at.index()];
+        node.occupancy() - node.router.occupancy()
+    };
+    assert!(owned(&n, dst) > 0, "destination is not mid-reassembly");
+    assert!(
+        owned(&n, src) > 5 + 2 * 5,
+        "source queues are not backed up"
+    );
+
+    let snap = n.checkpoint().expect("checkpoint");
+    let mut restored = net(c);
+    restored.restore(&snap).expect("restore");
+    for at in m.nodes() {
+        assert_eq!(
+            restored.nodes[at.index()].occupancy(),
+            n.nodes[at.index()].occupancy(),
+            "occupancy of {at:?} after restore"
+        );
+    }
+    assert_eq!(
+        restored.checkpoint().expect("checkpoint").as_bytes(),
+        snap.as_bytes(),
+        "restored fabric re-encodes differently"
+    );
+
+    assert!(n.drain(5_000));
+    assert!(restored.drain(5_000));
+    assert!(!n.delivered_log.is_empty());
+    assert_eq!(n.delivered_log, restored.delivered_log);
+    assert_eq!(n.total_events(), restored.total_events());
 }

@@ -288,6 +288,35 @@ impl<T> NodeTable<T> {
         }
     }
 
+    /// Remove every entry whose value satisfies `done`, leaving the same
+    /// dense order as visiting the entries in their current order and
+    /// calling [`NodeTable::remove`] on each match — but without
+    /// collecting keys. ([`NodeTable::retain`] re-examines the slot each
+    /// removal swaps the tail into, so its final order can differ.)
+    /// `done` must give the same answer whenever it is asked.
+    pub fn remove_where(&mut self, mut done: impl FnMut(&T) -> bool) {
+        // Ascending pass: a removal swaps the current tail into the hole.
+        // That entry comes after every entry still ahead of the cursor in
+        // visit order, so the pass leaves it for later. Successive holes
+        // sit at ascending positions and receive entries from a shrinking
+        // tail, so visiting the holes in descending position visits the
+        // deferred entries in their original order; by then every slot
+        // above the cursor holds a kept entry, which is what later swaps
+        // move.
+        let mut i = 0;
+        while i < self.entries.len() {
+            if done(&self.entries[i].1) {
+                self.remove(self.entries[i].0);
+            }
+            i += 1;
+        }
+        for i in (0..self.entries.len()).rev() {
+            if done(&self.entries[i].1) {
+                self.remove(self.entries[i].0);
+            }
+        }
+    }
+
     pub fn clear(&mut self) {
         for (node, _) in self.entries.drain(..) {
             self.idx[node.index()] = IDX_NONE;
@@ -697,6 +726,34 @@ mod tests {
         // Reusable after clear.
         t.insert(NodeId(1), 11);
         assert_eq!(t.get(NodeId(1)), Some(&11));
+    }
+
+    #[test]
+    fn node_table_remove_where_matches_visit_order_removal() {
+        // Every subset of a 7-entry table: the result must equal removing
+        // the matches one by one in the table's visit order.
+        for removed in 0u32..(1 << 7) {
+            let mut t: NodeTable<u32> = NodeTable::new(16);
+            for n in 0..7u32 {
+                t.insert(NodeId(n * 2), n);
+            }
+            let mut reference = t.clone();
+            let matches: Vec<NodeId> = reference
+                .iter()
+                .filter(|(_, v)| removed >> **v & 1 == 1)
+                .map(|(n, _)| n)
+                .collect();
+            for n in matches {
+                reference.remove(n);
+            }
+            t.remove_where(|v| removed >> *v & 1 == 1);
+            let order: Vec<_> = t.iter().map(|(n, v)| (n, *v)).collect();
+            let want: Vec<_> = reference.iter().map(|(n, v)| (n, *v)).collect();
+            assert_eq!(order, want, "subset {removed:07b}");
+            for (n, _) in &want {
+                assert_eq!(t.get(*n), reference.get(*n));
+            }
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
 cmp "$SWEEP_TMP/topo1.json" "$SWEEP_TMP/topo4.json"
 echo "non-mesh sweep JSON identical across thread counts"
 
-echo "== 1024-node slab smoke (packet + TDM, sweep-thread determinism) =="
+echo "== 1024-node slab smoke (packet + TDM + SDM, sweep-thread determinism) =="
 # Kilo-node point on the flat flit-slab datapath: one shared allocation
 # carries all 20480 VC rings; a short loaded run must be byte-identical
 # across sweep-thread counts.
@@ -173,7 +173,13 @@ cat > "$SWEEP_TMP/kilo.json" <<'JSON'
     "phases": { "warmup_cycles": 200, "warmup_packets": 50,
                 "measure_cycles": 600, "measure_packets": 2000,
                 "drain_cycles": 4000 },
-    "seed": 52 }
+    "seed": 52 },
+  { "backend": "HybridSdmVc4", "mesh": 32,
+    "traffic": { "pattern": "UR", "rate": 0.02 },
+    "phases": { "warmup_cycles": 200, "warmup_packets": 50,
+                "measure_cycles": 600, "measure_packets": 2000,
+                "drain_cycles": 4000 },
+    "seed": 53 }
 ]
 JSON
 cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
