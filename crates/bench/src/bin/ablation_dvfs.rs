@@ -9,10 +9,10 @@
 //! comparison stays apples-to-apples.)
 
 use noc_bench::{
-    format_table, paper_phases, quick_flag, run_synthetic, scenario_mode_ran, BackendKind,
+    format_table, paper_phases, quick_flag, scenario_mode_ran, sweep_points, synth_spec,
+    BackendKind,
 };
 use noc_power::DvfsPoint;
-use noc_sim::Mesh;
 use noc_traffic::TrafficPattern;
 
 fn main() {
@@ -20,26 +20,12 @@ fn main() {
         return;
     }
     let quick = quick_flag();
-    let mesh = Mesh::square(6);
     let phases = paper_phases(quick);
     let rate = 0.20;
 
-    let base = run_synthetic(
-        BackendKind::PacketVc4,
-        mesh,
-        TrafficPattern::Transpose,
-        rate,
-        phases,
-        41,
-    );
-    let tdm = run_synthetic(
-        BackendKind::HybridTdmVct,
-        mesh,
-        TrafficPattern::Transpose,
-        rate,
-        phases,
-        41,
-    );
+    let specs = [BackendKind::PacketVc4, BackendKind::HybridTdmVct]
+        .map(|kind| synth_spec(kind, 6, TrafficPattern::Transpose, rate, phases, 41));
+    let [base, tdm]: [_; 2] = sweep_points(&specs).try_into().expect("two points");
 
     println!("=== §V-B1 — DVFS applied orthogonally to hybrid switching ===");
     println!("(transpose @ {rate} flits/node/cycle; energy per measurement window)\n");

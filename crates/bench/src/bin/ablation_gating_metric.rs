@@ -9,11 +9,12 @@
 //! hybrid network a naive latency signal conflates circuit slot-waits with
 //! congestion and mis-tunes the VCs; see the discussion in EXPERIMENTS.md.)
 
-use noc_bench::{format_table, paper_phases, quick_flag, scenario_mode_ran};
+use noc_bench::{
+    format_table, paper_phases, par_map, quick_flag, scenario_mode_ran, sweep_threads_flag,
+};
 use noc_power::EnergyModel;
 use noc_sim::{GatingConfig, Mesh, Network, NetworkConfig, PacketNode};
-use noc_traffic::{OpenLoop, SyntheticSource, TrafficPattern};
-use rayon::prelude::*;
+use noc_traffic::{run_phases, SyntheticSource, TrafficPattern};
 
 fn main() {
     if scenario_mode_ran() {
@@ -37,20 +38,13 @@ fn main() {
     let jobs: Vec<(usize, f64)> = (0..variants.len())
         .flat_map(|v| rates.iter().map(move |&r| (v, r)))
         .collect();
-    let results: Vec<_> = jobs
-        .par_iter()
-        .map(|&(v, rate)| {
-            let net_cfg = NetworkConfig::with_mesh(mesh);
-            let gating = variants[v].1;
-            let mut net = Network::new(mesh, move |id| PacketNode::new(id, &net_cfg, gating));
-            let r = OpenLoop::new(
-                SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 19),
-                phases,
-            )
-            .run(&mut net);
-            (v, rate, r)
-        })
-        .collect();
+    let results = par_map(&jobs, sweep_threads_flag(), |&(v, rate)| {
+        let net_cfg = NetworkConfig::with_mesh(mesh);
+        let gating = variants[v].1;
+        let mut net = Network::new(mesh, move |id| PacketNode::new(id, &net_cfg, gating));
+        let mut source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 19);
+        (v, rate, run_phases(&mut net, &mut source, phases))
+    });
 
     println!("=== §V-B4 ablation — VC gating metric, packet network, UR traffic ===\n");
     for (v, (label, _)) in variants.iter().enumerate() {

@@ -13,11 +13,10 @@
 //! points in the shared result envelope.
 
 use noc_bench::{
-    format_table, json_flag, paper_phases, quick_flag, result_envelope, run_synthetic_spec,
-    scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
+    format_table, json_flag, paper_phases, quick_flag, result_envelope, scenario_mode_ran,
+    sweep_points, synth_spec, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_traffic::TrafficPattern;
-use rayon::prelude::*;
 
 /// Top-N flows to pre-establish: enough to cover every transpose pair on
 /// the 6×6 mesh (30 off-diagonal flows) with headroom.
@@ -41,7 +40,7 @@ fn main() {
         .flat_map(|pattern| {
             rates.iter().flat_map(move |&rate| {
                 [None, Some(PLAN_TOP)].into_iter().map(move |profiled| {
-                    let mut spec = ScenarioSpec::synthetic(
+                    let mut spec = synth_spec(
                         BackendKind::HybridTdmVc4,
                         6,
                         pattern.clone(),
@@ -50,16 +49,12 @@ fn main() {
                         17,
                     );
                     spec.profile_circuits = profiled;
-                    spec.step_threads = step_threads_from_env();
                     spec
                 })
             })
         })
         .collect();
-    let points: Vec<SynthPoint> = specs
-        .par_iter()
-        .map(|spec| run_synthetic_spec(spec).expect("spec runs"))
-        .collect();
+    let points = sweep_points(&specs);
 
     println!("=== Ablation — reactive setup vs profiled circuit plan (Hybrid-TDM-VC4, 6x6) ===");
     for pattern in &patterns {

@@ -6,13 +6,15 @@
 //! requires one extra slot on *every* reservation (§III-A2), and that
 //! standing 25 % bandwidth tax costs more than its rides recover here.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
-use noc_hetero::{mix_phases, run_mix, Floorplan, HeteroWorkload, CPU_BENCHES, GPU_BENCHES};
+use noc_bench::{
+    format_table, par_map, quick_flag, scenario_mode_ran, sweep_mixes, sweep_threads_flag,
+    BackendKind, ScenarioSpec,
+};
+use noc_hetero::{mix_phases, Floorplan, HeteroWorkload, CPU_BENCHES, GPU_BENCHES};
 use noc_power::EnergyModel;
 use noc_scenario::hetero_tdm_config;
 use noc_sim::NetworkConfig;
 use noc_traffic::run_phases;
-use rayon::prelude::*;
 use tdm_noc::{SharingConfig, TdmNetwork};
 
 fn main() {
@@ -33,31 +35,43 @@ fn main() {
         ("hitchhiker+vicinity", SharingConfig::FULL),
     ];
 
+    let base_specs: Vec<ScenarioSpec> = mixes
+        .iter()
+        .map(|&(gi, ci)| {
+            let (cpu, gpu) = (CPU_BENCHES[ci].name, GPU_BENCHES[gi].name);
+            ScenarioSpec::hetero(BackendKind::PacketVc4, cpu, gpu, phases, 7)
+        })
+        .collect();
+    let bases = sweep_mixes(&base_specs);
+
+    // The sharing variants need hand-configured TDM fabrics, so they run
+    // through the engine directly: (energy, sharing events) per
+    // (variant, mix), variant-major.
+    let jobs: Vec<(SharingConfig, (usize, usize))> = variants
+        .iter()
+        .flat_map(|&(_, sharing)| mixes.iter().map(move |&mix| (sharing, mix)))
+        .collect();
+    let runs = par_map(&jobs, sweep_threads_flag(), |&(sharing, (gi, ci))| {
+        let mut cfg = hetero_tdm_config(BackendKind::HybridTdmVc4, NetworkConfig::default())
+            .expect("TDM backend");
+        cfg.sharing = sharing;
+        let mut net = TdmNetwork::new(cfg);
+        let mut w = HeteroWorkload::new(Floorplan::figure7(), CPU_BENCHES[ci], GPU_BENCHES[gi], 7);
+        let r = run_phases(&mut net, &mut w, phases);
+        (
+            EnergyModel::default().evaluate_stats(&r.stats),
+            net.net.total_events(),
+        )
+    });
+
     let rows: Vec<Vec<String>> = variants
-        .par_iter()
-        .map(|(label, sharing)| {
+        .iter()
+        .zip(runs.chunks(mixes.len()))
+        .map(|((label, _), runs)| {
             let mut saving_sum = 0.0;
             let (mut rides, mut vic, mut fails) = (0u64, 0u64, 0u64);
-            for &(gi, ci) in &mixes {
-                let base = run_mix(
-                    &CPU_BENCHES[ci],
-                    &GPU_BENCHES[gi],
-                    BackendKind::PacketVc4,
-                    phases,
-                    7,
-                )
-                .expect("mix runs");
-                let mut cfg =
-                    hetero_tdm_config(BackendKind::HybridTdmVc4, NetworkConfig::default())
-                        .expect("TDM backend");
-                cfg.sharing = *sharing;
-                let mut net = TdmNetwork::new(cfg);
-                let mut w =
-                    HeteroWorkload::new(Floorplan::figure7(), CPU_BENCHES[ci], GPU_BENCHES[gi], 7);
-                let r = run_phases(&mut net, &mut w, phases);
-                let e = EnergyModel::default().evaluate_stats(&r.stats);
+            for ((e, ev), base) in runs.iter().zip(&bases) {
                 saving_sum += e.saving_vs(&base.breakdown);
-                let ev = net.net.total_events();
                 rides += ev.hitchhike_rides;
                 vic += ev.vicinity_rides;
                 fails += ev.sharing_failures;

@@ -5,11 +5,12 @@
 //!
 //! Run with `--quick` for fewer points.
 
-use noc_bench::{format_table, paper_phases, quick_flag, scenario_mode_ran};
+use noc_bench::{
+    format_table, paper_phases, par_map, quick_flag, scenario_mode_ran, sweep_threads_flag,
+};
 use noc_power::EnergyModel;
 use noc_sim::{Mesh, Network, NetworkConfig, PacketNode};
-use noc_traffic::{OpenLoop, SyntheticSource, TrafficPattern};
-use rayon::prelude::*;
+use noc_traffic::{run_phases, SyntheticSource, TrafficPattern};
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 fn main() {
@@ -28,30 +29,19 @@ fn main() {
 
     // Baseline for the energy ratio.
     let net_cfg = NetworkConfig::with_mesh(mesh);
+    let source = || SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 9);
     let mut base = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-    let r_base = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 9),
-        phases,
-    )
-    .run(&mut base);
+    let r_base = run_phases(&mut base, &mut source(), phases);
     let base_energy = EnergyModel::default().evaluate_stats(&r_base.stats);
 
-    let results: Vec<_> = sizes
-        .par_iter()
-        .map(|&s| {
-            let mut cfg = TdmConfig::vc4(net_cfg);
-            cfg.slot_capacity = s;
-            cfg.policy.setup_after_msgs = 3;
-            cfg.policy.freq_window = 2_048;
-            let mut net = TdmNetwork::new(cfg);
-            let r = OpenLoop::new(
-                SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 9),
-                phases,
-            )
-            .run(&mut net);
-            (s, r)
-        })
-        .collect();
+    let results = par_map(&sizes, sweep_threads_flag(), |&s| {
+        let mut cfg = TdmConfig::vc4(net_cfg);
+        cfg.slot_capacity = s;
+        cfg.policy.setup_after_msgs = 3;
+        cfg.policy.freq_window = 2_048;
+        let mut net = TdmNetwork::new(cfg);
+        (s, run_phases(&mut net, &mut source(), phases))
+    });
 
     println!("=== §II-C ablation — slot-table size, tornado @ {rate} flits/node/cycle ===");
     println!(

@@ -2,10 +2,11 @@
 //! reserved-but-idle slot blocks the packet-switched network, wasting the
 //! bandwidth the circuits are not using.
 
-use noc_bench::{format_table, paper_phases, quick_flag, scenario_mode_ran};
+use noc_bench::{
+    format_table, paper_phases, par_map, quick_flag, scenario_mode_ran, sweep_threads_flag,
+};
 use noc_sim::{Mesh, NetworkConfig};
-use noc_traffic::{OpenLoop, SyntheticSource, TrafficPattern};
-use rayon::prelude::*;
+use noc_traffic::{run_phases, SyntheticSource, TrafficPattern};
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 fn main() {
@@ -25,22 +26,15 @@ fn main() {
         .into_iter()
         .flat_map(|s| rates.iter().map(move |&r| (s, r)))
         .collect();
-    let results: Vec<_> = jobs
-        .par_iter()
-        .map(|&(stealing, rate)| {
-            let mut cfg = TdmConfig::vc4(NetworkConfig::with_mesh(mesh));
-            cfg.time_slot_stealing = stealing;
-            cfg.policy.setup_after_msgs = 3;
-            cfg.policy.freq_window = 2_048;
-            let mut net = TdmNetwork::new(cfg);
-            let r = OpenLoop::new(
-                SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 13),
-                phases,
-            )
-            .run(&mut net);
-            (stealing, rate, r)
-        })
-        .collect();
+    let results = par_map(&jobs, sweep_threads_flag(), |&(stealing, rate)| {
+        let mut cfg = TdmConfig::vc4(NetworkConfig::with_mesh(mesh));
+        cfg.time_slot_stealing = stealing;
+        cfg.policy.setup_after_msgs = 3;
+        cfg.policy.freq_window = 2_048;
+        let mut net = TdmNetwork::new(cfg);
+        let mut source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 13);
+        (stealing, rate, run_phases(&mut net, &mut source, phases))
+    });
 
     println!("=== §II-D ablation — time-slot stealing, uniform-random traffic ===\n");
     let mut rows = Vec::new();

@@ -8,41 +8,29 @@
 
 use noc_bench::{
     ascii_chart, format_table, json_flag, max_goodput, paper_patterns, paper_phases, quick_flag,
-    rate_sweep, result_envelope, run_synthetic, scenario_mode_ran, step_threads_from_env,
-    write_json, BackendKind, ScenarioSpec, SynthPoint,
+    rate_sweep, result_envelope, scenario_mode_ran, sweep_points, synth_spec, write_json,
+    BackendKind, ScenarioSpec, SynthPoint,
 };
-use noc_sim::Mesh;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
         return;
     }
     let quick = quick_flag();
-    let mesh = Mesh::square(6);
     let phases = paper_phases(quick);
     let rates = rate_sweep(quick);
-    let mut all_points: Vec<SynthPoint> = Vec::new();
     let mut all_specs: Vec<ScenarioSpec> = Vec::new();
-
     for pattern in paper_patterns() {
-        let mut jobs = Vec::new();
         for kind in BackendKind::SYNTH {
             for &rate in &rates {
-                jobs.push((kind, rate));
+                all_specs.push(synth_spec(kind, 6, pattern.clone(), rate, phases, 17));
             }
         }
-        for &(kind, rate) in &jobs {
-            let mut spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 17);
-            spec.step_threads = step_threads_from_env();
-            all_specs.push(spec);
-        }
-        let points: Vec<SynthPoint> = jobs
-            .par_iter()
-            .map(|&(kind, rate)| run_synthetic(kind, mesh, pattern.clone(), rate, phases, 17))
-            .collect();
-        all_points.extend(points.iter().cloned());
+    }
+    let all_points = sweep_points(&all_specs);
 
+    let per_pattern = BackendKind::SYNTH.len() * rates.len();
+    for (pattern, points) in paper_patterns().iter().zip(all_points.chunks(per_pattern)) {
         println!(
             "\n=== Figure 4 — {} traffic (36-node mesh) ===",
             pattern.name()

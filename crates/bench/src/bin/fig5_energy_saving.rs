@@ -9,18 +9,14 @@
 
 use noc_bench::{
     format_table, json_flag, paper_patterns, paper_phases, quick_flag, result_envelope,
-    run_synthetic, scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec,
-    SynthPoint,
+    scenario_mode_ran, sweep_points, synth_spec, write_json, BackendKind,
 };
-use noc_sim::Mesh;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
         return;
     }
     let quick = quick_flag();
-    let mesh = Mesh::square(6);
     let phases = paper_phases(quick);
     // Stay below saturation: energy ratios at saturation are dominated by
     // undelivered traffic.
@@ -29,44 +25,30 @@ fn main() {
     } else {
         vec![0.02, 0.05, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.36, 0.42]
     };
+    // Sample below the baseline's saturation (the paper does the same for
+    // Figure 6: "sampled at 75% capacity before Packet-VC4 saturates"):
+    // past saturation the two networks no longer do the same work and the
+    // energy ratio is meaningless.
+    let rates_for = |name: &str| -> Vec<f64> {
+        let max_rate = if name == "TR" { 0.26 } else { 0.45 };
+        rates.iter().copied().filter(|r| *r <= max_rate).collect()
+    };
 
-    let mut all_points: Vec<SynthPoint> = Vec::new();
-    let mut all_specs: Vec<ScenarioSpec> = Vec::new();
+    let mut all_specs = Vec::new();
     for pattern in paper_patterns() {
-        // Sample below the baseline's saturation (the paper does the same
-        // for Figure 6: "sampled at 75% capacity before Packet-VC4
-        // saturates"): past saturation the two networks no longer do the
-        // same work and the energy ratio is meaningless.
-        let max_rate = if pattern.name() == "TR" { 0.26 } else { 0.45 };
-        let rates: Vec<f64> = rates.iter().copied().filter(|r| *r <= max_rate).collect();
-        let kinds = [
+        for kind in [
             BackendKind::PacketVc4,
             BackendKind::HybridTdmVc4,
             BackendKind::HybridTdmVct,
-        ];
-        let mut jobs = Vec::new();
-        for kind in kinds {
-            for &rate in &rates {
-                jobs.push((kind, rate));
+        ] {
+            for rate in rates_for(pattern.name()) {
+                all_specs.push(synth_spec(kind, 6, pattern.clone(), rate, phases, 23));
             }
         }
-        for &(kind, rate) in &jobs {
-            let mut spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 23);
-            spec.step_threads = step_threads_from_env();
-            all_specs.push(spec);
-        }
-        let points: Vec<_> = jobs
-            .par_iter()
-            .map(|&(kind, rate)| {
-                (
-                    kind,
-                    rate,
-                    run_synthetic(kind, mesh, pattern.clone(), rate, phases, 23),
-                )
-            })
-            .collect();
-        all_points.extend(points.iter().map(|(_, _, p)| p.clone()));
+    }
+    let all_points = sweep_points(&all_specs);
 
+    for pattern in paper_patterns() {
         println!(
             "\n=== Figure 5 — network energy saving vs Packet-VC4, {} ===",
             pattern.name()
@@ -78,12 +60,16 @@ fn main() {
             "VCt extra %",
         ];
         let mut rows = Vec::new();
-        for &rate in &rates {
+        for rate in rates_for(pattern.name()) {
             let get = |kind: BackendKind| {
-                points
+                all_points
                     .iter()
-                    .find(|(k, r, _)| *k == kind && (*r - rate).abs() < 1e-9)
-                    .map(|(_, _, p)| p.breakdown)
+                    .find(|p| {
+                        p.kind == kind
+                            && p.pattern == pattern.name()
+                            && (p.rate - rate).abs() < 1e-9
+                    })
+                    .map(|p| p.breakdown)
                     .expect("point exists")
             };
             let base = get(BackendKind::PacketVc4);

@@ -9,11 +9,11 @@
 //! communication pairs grow quadratically while slot tables do not.
 
 use noc_bench::{
-    format_table, max_goodput, paper_patterns, paper_phases, quick_flag, run_synthetic,
-    scenario_mode_ran, BackendKind, SynthPoint,
+    format_table, max_goodput, paper_patterns, paper_phases, quick_flag, scenario_mode_ran,
+    sweep_points, synth_spec, BackendKind, SynthPoint,
 };
-use noc_sim::Mesh;
-use rayon::prelude::*;
+
+const KINDS: [BackendKind; 2] = [BackendKind::PacketVc4, BackendKind::HybridTdmVct];
 
 fn main() {
     if scenario_mode_ran() {
@@ -21,31 +21,34 @@ fn main() {
     }
     let quick = quick_flag();
     let phases = paper_phases(quick);
-    let meshes = [Mesh::square(8), Mesh::square(16)];
+    let meshes = [8u16, 16];
     let rates: Vec<f64> = if quick {
         vec![0.05, 0.15, 0.30, 0.45, 0.60]
     } else {
         vec![0.05, 0.10, 0.15, 0.22, 0.30, 0.38, 0.46, 0.55, 0.65]
     };
 
-    for mesh in meshes {
+    let mut specs = Vec::new();
+    for k in meshes {
+        for pattern in paper_patterns() {
+            for kind in KINDS {
+                for &rate in &rates {
+                    specs.push(synth_spec(kind, k, pattern.clone(), rate, phases, 31));
+                }
+            }
+        }
+    }
+    let all_points = sweep_points(&specs);
+    let mut groups = all_points.chunks(KINDS.len() * rates.len());
+
+    for k in meshes {
         println!(
-            "\n=== Figure 6 — {}x{} mesh ({} nodes) ===",
-            mesh.kx(),
-            mesh.ky(),
-            mesh.len()
+            "\n=== Figure 6 — {k}x{k} mesh ({} nodes) ===",
+            usize::from(k) * usize::from(k)
         );
         let mut rows = Vec::new();
         for pattern in paper_patterns() {
-            let jobs: Vec<(BackendKind, f64)> = [BackendKind::PacketVc4, BackendKind::HybridTdmVct]
-                .into_iter()
-                .flat_map(|k| rates.iter().map(move |&r| (k, r)))
-                .collect();
-            let points: Vec<SynthPoint> = jobs
-                .par_iter()
-                .map(|&(kind, rate)| run_synthetic(kind, mesh, pattern.clone(), rate, phases, 31))
-                .collect();
-
+            let points = groups.next().expect("one group per mesh and pattern");
             let of_kind = |kind: BackendKind| -> Vec<SynthPoint> {
                 points.iter().filter(|p| p.kind == kind).cloned().collect()
             };

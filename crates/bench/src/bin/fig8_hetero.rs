@@ -8,9 +8,9 @@
 //! configuration; BLACKSCHOLES saving up to 23.8 %; STO *costs* energy
 //! under basic Hybrid-TDM-VC4.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
-use noc_hetero::{mix_phases, run_mix, speedup, MixResult, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
+use noc_bench::{format_table, quick_flag, scenario_mode_ran, sweep_mixes, BackendKind};
+use noc_hetero::{mix_phases, speedup, MixResult, CPU_BENCHES, GPU_BENCHES};
+use noc_scenario::ScenarioSpec;
 
 struct MixRow {
     mix: String,
@@ -32,26 +32,38 @@ fn main() {
     let mixes: Vec<(usize, usize)> = (0..GPU_BENCHES.len())
         .flat_map(|g| (0..cpu_count).map(move |c| (g, c)))
         .collect();
+    // Per mix: the Packet-VC4 baseline, then each Figure 8 configuration.
+    let kinds: Vec<BackendKind> = std::iter::once(BackendKind::PacketVc4)
+        .chain(BackendKind::FIGURE8)
+        .collect();
+    let specs: Vec<ScenarioSpec> = mixes
+        .iter()
+        .flat_map(|&(gi, ci)| {
+            let seed = (gi * 8 + ci) as u64 + 7;
+            kinds.iter().map(move |&kind| {
+                ScenarioSpec::hetero(
+                    kind,
+                    CPU_BENCHES[ci].name,
+                    GPU_BENCHES[gi].name,
+                    phases,
+                    seed,
+                )
+            })
+        })
+        .collect();
+    let results = sweep_mixes(&specs);
 
     let rows: Vec<MixRow> = mixes
-        .par_iter()
-        .map(|&(gi, ci)| {
-            let gpu = &GPU_BENCHES[gi];
-            let cpu = &CPU_BENCHES[ci];
-            let seed = (gi * 8 + ci) as u64 + 7;
-            let base = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, seed).expect("mix runs");
-            let per_kind = BackendKind::FIGURE8
-                .iter()
-                .map(|&kind| {
-                    let r = run_mix(cpu, gpu, kind, phases, seed).expect("mix runs");
-                    metrics(cpu, gpu, &base, &r)
-                })
-                .collect();
+        .iter()
+        .zip(results.chunks(kinds.len()))
+        .map(|(&(gi, ci), runs)| {
+            let (gpu, cpu) = (&GPU_BENCHES[gi], &CPU_BENCHES[ci]);
+            let (base, hybrids) = runs.split_first().expect("baseline first");
             MixRow {
                 mix: format!("{}+{}", gpu.name, cpu.name),
                 gpu_idx: gi,
                 cpu_idx: ci,
-                per_kind,
+                per_kind: hybrids.iter().map(|r| metrics(cpu, gpu, base, r)).collect(),
             }
         })
         .collect();

@@ -8,10 +8,12 @@
 //! CS dynamic overhead 0.6 %, total dynamic −20.8 %; static −17.3 % with
 //! 2.1 % CS static overhead.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
-use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
+use noc_bench::{format_table, quick_flag, scenario_mode_ran, sweep_mixes, BackendKind};
+use noc_hetero::{mix_phases, CPU_BENCHES, GPU_BENCHES};
 use noc_power::EnergyBreakdown;
-use rayon::prelude::*;
+use noc_scenario::ScenarioSpec;
+
+const KINDS: [BackendKind; 2] = [BackendKind::PacketVc4, BackendKind::HybridTdmHopVct];
 
 fn main() {
     if scenario_mode_ran() {
@@ -21,22 +23,27 @@ fn main() {
     let phases = mix_phases(quick);
     let cpu_count = if quick { 2 } else { CPU_BENCHES.len() };
 
-    let per_gpu: Vec<(usize, EnergyBreakdown, EnergyBreakdown)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
+    let mut specs = Vec::new();
+    for (gi, gpu) in GPU_BENCHES.iter().enumerate() {
+        for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
+            let seed = (gi * 8 + ci) as u64 + 77;
+            for kind in KINDS {
+                specs.push(ScenarioSpec::hetero(kind, cpu.name, gpu.name, phases, seed));
+            }
+        }
+    }
+    let results = sweep_mixes(&specs);
+    // Per GPU benchmark: baseline and hybrid breakdowns summed over its
+    // CPU mixes, in mix order.
+    let per_gpu: Vec<(usize, EnergyBreakdown, EnergyBreakdown)> = results
+        .chunks(KINDS.len() * cpu_count)
+        .enumerate()
+        .map(|(gi, runs)| {
             let mut base_sum = EnergyBreakdown::default();
             let mut hyb_sum = EnergyBreakdown::default();
-            for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
-                let seed = (gi * 8 + ci) as u64 + 77;
-                let b = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, seed)
-                    .expect("mix runs")
-                    .breakdown;
-                let h = run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, seed)
-                    .expect("mix runs")
-                    .breakdown;
-                base_sum = add(base_sum, b);
-                hyb_sum = add(hyb_sum, h);
+            for pair in runs.chunks(KINDS.len()) {
+                base_sum = add(base_sum, pair[0].breakdown);
+                hyb_sum = add(hyb_sum, pair[1].breakdown);
             }
             (gi, base_sum, hyb_sum)
         })

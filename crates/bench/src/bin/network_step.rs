@@ -1,9 +1,17 @@
-//! Standalone `Network::step` kernel benchmark with machine-readable
-//! output: the same operating points as the criterion bench
-//! (`benches/network_step.rs`) measured with a plain `Instant` loop and
-//! written as schema-versioned JSON via `--json-out` so regressions can
-//! be tracked across commits (`BENCH_network_step.json` at the repo root
-//! holds the committed snapshot).
+//! Standalone whole-network cycle-kernel benchmark with machine-readable
+//! output: packet and TDM fabrics on 64- and 1024-node grids under
+//! uniform-random traffic, driven through `noc_sim::Fabric` with a plain
+//! `Instant` loop and written as schema-versioned JSON via `--json-out` so
+//! regressions can be tracked across commits (`BENCH_network_step.json`
+//! at the repo root holds the committed snapshot).
+//!
+//! Every point is named and reported by the load it really offers, in
+//! flits/node/cycle (`SyntheticSource` takes that unit). Three point
+//! kinds share the timing loop: per-cycle stepping, per-cycle stepping
+//! with the node-stepping pool at 2 threads (`_parallel2`), and near-idle
+//! leap points (`_leap`) that replay a pre-sampled injection schedule
+//! through `Fabric::run_until`, so idle stretches collapse and the
+//! schedule's RNG sweep stays outside the timed region.
 //!
 //! Flags:
 //!   --json-out PATH   write the schema-versioned result envelope
@@ -15,16 +23,29 @@
 
 use std::time::Instant;
 
-use noc_sim::{Mesh, Network, NetworkConfig, PacketNode};
+use noc_sim::{Fabric, Mesh, Network, NetworkConfig, NodeId, Packet, PacketNode};
 use noc_traffic::{SyntheticSource, TrafficPattern};
 use serde::Serialize;
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 const STEPS: u64 = 512;
-/// 0.3 flits/node/cycle at 5-flit packets.
+/// Offered loads, flits/node/cycle: the historic "heavy" point (12% of
+/// the 8×8 mesh's UR bisection bound, ~50% of the 32×32 one), the
+/// low-load point and the near-idle leap point.
 const RATE_HEAVY: f64 = 0.06;
-/// 0.02 flits/node/cycle at 5-flit packets.
 const RATE_LOW: f64 = 0.004;
+const RATE_NEAR_IDLE: f64 = 0.0004;
+
+/// How a point advances its fabric through a timed repetition.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    /// One `step` per cycle, source ticked every cycle.
+    Step,
+    /// As `Step`, with the node-stepping phase on 2 pool threads.
+    Parallel2,
+    /// `run_until` between the events of a pre-sampled schedule.
+    Leap,
+}
 
 #[derive(Serialize)]
 struct Envelope {
@@ -110,59 +131,51 @@ fn drive(net: &mut dyn Fabric, src: &mut SyntheticSource, cycles: u64) {
     }
 }
 
-/// The two backends behind one dispatch seam so the timing loop is shared.
-trait Fabric {
-    fn now(&self) -> u64;
-    fn inject(&mut self, n: noc_sim::NodeId, p: noc_sim::Packet);
-    fn step(&mut self);
-    fn delivered(&self) -> u64;
+/// The injection schedule for the next `cycles` cycles from `start`.
+fn sample_schedule(
+    src: &mut SyntheticSource,
+    start: u64,
+    cycles: u64,
+) -> Vec<(u64, NodeId, Packet)> {
+    let mut sched = Vec::new();
+    for c in start..start + cycles {
+        src.tick(c, true, |n, p| sched.push((c, n, p)));
+    }
+    sched
 }
 
-impl Fabric for Network<PacketNode> {
-    fn now(&self) -> u64 {
-        Network::now(self)
-    }
-    fn inject(&mut self, n: noc_sim::NodeId, p: noc_sim::Packet) {
-        Network::inject(self, n, p);
-    }
-    fn step(&mut self) {
-        Network::step(self);
-    }
-    fn delivered(&self) -> u64 {
-        self.stats.packets_delivered
-    }
-}
+/// One operating point: name, backend, grid, offered flits/node/cycle,
+/// drive mode and warm-up cycles.
+type Case = (&'static str, &'static str, Mesh, f64, Drive, u64);
 
-impl Fabric for TdmNetwork {
-    fn now(&self) -> u64 {
-        TdmNetwork::now(self)
-    }
-    fn inject(&mut self, n: noc_sim::NodeId, p: noc_sim::Packet) {
-        TdmNetwork::inject(self, n, p);
-    }
-    fn step(&mut self) {
-        TdmNetwork::step(self);
-    }
-    fn delivered(&self) -> u64 {
-        self.stats().packets_delivered
-    }
-}
-
-fn measure(
-    name: &str,
-    backend: &'static str,
-    topo: Mesh,
-    rate: f64,
-    warmup: u64,
-    reps: u64,
-    mut net: Box<dyn Fabric>,
-) -> Point {
+fn measure((name, backend, topo, rate, mode, warmup): Case, reps: u64) -> Point {
+    let mut net = match backend {
+        "packet" => packet_net(topo),
+        _ => tdm_net(topo),
+    };
     let mut src = SyntheticSource::new(topo, TrafficPattern::UniformRandom, rate, 5, 42);
+    if mode == Drive::Parallel2 {
+        net.set_step_threads(2);
+    }
     drive(net.as_mut(), &mut src, warmup);
     let mut wall_ns = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
+        let start = net.now();
+        let sched = match mode {
+            Drive::Leap => sample_schedule(&mut src, start, STEPS),
+            Drive::Step | Drive::Parallel2 => Vec::new(),
+        };
         let t0 = Instant::now();
-        drive(net.as_mut(), &mut src, STEPS);
+        match mode {
+            Drive::Leap => {
+                for (t, n, p) in sched {
+                    net.run_until(t);
+                    net.inject(n, p);
+                }
+                net.run_until(start + STEPS);
+            }
+            Drive::Step | Drive::Parallel2 => drive(net.as_mut(), &mut src, STEPS),
+        }
         wall_ns.push(t0.elapsed().as_nanos() as u64);
     }
     let mut sorted = wall_ns.clone();
@@ -174,12 +187,12 @@ fn measure(
         backend,
         nodes: topo.len(),
         topology: if topo.is_torus() { "torus" } else { "mesh" },
-        flits_per_node_cycle: rate * 5.0,
+        flits_per_node_cycle: rate,
         warmup_cycles: warmup,
         wall_ns,
         best_ns_per_cycle: best as f64 / STEPS as f64,
         median_ns_per_cycle: median as f64 / STEPS as f64,
-        packets_delivered: net.delivered(),
+        packets_delivered: net.stats().packets_delivered,
     }
 }
 
@@ -206,37 +219,110 @@ fn main() {
     let m32 = Mesh::square(32);
     let t32 = Mesh::torus_square(32);
 
-    let spec: Vec<(&str, &'static str, Mesh, f64, u64)> = vec![
-        ("packet_64n_0.3flits", "packet", m8, RATE_HEAVY, warm_64),
-        ("packet_64n_0.02flits", "packet", m8, RATE_LOW, warm_64),
-        ("tdm_hybrid_64n_0.3flits", "tdm", m8, RATE_HEAVY, warm_64),
-        ("tdm_hybrid_64n_0.02flits", "tdm", m8, RATE_LOW, warm_64),
+    use Drive::{Leap, Parallel2, Step};
+    let cases: Vec<Case> = vec![
         (
-            "packet_1024n_0.3flits",
+            "packet_64n_0.06flits",
+            "packet",
+            m8,
+            RATE_HEAVY,
+            Step,
+            warm_64,
+        ),
+        (
+            "packet_64n_0.06flits_parallel2",
+            "packet",
+            m8,
+            RATE_HEAVY,
+            Parallel2,
+            warm_64,
+        ),
+        (
+            "packet_64n_0.004flits",
+            "packet",
+            m8,
+            RATE_LOW,
+            Step,
+            warm_64,
+        ),
+        (
+            "packet_64n_0.0004flits_leap",
+            "packet",
+            m8,
+            RATE_NEAR_IDLE,
+            Leap,
+            warm_64,
+        ),
+        (
+            "tdm_hybrid_64n_0.06flits",
+            "tdm",
+            m8,
+            RATE_HEAVY,
+            Step,
+            warm_64,
+        ),
+        (
+            "tdm_hybrid_64n_0.004flits",
+            "tdm",
+            m8,
+            RATE_LOW,
+            Step,
+            warm_64,
+        ),
+        (
+            "tdm_hybrid_64n_0.0004flits_leap",
+            "tdm",
+            m8,
+            RATE_NEAR_IDLE,
+            Leap,
+            warm_64,
+        ),
+        (
+            "packet_1024n_0.06flits",
             "packet",
             m32,
             RATE_HEAVY,
+            Step,
             warm_1024,
         ),
         (
-            "packet_1024n_torus_0.3flits",
+            "packet_1024n_0.004flits",
+            "packet",
+            m32,
+            RATE_LOW,
+            Step,
+            warm_1024,
+        ),
+        (
+            "packet_1024n_torus_0.06flits",
             "packet",
             t32,
             RATE_HEAVY,
+            Step,
             warm_1024,
         ),
         (
-            "tdm_hybrid_1024n_0.3flits",
+            "tdm_hybrid_1024n_0.06flits",
             "tdm",
             m32,
             RATE_HEAVY,
+            Step,
             warm_1024,
         ),
         (
-            "tdm_hybrid_1024n_torus_0.02flits",
+            "tdm_hybrid_1024n_0.004flits",
+            "tdm",
+            m32,
+            RATE_LOW,
+            Step,
+            warm_1024,
+        ),
+        (
+            "tdm_hybrid_1024n_torus_0.004flits",
             "tdm",
             t32,
             RATE_LOW,
+            Step,
             warm_1024,
         ),
     ];
@@ -246,19 +332,15 @@ fn main() {
         "{:<34} {:>14} {:>14} {:>12}",
         "point", "best ns/cyc", "median ns/cyc", "delivered"
     );
-    for (name, backend, topo, rate, warmup) in spec {
+    for case in cases {
         if args
             .only
             .as_ref()
-            .is_some_and(|s| !name.contains(s.as_str()))
+            .is_some_and(|s| !case.0.contains(s.as_str()))
         {
             continue;
         }
-        let net = match backend {
-            "packet" => packet_net(topo),
-            _ => tdm_net(topo),
-        };
-        let p = measure(name, backend, topo, rate, warmup, args.reps, net);
+        let p = measure(case, args.reps);
         println!(
             "{:<34} {:>14.1} {:>14.1} {:>12}",
             p.name, p.best_ns_per_cycle, p.median_ns_per_cycle, p.packets_delivered

@@ -9,9 +9,11 @@
 //! Also checks §V-B1's aside: "compared to packet-switched network with VC
 //! power gating (not shown), 6.8% static energy saving is achieved".
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
-use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
+use noc_bench::{format_table, quick_flag, scenario_mode_ran, sweep_mixes, BackendKind};
+use noc_hetero::{mix_phases, CPU_BENCHES, GPU_BENCHES};
+use noc_scenario::ScenarioSpec;
+
+const KINDS: [BackendKind; 2] = [BackendKind::PacketVct, BackendKind::HybridTdmHopVct];
 
 fn main() {
     if scenario_mode_ran() {
@@ -21,17 +23,23 @@ fn main() {
     let phases = mix_phases(quick);
     let cpu_count = if quick { 2 } else { CPU_BENCHES.len() };
 
-    let rows: Vec<(String, f64, f64, f64)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
+    let mut specs = Vec::new();
+    for (gi, gpu) in GPU_BENCHES.iter().enumerate() {
+        for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
+            let seed = (gi * 8 + ci) as u64 + 55;
+            for kind in KINDS {
+                specs.push(ScenarioSpec::hetero(kind, cpu.name, gpu.name, phases, seed));
+            }
+        }
+    }
+    let results = sweep_mixes(&specs);
+    let rows: Vec<(String, f64, f64, f64)> = GPU_BENCHES
+        .iter()
+        .zip(results.chunks(KINDS.len() * cpu_count))
+        .map(|(gpu, runs)| {
             let (mut tot, mut dynr, mut statr) = (0.0, 0.0, 0.0);
-            for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
-                let seed = (gi * 8 + ci) as u64 + 55;
-                let gated =
-                    run_mix(cpu, gpu, BackendKind::PacketVct, phases, seed).expect("mix runs");
-                let hybrid = run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, seed)
-                    .expect("mix runs");
+            for pair in runs.chunks(KINDS.len()) {
+                let (gated, hybrid) = (&pair[0], &pair[1]);
                 tot += hybrid.breakdown.saving_vs(&gated.breakdown);
                 dynr += hybrid.breakdown.dynamic_saving_vs(&gated.breakdown);
                 statr += hybrid.breakdown.static_saving_vs(&gated.breakdown);

@@ -2,9 +2,9 @@
 //! are circuit-switched under Hybrid-TDM-VC4, per GPU benchmark (averaged
 //! over the CPU benchmarks it is mixed with).
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
-use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
+use noc_bench::{format_table, quick_flag, scenario_mode_ran, sweep_mixes, BackendKind};
+use noc_hetero::{mix_phases, CPU_BENCHES, GPU_BENCHES};
+use noc_scenario::ScenarioSpec;
 
 /// Paper values for reference output.
 const PAPER: [(&str, f64, f64); 7] = [
@@ -24,25 +24,36 @@ fn main() {
     let quick = quick_flag();
     let phases = mix_phases(quick);
     // Average each GPU benchmark over a set of CPU mixes.
-    let cpus: Vec<_> = if quick {
-        CPU_BENCHES.iter().take(2).collect()
-    } else {
-        CPU_BENCHES.iter().collect()
-    };
-
-    let results: Vec<(usize, f64, f64)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
+    let cpu_count = if quick { 2 } else { CPU_BENCHES.len() };
+    let specs: Vec<ScenarioSpec> = GPU_BENCHES
+        .iter()
+        .flat_map(|gpu| {
+            CPU_BENCHES[..cpu_count]
+                .iter()
+                .enumerate()
+                .map(move |(ci, cpu)| {
+                    ScenarioSpec::hetero(
+                        BackendKind::HybridTdmVc4,
+                        cpu.name,
+                        gpu.name,
+                        phases,
+                        100 + ci as u64,
+                    )
+                })
+        })
+        .collect();
+    let runs = sweep_mixes(&specs);
+    let results: Vec<(usize, f64, f64)> = runs
+        .chunks(cpu_count)
+        .enumerate()
+        .map(|(gi, mixes)| {
             let mut inj = 0.0;
             let mut cs = 0.0;
-            for (ci, cpu) in cpus.iter().enumerate() {
-                let r = run_mix(cpu, gpu, BackendKind::HybridTdmVc4, phases, 100 + ci as u64)
-                    .expect("mix runs");
+            for r in mixes {
                 inj += r.gpu_injection;
                 cs += r.cs_flit_fraction;
             }
-            let n = cpus.len() as f64;
+            let n = cpu_count as f64;
             (gi, inj / n, cs / n * 100.0)
         })
         .collect();

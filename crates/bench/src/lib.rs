@@ -1,11 +1,11 @@
 //! # noc-bench — experiment harnesses for every table and figure
 //!
 //! One binary per table/figure of the paper (`src/bin/`), plus Criterion
-//! microbenchmarks (`benches/`). Network construction goes through the
-//! `noc-scenario` backend registry ([`BackendKind`] + [`build_fabric`])
-//! and every run goes through the shared engine
-//! ([`noc_traffic::run_phases`]); this library holds what is left: the
-//! per-figure sweeps, saturation search and table/chart formatting.
+//! microbenchmarks (`benches/`). Every figure point is a [`ScenarioSpec`]
+//! run by [`run_sweep`]; the ablations that need hand-built fabrics use
+//! the same [`par_map`] fan-out and the shared engine
+//! ([`noc_traffic::run_phases`]). This library also holds saturation
+//! search and table/chart formatting.
 //!
 //! Every binary accepts `--scenario <file>` to run declarative
 //! [`ScenarioSpec`]s (JSON) instead of its built-in paper configuration,
@@ -26,12 +26,12 @@
 
 use noc_power::{EnergyBreakdown, EnergyModel};
 use noc_sim::telemetry::{chrome_trace_json, link_heatmap_csv};
-use noc_sim::{Fabric, Mesh, NetworkConfig, TelemetryConfig, TelemetryReport};
+use noc_sim::{Fabric, TelemetryConfig, TelemetryReport};
 use noc_traffic::{
-    run_measurement, run_measurement_ctl, run_phases, run_warmup, run_warmup_ctl, PhaseConfig,
-    RunControl, RunResult, SyntheticSource, TrafficPattern,
+    run_measurement_ctl, run_warmup_ctl, PhaseConfig, RunControl, RunResult, TrafficPattern,
 };
 use serde::{Serialize, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use noc_hetero::MixResult;
 pub use noc_scenario::{
@@ -58,153 +58,58 @@ pub struct SynthPoint {
     pub goodput: f64,
 }
 
-fn synth_point(
+/// A figure's synthetic point as a [`ScenarioSpec`], with the host-side
+/// `NOC_STEP_THREADS` override applied (it never changes results).
+pub fn synth_spec(
     kind: BackendKind,
-    pattern: &'static str,
-    rate: f64,
-    result: RunResult,
-    nodes: usize,
-    ps_packet_flits: u8,
-) -> SynthPoint {
-    let breakdown = EnergyModel::default().evaluate_stats(&result.stats);
-    let goodput = if result.stats.measured_cycles == 0 {
-        0.0
-    } else {
-        result.stats.packets_delivered as f64 * ps_packet_flits as f64
-            / (result.stats.measured_cycles as f64 * nodes as f64)
-    };
-    SynthPoint {
-        kind,
-        pattern,
-        rate,
-        result,
-        breakdown,
-        goodput,
-    }
-}
-
-/// Run one synthetic point through the registry-built fabric and the
-/// shared engine.
-pub fn run_synthetic(
-    kind: BackendKind,
-    mesh: Mesh,
+    mesh: u16,
     pattern: TrafficPattern,
     rate: f64,
     phases: PhaseConfig,
     seed: u64,
-) -> SynthPoint {
-    let mut net_cfg = NetworkConfig::with_mesh(mesh);
-    net_cfg.step_threads = step_threads_from_env();
-    let mut source =
-        SyntheticSource::new(mesh, pattern.clone(), rate, net_cfg.ps_packet_flits, seed);
-    let mut fabric = build_fabric(
-        kind,
-        net_cfg,
-        Tuning::Synthetic {
-            slot_capacity: None,
-        },
-    )
-    .expect("every backend builds under the synthetic tuning");
-    let result = run_phases(fabric.as_mut(), &mut source, phases);
-    synth_point(
-        kind,
-        pattern.name(),
-        rate,
-        result,
-        mesh.len(),
-        net_cfg.ps_packet_flits,
-    )
+) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::synthetic(kind, mesh, pattern, rate, phases, seed);
+    spec.step_threads = step_threads_from_env();
+    spec
 }
 
-/// Run a synthetic [`ScenarioSpec`] (hetero specs are rejected — those
-/// resolve through `noc_hetero::run_spec`).
-pub fn run_synthetic_spec(spec: &ScenarioSpec) -> Result<SynthPoint, ScenarioError> {
-    run_synthetic_spec_traced(spec, None).map(|(p, _)| p)
-}
-
-/// [`run_synthetic_spec`] with optional flit-lifecycle tracing. Tracing
-/// only observes: the [`SynthPoint`] is bit-identical with or without a
-/// telemetry config.
+/// Run a synthetic or trace [`ScenarioSpec`] (hetero specs are rejected —
+/// those resolve through `noc_hetero::run_spec`). With `telemetry`, the
+/// fabric is traced from the first warm-up cycle and the report is
+/// returned; tracing only observes, so the [`SynthPoint`] is bit-identical
+/// either way.
 ///
-/// Checkpoint seam: a spec with `checkpoint_out` writes a warm-up blob
-/// before measuring; a spec with `checkpoint_from` restores one instead
+/// Checkpoint seam: a spec with `checkpoint_out` captures the warm-up and
+/// writes it as a blob; a spec with `checkpoint_from` restores one instead
 /// of warming up — and produces a byte-identical measurement to the
 /// continuous run it forked from (same traffic/seed) or a fresh
-/// measurement point (different traffic/seed: the warm-up fork). A fault
-/// schedule on the spec is armed before warm-up; on a restore the
-/// snapshot's own mid-timeline fault state continues instead.
-pub fn run_synthetic_spec_traced(
+/// measurement point (different traffic/seed: the warm-up fork). These
+/// are the file forms of [`WarmStart::Fresh`] with capture and
+/// [`WarmStart::Restore`].
+pub fn run_synthetic_spec(
     spec: &ScenarioSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(SynthPoint, Option<TelemetryReport>), ScenarioError> {
-    let mut source = build_workload(spec)?.ok_or_else(|| {
-        ScenarioError::Parse(
-            "run_synthetic_spec needs a synthetic or trace scenario (hetero \
-             runs resolve through noc_hetero::run_spec)"
-                .into(),
-        )
-    })?;
-    let (name, rate) = point_label(spec, &source);
-    let mut fabric = spec.build_fabric()?;
-    if let Some(cfg) = telemetry {
-        fabric.configure_telemetry(cfg);
-    }
-    let result = if let Some(path) = &spec.checkpoint_from {
-        // Warm-up fork: fast-forward the source to the checkpointed RNG
-        // position, raise its id allocator past every in-flight packet,
-        // and restore the fabric. The snapshot carries the fault timeline
-        // (and any pinned circuit plan) mid-flight, so neither
-        // `set_faults` nor `install_circuit_plan` must run again here.
-        let ck = Checkpoint::read(path)?;
-        ck.compatible_with(spec)?;
-        source.skip_ticks(ck.warmup_ticks);
-        source.skip_to(ck.next_packet_id);
-        fabric
-            .restore(&ck.snapshot)
-            .map_err(|e| ScenarioError::Checkpoint(format!("{path}: {e}")))?;
-        run_measurement(fabric.as_mut(), &mut source, spec.phases)
-    } else {
-        if let Some(top) = spec.profile_circuits {
-            let plan = plan_for_spec(spec, top)?;
-            fabric
-                .install_circuit_plan(&plan)
-                .map_err(|e| ScenarioError::Parse(format!("profile_circuits: {e}")))?;
-        }
-        if !spec.faults.is_empty() {
-            spec.validate_faults()?;
-            fabric
-                .set_faults(spec.faults.clone())
-                .map_err(|e| ScenarioError::Fault(e.to_string()))?;
-        }
-        let warmup_ticks = run_warmup(fabric.as_mut(), &mut source, spec.phases);
-        if let Some(out) = &spec.checkpoint_out {
-            let snapshot = fabric
-                .checkpoint()
-                .map_err(|e| ScenarioError::Checkpoint(e.to_string()))?;
-            Checkpoint {
-                spec: spec.clone(),
-                warmup_ticks,
-                next_packet_id: source.next_id_preview(),
-                snapshot,
-            }
-            .write(out)?;
-        }
-        run_measurement(fabric.as_mut(), &mut source, spec.phases)
+    let restored = spec
+        .checkpoint_from
+        .as_deref()
+        .map(Checkpoint::read)
+        .transpose()?;
+    let warm = match &restored {
+        Some(ck) => WarmStart::Restore(ck),
+        None => WarmStart::Fresh {
+            capture: spec.checkpoint_out.is_some(),
+        },
     };
-    write_trace_export(spec, &mut source)?;
-    let report = telemetry.and_then(|_| fabric.telemetry_report());
-    let net_cfg = spec.net_config();
-    Ok((
-        synth_point(
-            spec.backend,
-            name,
-            rate,
-            result,
-            net_cfg.mesh.len(),
-            net_cfg.ps_packet_flits,
-        ),
-        report,
-    ))
+    match run_point(spec, warm, telemetry, true, &mut FreeRun)? {
+        (ServeRun::Done { point, warm }, report) => {
+            if let (Some(out), Some(ck)) = (&spec.checkpoint_out, warm) {
+                ck.write(out)?;
+            }
+            Ok((point, report))
+        }
+        (ServeRun::Cancelled { .. }, _) => unreachable!("FreeRun never cancels"),
+    }
 }
 
 /// (pattern label, offered rate) for a synthetic or trace point.
@@ -256,9 +161,9 @@ fn write_trace_export(spec: &ScenarioSpec, source: &mut SpecSource) -> Result<()
     Ok(())
 }
 
-/// How an in-process service run starts: cold (optionally capturing a
-/// warm-up checkpoint at the warm/measurement boundary) or restored from
-/// a cached blob (the warm-up-cache hit path of `noc-serve`).
+/// How a run starts: cold (optionally capturing a warm-up checkpoint at
+/// the warm/measurement boundary) or restored from a captured blob (the
+/// warm-up fork, and the warm-up-cache hit path of `noc-serve`).
 pub enum WarmStart<'a> {
     /// Pay the warm-up; `capture` additionally checkpoints the fabric at
     /// the boundary and returns the blob in [`ServeRun::Done`].
@@ -287,13 +192,10 @@ pub enum ServeRun {
     Cancelled { arena_live: usize },
 }
 
-/// The worker-side engine entry point of `noc-serve`: like
-/// [`run_synthetic_spec_traced`] but callable in-process with (a) a
-/// [`RunControl`] hook for tick-granularity cooperative cancellation and
-/// live telemetry streaming, (b) an in-memory [`WarmStart`] instead of
-/// the `checkpoint_out`/`checkpoint_from` file plumbing, and (c)
-/// host-timing fields zeroed (like sweep envelopes) so equal specs
-/// produce byte-identical serialised results.
+/// The worker-side engine entry point of `noc-serve`: [`run_synthetic_spec`]
+/// with (a) a [`RunControl`] hook for tick-granularity cooperative
+/// cancellation and live telemetry streaming and (b) an in-memory
+/// [`WarmStart`] instead of the `checkpoint_out`/`checkpoint_from` files.
 ///
 /// `stream` arms windowed metrics *after* the warm-up boundary — both
 /// because `Fabric::checkpoint` refuses while telemetry is armed and so
@@ -305,29 +207,58 @@ pub fn run_synthetic_spec_ctl(
     stream: Option<&TelemetryConfig>,
     ctl: &mut dyn RunControl,
 ) -> Result<ServeRun, ScenarioError> {
-    fn cancelled(fabric: &mut dyn Fabric) -> ServeRun {
+    run_point(spec, warm, stream, false, ctl).map(|(run, _)| run)
+}
+
+/// The one body behind every synthetic and trace run. `telemetry` is
+/// armed before warm-up when `trace_warmup` is set, else at the
+/// measurement boundary; the report is harvested after the drain. The
+/// host-timing fields of the point are zeroed — they are the only
+/// scheduling-dependent outputs, so equal specs serialise byte-identically
+/// on any host and thread count.
+fn run_point(
+    spec: &ScenarioSpec,
+    warm: WarmStart<'_>,
+    telemetry: Option<&TelemetryConfig>,
+    trace_warmup: bool,
+    ctl: &mut dyn RunControl,
+) -> Result<(ServeRun, Option<TelemetryReport>), ScenarioError> {
+    fn cancelled(fabric: &mut dyn Fabric) -> (ServeRun, Option<TelemetryReport>) {
         // Flush in-flight flits so a cancelled run releases its arena
         // payloads; the bound keeps a wedged fabric from spinning forever.
         let _ = fabric.drain(100_000);
-        ServeRun::Cancelled {
+        let run = ServeRun::Cancelled {
             arena_live: fabric.arena_live(),
-        }
+        };
+        (run, None)
     }
 
     let mut source = build_workload(spec)?.ok_or_else(|| {
-        ScenarioError::Parse("run_synthetic_spec_ctl needs a synthetic or trace scenario".into())
+        ScenarioError::Parse(
+            "run_synthetic_spec needs a synthetic or trace scenario (hetero \
+             runs resolve through noc_hetero::run_spec)"
+                .into(),
+        )
     })?;
     let (name, rate) = point_label(spec, &source);
     if spec.trace_export.is_some() && matches!(warm, WarmStart::Restore(_)) {
         return Err(ScenarioError::Parse(
-            "trace_export cannot restore a cached warm-up: the warm-up \
-             injections it must record are skipped"
+            "trace_export cannot restore a warm-up: the warm-up injections \
+             it must record are skipped"
                 .into(),
         ));
     }
     let mut fabric = spec.build_fabric()?;
+    if let (Some(cfg), true) = (telemetry, trace_warmup) {
+        fabric.configure_telemetry(cfg);
+    }
     let warm_blob = match warm {
         WarmStart::Restore(ck) => {
+            // Warm-up fork: fast-forward the source to the checkpointed RNG
+            // position, raise its id allocator past every in-flight packet,
+            // and restore the fabric. The snapshot carries the fault
+            // timeline (and any pinned circuit plan) mid-flight, so neither
+            // `set_faults` nor `install_circuit_plan` must run again here.
             ck.compatible_with(spec)?;
             source.skip_ticks(ck.warmup_ticks);
             source.skip_to(ck.next_packet_id);
@@ -368,29 +299,38 @@ pub fn run_synthetic_spec_ctl(
             }
         }
     };
-    if let Some(cfg) = stream {
+    if let (Some(cfg), false) = (telemetry, trace_warmup) {
         fabric.configure_telemetry(cfg);
     }
-    let Some(result) = run_measurement_ctl(fabric.as_mut(), &mut source, spec.phases, ctl) else {
+    let Some(mut result) = run_measurement_ctl(fabric.as_mut(), &mut source, spec.phases, ctl)
+    else {
         return Ok(cancelled(fabric.as_mut()));
     };
     write_trace_export(spec, &mut source)?;
+    let report = telemetry.and_then(|_| fabric.telemetry_report());
+    result.wall_seconds = 0.0;
+    result.sim_cycles_per_sec = 0.0;
     let net_cfg = spec.net_config();
-    let mut point = synth_point(
-        spec.backend,
-        name,
+    let stats = &result.stats;
+    let goodput = if stats.measured_cycles == 0 {
+        0.0
+    } else {
+        stats.packets_delivered as f64 * net_cfg.ps_packet_flits as f64
+            / (stats.measured_cycles as f64 * net_cfg.mesh.len() as f64)
+    };
+    let point = SynthPoint {
+        kind: spec.backend,
+        pattern: name,
         rate,
+        breakdown: EnergyModel::default().evaluate_stats(stats),
+        goodput,
         result,
-        net_cfg.mesh.len(),
-        net_cfg.ps_packet_flits,
-    );
-    // Service results must serialise reproducibly, like sweep envelopes.
-    point.result.wall_seconds = 0.0;
-    point.result.sim_cycles_per_sec = 0.0;
-    Ok(ServeRun::Done {
+    };
+    let run = ServeRun::Done {
         point,
         warm: warm_blob,
-    })
+    };
+    Ok((run, report))
 }
 
 /// What one scenario spec produced: a synthetic sweep point or a
@@ -412,35 +352,81 @@ impl Serialize for SpecOutcome {
 
 /// Run any [`ScenarioSpec`], dispatching on its traffic kind.
 pub fn run_spec(spec: &ScenarioSpec) -> Result<SpecOutcome, ScenarioError> {
-    run_spec_traced(spec, None).map(|(o, _)| o)
+    run_one(spec, None).map(|(o, _)| o)
 }
 
-/// [`run_spec`] with optional flit-lifecycle tracing.
-pub fn run_spec_traced(
+/// [`run_spec`] with optional telemetry, traced from the first warm-up
+/// cycle: the per-point body of [`run_sweep`].
+fn run_one(
     spec: &ScenarioSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(SpecOutcome, Option<TelemetryReport>), ScenarioError> {
-    match &spec.traffic {
+    Ok(match &spec.traffic {
         TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => {
-            let (p, r) = run_synthetic_spec_traced(spec, telemetry)?;
-            Ok((SpecOutcome::Synth(p), r))
+            let (p, r) = run_synthetic_spec(spec, telemetry)?;
+            (SpecOutcome::Synth(p), r)
         }
         TrafficSpec::Hetero { .. } => {
-            let (m, r) = noc_hetero::run_spec_traced(spec, telemetry)?;
-            Ok((SpecOutcome::Hetero(m), r))
+            let (m, r) = noc_hetero::run_spec(spec, telemetry)?;
+            (SpecOutcome::Hetero(m), r)
         }
-    }
+    })
 }
 
-/// Run a multi-point sweep, fanning the specs over `threads` worker
-/// threads (`0` = one per available core, `1` = serial). Every point is
-/// an independent simulation seeded by its spec, chunks are contiguous
-/// and results are merged back in spec order, so the outcome vector is
-/// **byte-identical for any thread count**. The host-timing fields of
-/// synthetic results (`wall_seconds`, `sim_cycles_per_sec`) are zeroed —
-/// they are the only scheduling-dependent outputs, and zeroing them keeps
-/// serialised sweep envelopes reproducible across hosts and thread
-/// counts. The first spec error (in spec order) is returned, if any.
+/// Map `f` over `items` on `threads` scoped worker threads (`0` = one per
+/// available core, `1` = serial). Workers claim the next unclaimed item
+/// until none is left, so a sweep whose points differ in cost stays
+/// balanced; each result lands at its item's index, so the output is in
+/// input order and the same for any thread count.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = match threads {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    }
+    .min(items.len())
+    .max(1);
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+        for h in handles {
+            for (i, r) in h.join().expect("sweep worker panicked") {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was claimed"))
+        .collect()
+}
+
+/// Run a multi-point sweep over [`par_map`]'s `threads` workers. Every
+/// point is an independent simulation seeded by its spec, with its
+/// host-timing fields zeroed, so the outcomes are **byte-identical for
+/// any thread count**. With `telemetry`, every spec runs under the same
+/// config and yields its own report; the reports ride the same
+/// spec-order merge, so they are thread-count invariant too. The first
+/// spec error (in spec order) is returned, if any.
 ///
 /// Warm-up fork: when every spec carries the same `checkpoint_from`
 /// (what `--checkpoint-from` sets), one paid warm-up fans out into the
@@ -449,66 +435,46 @@ pub fn run_spec_traced(
 pub fn run_sweep(
     specs: &[ScenarioSpec],
     threads: usize,
-) -> Result<Vec<SpecOutcome>, ScenarioError> {
-    Ok(run_sweep_traced(specs, threads, None)?
+    telemetry: Option<&TelemetryConfig>,
+) -> Result<(Vec<SpecOutcome>, Vec<Option<TelemetryReport>>), ScenarioError> {
+    par_map(specs, threads, |s| run_one(s, telemetry))
         .into_iter()
-        .map(|(o, _)| o)
-        .collect())
+        .collect::<Result<Vec<_>, _>>()
+        .map(|runs| runs.into_iter().unzip())
 }
 
-/// [`run_sweep`] with optional flit-lifecycle tracing: every spec runs
-/// under the same telemetry config and yields its own report. Telemetry
-/// merges stay deterministic across thread counts because reports ride
-/// the same contiguous-chunk, spec-order merge as the outcomes.
-pub fn run_sweep_traced(
-    specs: &[ScenarioSpec],
-    threads: usize,
-    telemetry: Option<&TelemetryConfig>,
-) -> Result<Vec<(SpecOutcome, Option<TelemetryReport>)>, ScenarioError> {
-    let workers = match threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-    .min(specs.len())
-    .max(1);
-    type Traced = Result<(SpecOutcome, Option<TelemetryReport>), ScenarioError>;
-    let results: Vec<Traced> = if workers <= 1 {
-        specs
-            .iter()
-            .map(|s| run_spec_traced(s, telemetry))
-            .collect()
-    } else {
-        let chunk = specs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .chunks(chunk)
-                .map(|c| {
-                    scope.spawn(move || {
-                        c.iter()
-                            .map(|s| run_spec_traced(s, telemetry))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(specs.len());
-            for h in handles {
-                out.extend(h.join().expect("sweep worker panicked"));
-            }
-            out
-        })
-    };
-    let mut outcomes = Vec::with_capacity(results.len());
-    for r in results {
-        let (mut o, report) = r?;
-        if let SpecOutcome::Synth(p) = &mut o {
-            p.result.wall_seconds = 0.0;
-            p.result.sim_cycles_per_sec = 0.0;
+/// Run a figure's specs untraced at `--sweep-threads`; any spec error is
+/// fatal (exit code 2).
+fn figure_sweep(specs: &[ScenarioSpec]) -> Vec<SpecOutcome> {
+    match run_sweep(specs, sweep_threads_flag(), None) {
+        Ok((outcomes, _)) => outcomes,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-        outcomes.push((o, report));
     }
-    Ok(outcomes)
+}
+
+/// [`figure_sweep`] over synthetic specs: the points, in spec order.
+pub fn sweep_points(specs: &[ScenarioSpec]) -> Vec<SynthPoint> {
+    figure_sweep(specs)
+        .into_iter()
+        .map(|o| match o {
+            SpecOutcome::Synth(p) => p,
+            SpecOutcome::Hetero(_) => unreachable!("synthetic specs yield synthetic points"),
+        })
+        .collect()
+}
+
+/// [`figure_sweep`] over hetero specs: the mix results, in spec order.
+pub fn sweep_mixes(specs: &[ScenarioSpec]) -> Vec<MixResult> {
+    figure_sweep(specs)
+        .into_iter()
+        .map(|o| match o {
+            SpecOutcome::Hetero(m) => m,
+            SpecOutcome::Synth(_) => unreachable!("hetero specs yield mix results"),
+        })
+        .collect()
 }
 
 /// Handle the shared `--scenario <file>` flag: when present, run the
@@ -537,13 +503,11 @@ pub fn scenario_mode_ran() -> bool {
 /// gains a `telemetry` block with the aggregates.
 pub fn run_scenario_specs(specs: &[ScenarioSpec]) -> Result<(), ScenarioError> {
     let telemetry = noc_scenario::telemetry_from_cli()?;
-    let traced = run_sweep_traced(
+    let (outcomes, reports) = run_sweep(
         specs,
         sweep_threads_flag(),
         telemetry.as_ref().map(|(_, cfg)| cfg),
     )?;
-    let (outcomes, reports): (Vec<SpecOutcome>, Vec<Option<TelemetryReport>>) =
-        traced.into_iter().unzip();
 
     let mut synth_rows = Vec::new();
     let mut hetero_rows = Vec::new();
@@ -748,7 +712,7 @@ pub fn max_goodput(points: &[SynthPoint]) -> f64 {
 /// `iters` simulation runs.
 pub fn find_saturation(
     kind: BackendKind,
-    mesh: Mesh,
+    mesh: u16,
     pattern: &TrafficPattern,
     phases: PhaseConfig,
     seed: u64,
@@ -757,7 +721,8 @@ pub fn find_saturation(
     let (mut lo, mut hi) = (0.01, 1.0);
     for _ in 0..iters {
         let mid = 0.5 * (lo + hi);
-        let p = run_synthetic(kind, mesh, pattern.clone(), mid, phases, seed);
+        let spec = synth_spec(kind, mesh, pattern.clone(), mid, phases, seed);
+        let (p, _) = run_synthetic_spec(&spec, None).expect("synthetic specs run");
         if p.result.saturated {
             hi = mid;
         } else {
@@ -870,10 +835,17 @@ mod tests {
 
     #[test]
     fn synthetic_point_runs_for_every_kind() {
-        let mesh = Mesh::square(4);
-        let phases = PhaseConfig::quick();
         for kind in BackendKind::SYNTH {
-            let p = run_synthetic(kind, mesh, TrafficPattern::Transpose, 0.08, phases, 3);
+            let spec = synth_spec(
+                kind,
+                4,
+                TrafficPattern::Transpose,
+                0.08,
+                PhaseConfig::quick(),
+                3,
+            );
+            let (p, report) = run_synthetic_spec(&spec, None).expect("spec runs");
+            assert!(report.is_none(), "untraced runs harvest no report");
             assert!(
                 p.result.stats.packets_delivered > 50,
                 "{}: only {} packets",
@@ -883,21 +855,23 @@ mod tests {
             assert!(p.result.avg_latency.is_finite());
             assert!(p.breakdown.total_pj() > 0.0);
             assert!(p.goodput > 0.0);
+            assert_eq!(p.result.wall_seconds, 0.0, "host timing is zeroed");
+            assert!(matches!(run_spec(&spec).unwrap(), SpecOutcome::Synth(_)));
         }
     }
 
     #[test]
     fn tdm_circuit_switches_transpose() {
         // Transpose has one destination per source: circuits must form.
-        let mesh = Mesh::square(6);
-        let p = run_synthetic(
+        let spec = synth_spec(
             BackendKind::HybridTdmVc4,
-            mesh,
+            6,
             TrafficPattern::Transpose,
             0.20,
             PhaseConfig::quick(),
             5,
         );
+        let (p, _) = run_synthetic_spec(&spec, None).expect("spec runs");
         assert!(
             p.result.stats.events.cs_flit_fraction() > 0.10,
             "TR CS fraction {:.3}",
@@ -906,37 +880,17 @@ mod tests {
     }
 
     #[test]
-    fn spec_runner_matches_direct_call() {
-        // The spec path and the direct call are the same construction and
-        // the same engine; on the same seed they must agree exactly.
-        let spec = ScenarioSpec::synthetic(
-            BackendKind::HybridTdmVct,
-            4,
-            TrafficPattern::Tornado,
-            0.12,
-            PhaseConfig::quick(),
-            21,
-        );
-        let via_spec = run_synthetic_spec(&spec).unwrap();
-        let direct = run_synthetic(
-            BackendKind::HybridTdmVct,
-            Mesh::square(4),
-            TrafficPattern::Tornado,
-            0.12,
-            PhaseConfig::quick(),
-            21,
-        );
-        assert_eq!(
-            via_spec.result.stats.packets_delivered,
-            direct.result.stats.packets_delivered
-        );
-        assert_eq!(
-            via_spec.result.stats.latency_sum,
-            direct.result.stats.latency_sum
-        );
-        assert_eq!(via_spec.result.stats.events, direct.result.stats.events);
-        assert_eq!(via_spec.goodput, direct.goodput);
-        assert!(matches!(run_spec(&spec).unwrap(), SpecOutcome::Synth(_)));
+    fn par_map_keeps_input_order_for_any_thread_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let serial = par_map(&items, 1, |x| x * x);
+        for threads in [0, 2, 5, 64] {
+            assert_eq!(
+                par_map(&items, threads, |x| x * x),
+                serial,
+                "{threads} threads"
+            );
+        }
+        assert!(par_map(&[] as &[u64], 0, |x| *x).is_empty());
     }
 
     /// `run_sweep` must merge worker chunks back in spec order and zero
@@ -944,8 +898,6 @@ mod tests {
     /// byte-identical for any thread count at fixed seeds.
     #[test]
     fn run_sweep_is_thread_count_invariant() {
-        use noc_traffic::PhaseConfig;
-
         let specs: Vec<ScenarioSpec> = [(0.05, 11u64), (0.10, 12), (0.08, 13), (0.12, 14)]
             .iter()
             .map(|&(rate, seed)| {
@@ -960,7 +912,7 @@ mod tests {
             })
             .collect();
         let envelope_for = |threads: usize| {
-            let outcomes = run_sweep(&specs, threads).expect("sweep runs");
+            let (outcomes, _) = run_sweep(&specs, threads, None).expect("sweep runs");
             assert_eq!(outcomes.len(), specs.len());
             serde_json::to_string_pretty(&result_envelope(&specs, &outcomes)).expect("serializable")
         };
@@ -993,31 +945,22 @@ mod tests {
             })
             .collect();
         let cfg = noc_sim::TelemetryConfig::default();
-        let untraced = run_sweep(&specs, 1).expect("untraced sweep");
-        let t1 = run_sweep_traced(&specs, 1, Some(&cfg)).expect("traced sweep");
-        let t4 = run_sweep_traced(&specs, 4, Some(&cfg)).expect("traced sweep x4");
+        let (untraced, _) = run_sweep(&specs, 1, None).expect("untraced sweep");
+        let (o1, r1) = run_sweep(&specs, 1, Some(&cfg)).expect("traced sweep");
+        let (o4, r4) = run_sweep(&specs, 4, Some(&cfg)).expect("traced sweep x4");
 
-        let env = |outcomes: &[SpecOutcome]| {
-            serde_json::to_string_pretty(&result_envelope(&specs, &outcomes.to_vec()))
-                .expect("serializable")
+        let env = |outcomes: &Vec<SpecOutcome>| {
+            serde_json::to_string_pretty(&result_envelope(&specs, outcomes)).expect("serializable")
         };
-        let t1_outcomes: Vec<SpecOutcome> = t1.iter().map(|(o, _)| o.clone()).collect();
-        let t4_outcomes: Vec<SpecOutcome> = t4.iter().map(|(o, _)| o.clone()).collect();
-        assert_eq!(
-            env(&untraced),
-            env(&t1_outcomes),
-            "tracing perturbed the run"
-        );
-        assert_eq!(env(&t1_outcomes), env(&t4_outcomes), "1 vs 4 sweep threads");
+        assert_eq!(env(&untraced), env(&o1), "tracing perturbed the run");
+        assert_eq!(env(&o1), env(&o4), "1 vs 4 sweep threads");
 
-        for ((_, r1), (_, r4)) in t1.iter().zip(&t4) {
+        for (r1, r4) in r1.iter().zip(&r4) {
             let (r1, r4) = (r1.as_ref().expect("report"), r4.as_ref().expect("report"));
             assert_eq!(r1.events, r4.events, "telemetry depends on thread count");
             assert_eq!(r1.link_flits, r4.link_flits);
         }
-        assert!(t1
-            .iter()
-            .any(|(_, r)| !r.as_ref().unwrap().events.is_empty()));
+        assert!(r1.iter().any(|r| !r.as_ref().unwrap().events.is_empty()));
     }
 
     /// End-to-end export: trace + heatmap files land on disk and the CSV
@@ -1033,7 +976,7 @@ mod tests {
             9,
         );
         let cfg = noc_sim::TelemetryConfig::default();
-        let (_, report) = run_spec_traced(&spec, Some(&cfg)).expect("traced run");
+        let (_, report) = run_synthetic_spec(&spec, Some(&cfg)).expect("traced run");
         let report = report.expect("tdm backend reports telemetry");
 
         let dir = std::env::temp_dir().join(format!("noc-trace-test-{}", std::process::id()));
@@ -1102,7 +1045,7 @@ mod chart_tests {
         // limit ≈ 0.33) and well above 0.05.
         let sat = find_saturation(
             BackendKind::PacketVc4,
-            Mesh::square(6),
+            6,
             &TrafficPattern::Transpose,
             PhaseConfig::quick(),
             3,

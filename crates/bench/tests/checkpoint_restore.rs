@@ -4,13 +4,19 @@
 //!   run restored from it both produce a result envelope byte-identical
 //!   to the uninterrupted run, across the packet, TDM and SDM backends on
 //!   mesh, torus and concentrated-mesh topologies (property test);
+//! * the file checkpoint (`checkpoint_out` / `checkpoint_from`) and the
+//!   in-memory one (`WarmStart`) are the same seam: same blob bytes, same
+//!   envelopes;
 //! * fault drops never leak — after a faulted run fully drains, the
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
 //! * the TDM repair FSM completes a transient kill + revive with two
 //!   repair sequences and a nonzero repair latency.
 
-use noc_bench::{result_envelope, run_sweep, BackendKind, ScenarioSpec};
+use noc_bench::{
+    result_envelope, run_sweep, run_synthetic_spec_ctl, BackendKind, Checkpoint, FreeRun,
+    ScenarioSpec, ServeRun, SpecOutcome, SynthPoint, WarmStart,
+};
 use noc_sim::{Direction, FaultEvent, TopologyKind};
 use noc_traffic::{run_phases, PhaseConfig, TrafficPattern};
 use proptest::prelude::*;
@@ -19,7 +25,7 @@ use proptest::prelude::*;
 /// (exactly what the binaries write with `--json`).
 fn envelope_json(spec: &ScenarioSpec) -> String {
     let specs = std::slice::from_ref(spec);
-    let outcomes = run_sweep(specs, 1).expect("sweep runs");
+    let (outcomes, _) = run_sweep(specs, 1, None).expect("sweep runs");
     serde_json::to_string_pretty(&result_envelope(specs, &outcomes)).expect("serializable")
 }
 
@@ -88,6 +94,61 @@ proptest! {
         .with_topology(topology, conc);
         let tag = format!("{backend_i}-{topo_i}-{seed}");
         assert_checkpoint_round_trip(&base, &tag)?;
+    }
+}
+
+/// One in-memory run through the serve entry point: the point and the
+/// captured warm-up, if any.
+fn serve_run(spec: &ScenarioSpec, warm: WarmStart<'_>) -> (SynthPoint, Option<Checkpoint>) {
+    match run_synthetic_spec_ctl(spec, warm, None, &mut FreeRun).expect("spec runs") {
+        ServeRun::Done { point, warm } => (point, warm),
+        ServeRun::Cancelled { .. } => unreachable!("FreeRun never cancels"),
+    }
+}
+
+/// Both ways of checkpointing run through one body: the blob written to
+/// `checkpoint_out` is the blob `WarmStart::Fresh { capture: true }`
+/// returns, and capturing or restoring either way gives byte-identical
+/// envelopes, on every snapshotable backend.
+#[test]
+fn file_and_in_memory_checkpoints_agree() {
+    for backend in [
+        BackendKind::PacketVc4,
+        BackendKind::HybridTdmVc4,
+        BackendKind::HybridSdmVc4,
+    ] {
+        let base = ScenarioSpec::synthetic(
+            backend,
+            4,
+            TrafficPattern::UniformRandom,
+            0.10,
+            PhaseConfig::quick(),
+            31,
+        );
+        let specs = std::slice::from_ref(&base);
+        let in_memory = |point: SynthPoint| {
+            serde_json::to_string_pretty(&result_envelope(specs, &[SpecOutcome::Synth(point)]))
+                .expect("serializable")
+        };
+        let label = backend.label();
+
+        let path = blob_path(&format!("agree-{label}"));
+        let mut writing = base.clone();
+        writing.checkpoint_out = Some(path.clone());
+        let file_captured = envelope_json(&writing);
+        let mut restoring = base.clone();
+        restoring.checkpoint_from = Some(path.clone());
+        let file_restored = envelope_json(&restoring);
+        let file_blob = std::fs::read(&path).expect("blob written");
+        std::fs::remove_file(&path).ok();
+
+        let (point, ck) = serve_run(&base, WarmStart::Fresh { capture: true });
+        let ck = ck.expect("capture requested");
+        assert_eq!(ck.encode(), file_blob, "{label}: blob bytes differ");
+        assert_eq!(in_memory(point), file_captured, "{label}: capturing run");
+        let (point, none) = serve_run(&base, WarmStart::Restore(&ck));
+        assert!(none.is_none(), "{label}: a restore captures nothing");
+        assert_eq!(in_memory(point), file_restored, "{label}: restored run");
     }
 }
 

@@ -69,7 +69,7 @@ fn export_then_replay_reproduces_the_delivered_multiset() {
     let path = tmp("roundtrip.trace");
     let mut exporting = base_spec(11);
     exporting.trace_export = Some(path.clone());
-    run_synthetic_spec(&exporting).expect("exporting run");
+    run_synthetic_spec(&exporting, None).expect("exporting run");
 
     let trace_bytes = std::fs::read(&path).expect("trace written");
     let trace = PacketTrace::decode(&trace_bytes).expect("trace decodes");
@@ -112,7 +112,7 @@ fn jsonl_twin_replays_identically_to_binary() {
     for path in [&bin_path, &txt_path] {
         let mut exporting = base_spec(13);
         exporting.trace_export = Some(path.clone());
-        run_synthetic_spec(&exporting).expect("exporting run");
+        run_synthetic_spec(&exporting, None).expect("exporting run");
     }
     let from_bin = PacketTrace::decode(&std::fs::read(&bin_path).unwrap()).unwrap();
     let from_txt = PacketTrace::decode(&std::fs::read(&txt_path).unwrap()).unwrap();
@@ -137,7 +137,7 @@ fn replay_envelopes_are_deterministic_and_sweep_thread_invariant() {
     let path = tmp("sweep.trace");
     let mut exporting = base_spec(17);
     exporting.trace_export = Some(path.clone());
-    run_synthetic_spec(&exporting).expect("exporting run");
+    run_synthetic_spec(&exporting, None).expect("exporting run");
     let trace = Arc::new(PacketTrace::decode(&std::fs::read(&path).unwrap()).unwrap());
 
     // A small sweep: the same trace replayed on two backends.
@@ -146,7 +146,7 @@ fn replay_envelopes_are_deterministic_and_sweep_thread_invariant() {
         .map(|&b| ScenarioSpec::trace(b, 4, Arc::clone(&trace), PhaseConfig::quick(), 17))
         .collect();
     let envelope_for = |threads: usize| {
-        let outcomes = run_sweep(&specs, threads).expect("sweep runs");
+        let (outcomes, _) = run_sweep(&specs, threads, None).expect("sweep runs");
         serde_json::to_string_pretty(&result_envelope(&specs, &outcomes)).expect("serializable")
     };
     let serial = envelope_for(1);
@@ -164,7 +164,7 @@ fn empty_policy_table_is_bit_identical_to_no_policy() {
     with_empty_table.policy = Vec::new(); // explicit, same as default
     let env = |spec: &ScenarioSpec| {
         let specs = std::slice::from_ref(spec);
-        let outcomes = run_sweep(specs, 1).expect("runs");
+        let (outcomes, _) = run_sweep(specs, 1, None).expect("runs");
         serde_json::to_string_pretty(&result_envelope(specs, &outcomes)).expect("serializable")
     };
     assert_eq!(env(&plain), env(&with_empty_table));
@@ -189,7 +189,7 @@ fn trace_replay_composes_with_the_checkpoint_seam() {
     let trace_path = tmp("ckpt.trace");
     let mut exporting = base_spec(23);
     exporting.trace_export = Some(trace_path.clone());
-    run_synthetic_spec(&exporting).expect("exporting run");
+    run_synthetic_spec(&exporting, None).expect("exporting run");
     let trace = Arc::new(PacketTrace::decode(&std::fs::read(&trace_path).unwrap()).unwrap());
 
     let base = ScenarioSpec::trace(
@@ -201,7 +201,7 @@ fn trace_replay_composes_with_the_checkpoint_seam() {
     );
     let env = |spec: &ScenarioSpec| {
         let specs = std::slice::from_ref(spec);
-        let outcomes = run_sweep(specs, 1).expect("runs");
+        let (outcomes, _) = run_sweep(specs, 1, None).expect("runs");
         serde_json::to_string_pretty(&result_envelope(specs, &outcomes)).expect("serializable")
     };
     let continuous = env(&base);
@@ -239,8 +239,8 @@ fn profiled_circuit_plan_runs_and_keeps_the_workload_flowing() {
         s.profile_circuits = profiled;
         s
     };
-    let reactive = run_synthetic_spec(&mk(None)).expect("reactive run");
-    let profiled = run_synthetic_spec(&mk(Some(16))).expect("profiled run");
+    let (reactive, _) = run_synthetic_spec(&mk(None), None).expect("reactive run");
+    let (profiled, _) = run_synthetic_spec(&mk(Some(16)), None).expect("profiled run");
     for (label, p) in [("reactive", &reactive), ("profiled", &profiled)] {
         assert!(
             p.result.stats.packets_delivered > 100,

@@ -20,7 +20,6 @@
 use std::sync::Arc;
 
 use noc_sim::routing::{west_first_route, xy_route};
-use noc_sim::trace::{Trace, TraceEvent};
 use noc_sim::{
     ConfigArena, ConfigKind, Credit, Cycle, Direction, EventKind, Flit, HybridCtrl, Mesh, MsgClass,
     NodeId, NodeOutputs, Packet, PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap,
@@ -139,9 +138,6 @@ pub struct TdmRouter {
     /// (a consumed flit never reaches the buffer-read stage where credits
     /// are normally returned). Drained into the wires each cycle.
     pending_credits: Vec<(Port, u8)>,
-    /// Optional flit-level event trace (protocol debugging); disabled by
-    /// default and free when off.
-    pub trace: Trace,
     /// Configuration-payload arena the router reads `setup`/`teardown`
     /// payloads from and re-interns advanced-slot forwards into. Private
     /// by default; the owning network swaps in its shared arena.
@@ -169,7 +165,6 @@ impl TdmRouter {
             cs_ejected: Vec::with_capacity(8),
             time_slot_stealing: true,
             pending_credits: Vec::with_capacity(8),
-            trace: Trace::default(),
             arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
         }
@@ -322,16 +317,6 @@ impl TdmRouter {
                     info.dst,
                 ) {
                     Ok(written) => {
-                        self.trace.record(
-                            now,
-                            TraceEvent::Reserved {
-                                at: self.pipeline.id,
-                                in_port,
-                                slot: info.slot % self.slots.active(),
-                                duration: info.duration,
-                                path_id: info.path_id,
-                            },
-                        );
                         self.pipeline.trace.record(
                             now,
                             self.pipeline.id.0,
@@ -380,14 +365,6 @@ impl TdmRouter {
             ConfigKind::Teardown(info) => {
                 match self.slots.release_path(in_port, info.path_id) {
                     Some((out, cleared)) => {
-                        self.trace.record(
-                            now,
-                            TraceEvent::Released {
-                                at: self.pipeline.id,
-                                in_port,
-                                path_id: info.path_id,
-                            },
-                        );
                         self.pipeline.trace.record(
                             now,
                             self.pipeline.id.0,
@@ -506,16 +483,6 @@ impl TdmRouter {
             };
             debug_assert_eq!(used_outputs & (1 << o.index()), 0, "CS output collision");
             used_outputs |= 1 << o.index();
-            self.trace.record(
-                now,
-                TraceEvent::Traversed {
-                    at: self.pipeline.id,
-                    out: o,
-                    packet: flit.packet,
-                    seq: flit.seq,
-                    circuit: true,
-                },
-            );
             self.pipeline.events.xbar_traversals += 1;
             match o.direction() {
                 Some(d) => {

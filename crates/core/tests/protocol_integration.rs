@@ -6,7 +6,10 @@
 // work; an explicit counter reads better than iterator gymnastics.
 #![allow(clippy::explicit_counter_loop)]
 
-use noc_sim::{Coord, Mesh, NetworkConfig, NodeId, NodeModel, Packet, PacketId, Port, Switching};
+use noc_sim::{
+    Coord, EventKind, Fabric, Mesh, NetworkConfig, NodeId, NodeModel, Packet, PacketId, Port,
+    Switching, TelemetryConfig,
+};
 use tdm_noc::{ResizeConfig, SharingConfig, TdmConfig, TdmNetwork, WaitBudget};
 
 fn cfg(mesh: Mesh) -> TdmConfig {
@@ -281,16 +284,15 @@ fn vicinity_message_reaches_true_destination_via_hop_off() {
 
 #[test]
 fn trace_reconstructs_a_circuit_lifecycle() {
-    // Enable tracing on every router, warm a circuit, send one message and
-    // verify the trace shows reservation at every hop followed by the
-    // message's circuit traversals.
+    // Arm telemetry on every router, warm a circuit, send messages over it
+    // and verify the trace shows the reservation at every hop, and that a
+    // message crossed every hop circuit-switched.
     let mesh = Mesh::square(4);
     let src = mesh.id(Coord::new(0, 1));
     let dst = mesh.id(Coord::new(3, 1));
     let mut net = TdmNetwork::new(cfg(mesh));
-    for node in &mut net.net.nodes {
-        node.router.trace.enable();
-    }
+    net.configure_telemetry(&TelemetryConfig::default());
+    net.set_collect_delivered(true);
     let mut id = 0;
     for _ in 0..25 {
         let now = net.now();
@@ -303,50 +305,47 @@ fn trace_reconstructs_a_circuit_lifecycle() {
         .registry
         .get(dst)
         .expect("circuit");
+    let report = net
+        .telemetry_report()
+        .expect("TDM fabrics record telemetry");
+    assert_eq!(report.dropped, 0, "the rings must hold the whole run");
+    let hops = mesh.hops(src, dst);
 
-    // Reservations recorded at source, intermediates and destination.
-    let reserved_at: Vec<_> = net
-        .net
-        .nodes
+    // One reservation per router: source, intermediates and destination.
+    let mut reserved_at: Vec<u32> = report
+        .events
         .iter()
-        .filter(|n| {
-            n.router.trace.iter().any(|(_, e)| {
-                matches!(e, noc_sim::TraceEvent::Reserved { path_id, .. } if *path_id == conn.path_id)
-            })
-        })
-        .map(|n| n.id())
+        .filter(|e| e.kind == EventKind::CircuitSetup && e.id == conn.path_id)
+        .map(|e| e.node)
         .collect();
     assert_eq!(
         reserved_at.len() as u32,
-        mesh.hops(src, dst) + 1,
+        hops + 1,
         "one reservation per hop"
     );
-    assert!(reserved_at.contains(&src) && reserved_at.contains(&dst));
-
-    // A traced circuit message traverses exactly hops+1 routers.
-    let traversals: usize = net
-        .net
-        .nodes
-        .iter()
-        .map(|n| {
-            n.router
-                .trace
-                .iter()
-                .filter(|(_, e)| {
-                    matches!(
-                        e,
-                        noc_sim::TraceEvent::Traversed {
-                            circuit: true,
-                            seq: 0,
-                            ..
-                        }
-                    )
-                })
-                .count()
-        })
-        .sum();
-    assert!(
-        traversals >= (mesh.hops(src, dst) + 1) as usize,
-        "head flit traversals missing"
+    reserved_at.sort_unstable();
+    reserved_at.dedup();
+    assert_eq!(
+        reserved_at.len() as u32,
+        hops + 1,
+        "one router per reservation"
     );
+    assert!(reserved_at.contains(&src.0) && reserved_at.contains(&dst.0));
+
+    // A message that rode the circuit end to end left one link per hop.
+    let circuit_msg = net
+        .net
+        .delivered_log
+        .iter()
+        .find(|d| d.src == src && d.dst == dst && d.switching == Switching::Circuit)
+        .expect("a message rode the circuit");
+    let mut link_nodes: Vec<u32> = report
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::LinkTraverse && e.id == circuit_msg.id.0)
+        .map(|e| e.node)
+        .collect();
+    link_nodes.sort_unstable();
+    link_nodes.dedup();
+    assert_eq!(link_nodes.len() as u32, hops, "one link crossed per hop");
 }

@@ -72,22 +72,12 @@ impl Workload for GpuAccounting<'_> {
     }
 }
 
-/// Run one workload mix on one network configuration.
+/// Run one workload mix on one network configuration. When `telemetry`
+/// is given, the fabric records into per-node ring sinks from the first
+/// warm-up cycle and the harvested [`TelemetryReport`] is returned
+/// alongside the measurements. Tracing only observes — the `MixResult` is
+/// bit-identical either way.
 pub fn run_mix(
-    cpu: &CpuBench,
-    gpu: &GpuBench,
-    kind: BackendKind,
-    phases: PhaseConfig,
-    seed: u64,
-) -> Result<MixResult, ScenarioError> {
-    run_mix_traced(cpu, gpu, kind, phases, seed, None).map(|(r, _)| r)
-}
-
-/// [`run_mix`] with optional flit-lifecycle tracing: when `telemetry` is
-/// given, the fabric records into per-node ring sinks and the harvested
-/// [`TelemetryReport`] is returned alongside the measurements. Tracing
-/// only observes — the `MixResult` is bit-identical either way.
-pub fn run_mix_traced(
     cpu: &CpuBench,
     gpu: &GpuBench,
     kind: BackendKind,
@@ -168,14 +158,9 @@ pub fn run_mix_traced(
 }
 
 /// Run a hetero [`ScenarioSpec`] (resolving benchmark names through the
-/// workload tables). Synthetic specs are rejected — use the open-loop
-/// driver for those.
-pub fn run_spec(spec: &ScenarioSpec) -> Result<MixResult, ScenarioError> {
-    run_spec_traced(spec, None).map(|(r, _)| r)
-}
-
-/// [`run_spec`] with optional tracing (see [`run_mix_traced`]).
-pub fn run_spec_traced(
+/// workload tables), optionally traced (see [`run_mix`]). Synthetic specs
+/// are rejected — `noc_bench::run_spec` runs those.
+pub fn run_spec(
     spec: &ScenarioSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(MixResult, Option<TelemetryReport>), ScenarioError> {
@@ -183,7 +168,7 @@ pub fn run_spec_traced(
         TrafficSpec::Hetero { cpu, gpu } => {
             let cpu = cpu_bench(cpu).ok_or_else(|| ScenarioError::UnknownBench(cpu.clone()))?;
             let gpu = gpu_bench(gpu).ok_or_else(|| ScenarioError::UnknownBench(gpu.clone()))?;
-            run_mix_traced(cpu, gpu, spec.backend, spec.phases, spec.seed, telemetry)
+            run_mix(cpu, gpu, spec.backend, spec.phases, spec.seed, telemetry)
         }
         TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => Err(ScenarioError::Parse(
             "run_spec needs a hetero scenario (cpu+gpu), not a synthetic \
@@ -206,8 +191,10 @@ mod tests {
             BackendKind::PacketVc4,
             mix_phases(true),
             7,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(
             r.stats.packets_delivered > 500,
             "too few packets: {}",
@@ -232,8 +219,10 @@ mod tests {
             BackendKind::HybridTdmVc4,
             mix_phases(true),
             7,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(
             r.cs_flit_fraction > 0.15,
             "CS fraction {:.3} too low for BLACKSCHOLES",
@@ -250,16 +239,20 @@ mod tests {
             BackendKind::PacketVc4,
             mix_phases(true),
             7,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let hyb = run_mix(
             &CPU_BENCHES[0],
             &GPU_BENCHES[0],
             BackendKind::HybridTdmHopVct,
             mix_phases(true),
             7,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let saving = hyb.breakdown.saving_vs(&base.breakdown);
         assert!(
             saving > 0.02,
@@ -277,10 +270,11 @@ mod tests {
             mix_phases(true),
             7,
         );
-        let r = run_spec(&spec).unwrap();
+        let (r, report) = run_spec(&spec, None).unwrap();
         assert!(r.stats.packets_delivered > 500);
+        assert!(report.is_none(), "untraced runs harvest no report");
 
         let bad = ScenarioSpec::hetero(BackendKind::PacketVc4, "NOPE", "STO", mix_phases(true), 7);
-        assert!(matches!(run_spec(&bad), Err(ScenarioError::UnknownBench(n)) if n == "NOPE"));
+        assert!(matches!(run_spec(&bad, None), Err(ScenarioError::UnknownBench(n)) if n == "NOPE"));
     }
 }

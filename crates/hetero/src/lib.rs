@@ -28,7 +28,7 @@ pub mod speedup;
 pub mod workload;
 
 pub use config::SystemConfig;
-pub use driver::{mix_phases, run_mix, run_mix_traced, run_spec, run_spec_traced, MixResult};
+pub use driver::{mix_phases, run_mix, run_spec, MixResult};
 pub use floorplan::{Floorplan, TileKind};
 pub use slack::WarpSlack;
 pub use workload::{

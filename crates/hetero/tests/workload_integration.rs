@@ -15,8 +15,10 @@ fn mixes_are_deterministic_per_seed() {
             BackendKind::HybridTdmVc4,
             PhaseConfig::pure_cycles(500, 2_000, 1_500),
             seed,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         (
             r.stats.packets_delivered,
             r.stats.events.cs_flits_delivered,
@@ -113,16 +115,20 @@ fn baseline_energy_grows_with_gpu_intensity() {
         BackendKind::PacketVc4,
         phases,
         2,
+        None,
     )
-    .unwrap(); // LPS 0.20
+    .unwrap()
+    .0; // LPS 0.20
     let cold = run_mix(
         &CPU_BENCHES[0],
         &GPU_BENCHES[6],
         BackendKind::PacketVc4,
         phases,
         2,
+        None,
     )
-    .unwrap(); // STO 0.05
+    .unwrap()
+    .0; // STO 0.05
     assert!(
         hot.breakdown.dynamic_pj() > 1.5 * cold.breakdown.dynamic_pj(),
         "dynamic energy must track injection ({:.2e} vs {:.2e})",

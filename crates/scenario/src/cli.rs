@@ -23,15 +23,30 @@ pub fn scenario_flag() -> Option<String> {
     arg_value("--scenario")
 }
 
-/// Optional `--sweep-threads <n>` flag: fan a multi-spec scenario run over
-/// `n` worker threads (`0` = one per available core; default `1` =
-/// serial). Each sweep point is an independent simulation with its own
-/// spec-fixed seed, so the merged results are byte-identical for any
-/// thread count.
+/// Optional `--sweep-threads <n>` flag: fan a sweep over `n` worker
+/// threads (default `0` = one per available core; `1` = serial). Each
+/// sweep point is an independent simulation with its own spec-fixed seed,
+/// so the merged results are byte-identical for any thread count. A
+/// missing or unparsable value is fatal (exit code 2).
 pub fn sweep_threads_flag() -> usize {
-    arg_value("--sweep-threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    let args: Vec<String> = std::env::args().collect();
+    parse_sweep_threads(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The `--sweep-threads` value in `args`: `0` when the flag is absent.
+fn parse_sweep_threads(args: &[String]) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == "--sweep-threads") else {
+        return Ok(0);
+    };
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--sweep-threads: not a thread count: {v:?}")),
+        None => Err("--sweep-threads needs a thread count (0 = one per core)".into()),
+    }
 }
 
 /// Optional `--checkpoint-out <path>` flag: after the scenario's warm-up
@@ -222,4 +237,40 @@ pub fn step_threads_from_env() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn sweep_threads_defaults_to_one_per_core() {
+        assert_eq!(parse_sweep_threads(&args(&["fig4", "--quick"])).unwrap(), 0);
+    }
+
+    #[test]
+    fn sweep_threads_parses_a_count() {
+        let a = args(&["fig4", "--sweep-threads", "3", "--quick"]);
+        assert_eq!(parse_sweep_threads(&a).unwrap(), 3);
+        assert_eq!(
+            parse_sweep_threads(&args(&["x", "--sweep-threads", "1"])).unwrap(),
+            1
+        );
+    }
+
+    #[test]
+    fn sweep_threads_rejects_missing_or_bad_values() {
+        for bad in [
+            &["fig4", "--sweep-threads"][..],
+            &["fig4", "--sweep-threads", "two"],
+            &["fig4", "--sweep-threads", "-1"],
+            &["fig4", "--sweep-threads", ""],
+        ] {
+            assert!(parse_sweep_threads(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
 }

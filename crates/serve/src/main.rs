@@ -379,7 +379,7 @@ fn bench(quick: bool) {
         // A: independent runs — every point pays the full warm-up.
         let start = Instant::now();
         for spec in &specs {
-            noc_bench::run_synthetic_spec(spec).expect("independent run");
+            noc_bench::run_synthetic_spec(spec, None).expect("independent run");
         }
         t_indep = t_indep.min(start.elapsed().as_secs_f64());
 

@@ -378,7 +378,7 @@ impl ScenarioService {
             // Trace replays share the synthetic tick-controlled runner
             // (same cancel/stream seam, same warm-up cache discipline).
             TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => {
-                self.run_synthetic(&spec, &cancel, &streams)
+                self.run_controlled(&spec, &cancel, &streams)
             }
             // Hetero runs have no tick-granularity control seam; honour a
             // cancel that lands before the run starts, else run to done.
@@ -454,7 +454,7 @@ impl ScenarioService {
         self.idle.notify_all();
     }
 
-    fn run_synthetic(
+    fn run_controlled(
         &self,
         spec: &ScenarioSpec,
         cancel: &Arc<AtomicBool>,

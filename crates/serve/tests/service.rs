@@ -117,9 +117,7 @@ fn warm_cache_fork_matches_continuous_run() {
     // The restored run must equal a continuous run of the same spec.
     for (frame, measure) in [(&a, 600), (&b, 900)] {
         let s = spec(7, measure);
-        let mut point = noc_bench::run_synthetic_spec(&s).expect("direct run");
-        point.result.wall_seconds = 0.0;
-        point.result.sim_cycles_per_sec = 0.0;
+        let (point, _) = noc_bench::run_synthetic_spec(&s, None).expect("direct run");
         let direct = serde_json::to_string(&noc_scenario::result_envelope(
             &s,
             &noc_bench::SpecOutcome::Synth(point),

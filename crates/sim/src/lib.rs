@@ -40,7 +40,6 @@ pub mod slab;
 pub mod snapshot;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 
 // The telemetry substrate (re-exported so downstream crates need no
 // direct `noc-telemetry` edge for the common types).
@@ -74,7 +73,6 @@ pub use stats::{
     ClassLatency, EnergyEvents, LatencyHistogram, LeakageIntegrals, NetStats, PerClassLatency,
 };
 pub use topology::{Mesh, TopoTables, Topology, TopologyKind, NO_NEIGHBOR};
-pub use trace::{Trace, TraceEvent};
 
 /// Simulation time, in router clock cycles.
 pub type Cycle = u64;

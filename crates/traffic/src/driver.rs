@@ -1,13 +1,7 @@
-//! Open-loop measurement driver: warm-up → measure → drain, following the
-//! paper's methodology (§IV-A: "the network is warmed up with 1000 packets
-//! and simulated for 100,000 packets").
-//!
-//! The loop itself lives in [`crate::engine::run_phases`]; `OpenLoop` is
-//! the synthetic-source façade over it.
-
-use noc_sim::Fabric;
-
-use crate::source::SyntheticSource;
+//! Phase lengths and results of one open-loop run: warm-up → measure →
+//! drain, following the paper's methodology (§IV-A: "the network is warmed
+//! up with 1000 packets and simulated for 100,000 packets"). The loop
+//! itself is [`crate::engine::run_phases`].
 
 /// Phase lengths for one open-loop run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
@@ -87,38 +81,19 @@ pub struct RunResult {
     pub stats: noc_sim::NetStats,
 }
 
-/// Drives a network with a synthetic source through the three phases.
-pub struct OpenLoop {
-    pub source: SyntheticSource,
-    pub phases: PhaseConfig,
-}
-
-impl OpenLoop {
-    pub fn new(source: SyntheticSource, phases: PhaseConfig) -> Self {
-        OpenLoop { source, phases }
-    }
-
-    /// Run the experiment on `fabric` (which must match the source's mesh).
-    ///
-    /// Any switching backend works: pass `&mut Network<PacketNode>`, a
-    /// `TdmNetwork`, an SDM network, or a `Box<dyn Fabric>`'s contents.
-    pub fn run(&mut self, fabric: &mut dyn Fabric) -> RunResult {
-        crate::engine::run_phases(fabric, &mut self.source, self.phases)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_phases;
     use crate::pattern::TrafficPattern;
+    use crate::source::SyntheticSource;
     use noc_sim::{Mesh, Network, NetworkConfig, PacketNode};
 
     fn run_at(rate: f64) -> RunResult {
         let cfg = NetworkConfig::with_mesh(Mesh::square(4));
         let mut net = Network::new(cfg.mesh, |id| PacketNode::new(id, &cfg, None));
-        let source = SyntheticSource::new(cfg.mesh, TrafficPattern::UniformRandom, rate, 5, 11);
-        let mut driver = OpenLoop::new(source, PhaseConfig::quick());
-        driver.run(&mut net)
+        let mut source = SyntheticSource::new(cfg.mesh, TrafficPattern::UniformRandom, rate, 5, 11);
+        run_phases(&mut net, &mut source, PhaseConfig::quick())
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! any [`Fabric`] and any [`Workload`].
 //!
 //! This is the single run loop behind every driver in the workspace: the
-//! synthetic open-loop driver ([`crate::OpenLoop`]), the heterogeneous
-//! per-mix runner (`noc-hetero`), and the scenario runner
-//! (`noc-scenario`). It follows the paper's methodology (§IV-A: "the
+//! scenario runner (`noc-bench`), the heterogeneous per-mix runner
+//! (`noc-hetero`), and the ablations that drive hand-configured fabrics. It follows the paper's methodology (§IV-A: "the
 //! network is warmed up with 1000 packets and simulated for 100,000
 //! packets"; §V phases are pure cycle counts — express those by setting
 //! `warmup_packets = 0` and `measure_packets = u64::MAX`).
@@ -65,17 +64,6 @@ pub fn run_phases(
 ) -> RunResult {
     run_warmup(fabric, workload, phases);
     run_measurement(fabric, workload, phases)
-}
-
-/// [`run_phases`] with a [`RunControl`] hook; `None` when cancelled.
-pub fn run_phases_ctl(
-    fabric: &mut dyn Fabric,
-    workload: &mut dyn Workload,
-    phases: PhaseConfig,
-    ctl: &mut dyn RunControl,
-) -> Option<RunResult> {
-    run_warmup_ctl(fabric, workload, phases, ctl)?;
-    run_measurement_ctl(fabric, workload, phases, ctl)
 }
 
 /// Phase 1, **warm-up**: unmeasured traffic for at least `warmup_cycles`
@@ -302,7 +290,7 @@ mod tests {
         let mut net = Network::new(mesh, |id| PacketNode::new(id, &cfg, None));
         let mut src = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.05, 5, 11);
         let mut ctl = CancelAfter(40, 0);
-        let r = run_phases_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut ctl);
+        let r = run_warmup_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut ctl);
         assert!(r.is_none(), "cancelled runs return no result");
         assert_eq!(net.now(), 40, "the run stopped on the cancelling tick");
         // The fabric is still usable: the caller can drain it clean.
@@ -318,7 +306,9 @@ mod tests {
             let mut net = Network::new(mesh, |id| PacketNode::new(id, &cfg, None));
             let mut src = SyntheticSource::new(mesh, TrafficPattern::Transpose, 0.08, 5, 7);
             if ctl {
-                run_phases_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut FreeRun).unwrap()
+                let ph = PhaseConfig::quick();
+                run_warmup_ctl(&mut net, &mut src, ph, &mut FreeRun).unwrap();
+                run_measurement_ctl(&mut net, &mut src, ph, &mut FreeRun).unwrap()
             } else {
                 run_phases(&mut net, &mut src, PhaseConfig::quick())
             }

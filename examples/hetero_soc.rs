@@ -26,8 +26,9 @@ fn main() {
     println!("workload mix: {} (GPU) + {} (CPU)\n", gpu.name, cpu.name);
 
     let phases = mix_phases(false);
-    let base = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, 11).expect("mix runs");
-    let hyb = run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, 11).expect("mix runs");
+    let (base, _) = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, 11, None).expect("mix runs");
+    let (hyb, _) =
+        run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, 11, None).expect("mix runs");
 
     println!("                          Packet-VC4    Hybrid-TDM-hop-VCt");
     println!(

@@ -20,16 +20,16 @@ fn main() {
 
     // --- baseline: canonical 4-VC packet-switched routers -----------------
     let mut base_net = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-    let source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 42);
-    let base = OpenLoop::new(source, phases).run(&mut base_net);
+    let mut source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 42);
+    let base = run_phases(&mut base_net, &mut source, phases);
 
     // --- the paper's network: TDM hybrid switching ------------------------
     let mut tdm_cfg = TdmConfig::vct(net_cfg); // hybrid + VC power gating
     tdm_cfg.policy.setup_after_msgs = 3;
     tdm_cfg.policy.freq_window = 2_048;
     let mut tdm_net = TdmNetwork::new(tdm_cfg);
-    let source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 42);
-    let tdm = OpenLoop::new(source, phases).run(&mut tdm_net.net);
+    let mut source = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 42);
+    let tdm = run_phases(&mut tdm_net.net, &mut source, phases);
 
     let model = EnergyModel::default();
     let base_energy = model.evaluate_stats(&base.stats);

@@ -16,20 +16,19 @@ fn sat_goodput(mesh: Mesh, tdm: bool, rate: f64) -> (f64, f64, EnergyBreakdown) 
         measure_packets: 60_000,
         drain_cycles: 4_000,
     };
-    let source = SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 77);
-    let mut driver = OpenLoop::new(source, phases);
+    let mut source = SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 77);
     let (result, stats) = if tdm {
         let mut cfg = TdmConfig::vct(net_cfg);
         cfg.slot_capacity = if mesh.len() > 64 { 256 } else { 128 };
         cfg.policy.setup_after_msgs = 3;
         cfg.policy.freq_window = 2_048;
         let mut net = TdmNetwork::new(cfg);
-        let r = driver.run(&mut net.net);
+        let r = run_phases(&mut net.net, &mut source, phases);
         let s = r.stats.clone();
         (r, s)
     } else {
         let mut net = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-        let r = driver.run(&mut net);
+        let r = run_phases(&mut net, &mut source, phases);
         let s = r.stats.clone();
         (r, s)
     };

@@ -1,10 +1,10 @@
-//! Protocol debugging with the flit-level trace: watch a circuit get
+//! Protocol debugging with the telemetry trace: watch a circuit get
 //! reserved hop by hop, carry traffic, and get torn down.
 //!
 //! Run with: `cargo run --release --example trace_debugging`
 
 use tdm_hybrid_noc::prelude::*;
-use tdm_hybrid_noc::sim::{NodeModel, TraceEvent};
+use tdm_hybrid_noc::sim::{EventKind, Port, Switching, TelemetryConfig};
 
 fn main() {
     let mesh = Mesh::square(4);
@@ -14,9 +14,8 @@ fn main() {
     cfg.policy.idle_teardown = 300;
     cfg.policy.max_connections = 1;
     let mut net = TdmNetwork::new(cfg);
-    for node in &mut net.net.nodes {
-        node.router.trace.enable();
-    }
+    net.configure_telemetry(&TelemetryConfig::default());
+    net.set_collect_delivered(true);
 
     let src = NodeId(4); // (0,1)
     let dst = NodeId(7); // (3,1)
@@ -39,34 +38,31 @@ fn main() {
         net.run(25);
     }
     assert!(net.drain(5_000));
+    let report = net
+        .telemetry_report()
+        .expect("TDM fabrics record telemetry");
 
-    println!("Reservation / release events along the row (source → dest):\n");
-    for node in &net.net.nodes {
-        let events: Vec<String> = node
-            .router
-            .trace
+    println!("Reservation / release events (per node, in cycle order):\n");
+    for node in mesh.nodes() {
+        let events: Vec<String> = report
+            .events
             .iter()
-            .filter_map(|(t, e)| match e {
-                TraceEvent::Reserved {
-                    in_port,
-                    slot,
-                    duration,
-                    path_id,
-                    ..
-                } => Some(format!(
-                    "  [{t:>5}] RESERVE  in={in_port:?} slots {slot}..{} path {path_id:#x}",
-                    slot + *duration as u16
-                )),
-                TraceEvent::Released {
-                    in_port, path_id, ..
-                } => Some(format!(
-                    "  [{t:>5}] RELEASE  in={in_port:?} path {path_id:#x}"
-                )),
-                _ => None,
+            .filter(|e| e.node == node.0)
+            .filter_map(|e| {
+                let what = match e.kind {
+                    EventKind::CircuitSetup => "RESERVE",
+                    EventKind::CircuitTeardown => "RELEASE",
+                    _ => return None,
+                };
+                let in_port = Port::ALL[e.port as usize];
+                Some(format!(
+                    "  [{:>5}] {what}  in={in_port:?} path {:#x}",
+                    e.cycle, e.id
+                ))
             })
             .collect();
         if !events.is_empty() {
-            println!("node {:?}:", node.id());
+            println!("node {node:?}:");
             for e in &events {
                 println!("{e}");
             }
@@ -76,40 +72,17 @@ fn main() {
     // Follow one circuit-switched packet end to end.
     let followed = net
         .net
-        .nodes
+        .delivered_log
         .iter()
-        .flat_map(|n| n.router.trace.iter())
-        .find_map(|(_, e)| match e {
-            TraceEvent::Traversed {
-                packet,
-                circuit: true,
-                ..
-            } => Some(*packet),
-            _ => None,
-        });
-    if let Some(pid) = followed {
-        println!("\njourney of circuit-switched packet {pid:?} (head flit):");
-        let mut hops: Vec<(u64, String)> = net
-            .net
-            .nodes
-            .iter()
-            .flat_map(|n| {
-                n.router.trace.iter().filter_map(move |(t, e)| match e {
-                    TraceEvent::Traversed {
-                        at,
-                        out,
-                        packet,
-                        seq: 0,
-                        circuit: true,
-                    } if *packet == pid => Some((*t, format!("  [{t:>5}] {at:?} → {out:?}"))),
-                    _ => None,
-                })
-            })
-            .collect();
-        hops.sort();
-        for (_, line) in &hops {
-            println!("{line}");
+        .find(|d| d.switching == Switching::Circuit);
+    if let Some(d) = followed {
+        println!("\njourney of circuit-switched packet {:?}:", d.id);
+        for e in report.events.iter().filter(|e| {
+            e.id == d.id.0 && matches!(e.kind, EventKind::LinkTraverse | EventKind::Eject)
+        }) {
+            let out = Port::ALL[e.port as usize];
+            println!("  [{:>5}] {:?} → {out:?}", e.cycle, NodeId(e.node));
         }
-        println!("(one traversal every 2 cycles: 1 in the router + 1 on the link — §II-D)");
+        println!("(each flit crosses one router and one link every 2 cycles — §II-D)");
     }
 }

@@ -33,34 +33,45 @@ cargo test -q -p noc-sim --features exhaustive --test exhaustive_order "${OFFLIN
 echo "== zero-allocation steady state (counting global allocator) =="
 cargo test -q -p noc-bench --test zero_alloc "${OFFLINE[@]}"
 
-echo "== network_step JSON bench (schema smoke) =="
+echo "== network_step kernel bench (every point once, JSON schema smoke) =="
+# Runs every network_step point, including the 0.004 flits/node/cycle
+# low-load points that exercise the activity-driven scheduler, the
+# 0.0004 flits/node/cycle near-idle points that drive run_until through
+# the idle cycle-leap path, and the 2-thread stepping-pool point.
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
     --quick --json-out "$NS_TMP/ns.json" > /dev/null
 python3 - "$NS_TMP/ns.json" <<'PY'
-import json, sys
+import json, re, sys
 env = json.load(open(sys.argv[1]))
 assert env["schema_version"] == 1, env["schema_version"]
 assert env["bench"] == "network_step"
 names = {p["name"] for p in env["points"]}
-assert "packet_64n_0.3flits" in names and "tdm_hybrid_1024n_0.3flits" in names, names
+for want in ("packet_64n_0.06flits", "packet_64n_0.06flits_parallel2",
+             "packet_64n_0.0004flits_leap", "tdm_hybrid_64n_0.0004flits_leap",
+             "packet_1024n_0.004flits", "tdm_hybrid_1024n_0.06flits"):
+    assert want in names, (want, names)
 for p in env["points"]:
     assert p["best_ns_per_cycle"] > 0 and p["packets_delivered"] > 0, p["name"]
     assert len(p["wall_ns"]) == env["reps"], p["name"]
+    # The name states the load the point really offers.
+    label = float(re.search(r"_([0-9.]+)flits", p["name"]).group(1))
+    assert label == p["flits_per_node_cycle"], (p["name"], p["flits_per_node_cycle"])
 print(f"network_step JSON ok: {len(env['points'])} points")
 PY
 rm -rf "$NS_TMP"
 
-echo "== bench smoke (network_step incl. low-load + near-idle points, test mode) =="
-# Runs every network_step bench once, including the 0.02 flits/node/cycle
-# low-load points that exercise the activity-driven scheduler and the
-# 0.002 flits/node/cycle near-idle points that drive run_until through
-# the idle cycle-leap path.
-cargo bench -p noc-bench --bench network_step "${OFFLINE[@]}" -- --test
-
-echo "== sweep determinism (--sweep-threads 1 vs 4, byte-identical JSON) =="
+echo "== figure determinism (fig4 --quick at --sweep-threads 1 vs 2, byte-identical JSON) =="
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --quick --json "$SWEEP_TMP/fig4_t1.json" --sweep-threads 1 > /dev/null
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --quick --json "$SWEEP_TMP/fig4_t2.json" --sweep-threads 2 > /dev/null
+cmp "$SWEEP_TMP/fig4_t1.json" "$SWEEP_TMP/fig4_t2.json"
+echo "fig4 --quick JSON identical across thread counts"
+
+echo "== sweep determinism (--sweep-threads 1 vs 4, byte-identical JSON) =="
 cat > "$SWEEP_TMP/sweep.json" <<'JSON'
 [
   { "backend": "HybridTdmVc4", "mesh": 4,

@@ -16,7 +16,7 @@
 //!   dynamic time-division granularity;
 //! * [`sdm`] (`noc-sdm`) — the SDM hybrid baseline (link planes);
 //! * [`power`] (`noc-power`) — the Orion-2.0-style energy/area model;
-//! * [`traffic`] (`noc-traffic`) — synthetic patterns and open-loop drivers;
+//! * [`traffic`] (`noc-traffic`) — synthetic patterns and the open-loop engine;
 //! * [`hetero`] (`noc-hetero`) — the heterogeneous CPU+GPU workload model.
 //!
 //! ## Quickstart
@@ -67,7 +67,7 @@ pub mod prelude {
         PacketNode, RouterConfig,
     };
     pub use noc_traffic::{
-        run_phases, OpenLoop, PhaseConfig, RunResult, SyntheticSource, TrafficPattern, Workload,
+        run_phases, PhaseConfig, RunResult, SyntheticSource, TrafficPattern, Workload,
     };
     pub use tdm_noc::{SharingConfig, TdmConfig, TdmNetwork, TdmNode, WaitBudget};
 }

@@ -29,21 +29,21 @@ fn all_networks_deliver_transpose_traffic() {
     // Baseline.
     let net_cfg = NetworkConfig::with_mesh(mesh);
     let mut base = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-    let r_base = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
+    let r_base = run_phases(
+        &mut base,
+        &mut SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
         quick_phases(),
-    )
-    .run(&mut base);
+    );
     assert!(!r_base.saturated);
     assert!(r_base.delivered_fraction > 0.99);
 
     // TDM hybrid.
     let mut tdm = TdmNetwork::new(tdm_cfg(mesh));
-    let r_tdm = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
+    let r_tdm = run_phases(
+        &mut tdm.net,
+        &mut SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
         quick_phases(),
-    )
-    .run(&mut tdm.net);
+    );
     assert!(r_tdm.delivered_fraction > 0.99, "TDM lost packets");
     assert!(
         r_tdm.stats.events.cs_flit_fraction() > 0.05,
@@ -57,11 +57,11 @@ fn all_networks_deliver_transpose_traffic() {
         ..Default::default()
     };
     let mut sdm = Network::new(mesh, move |id| SdmNode::new(id, &sdm_cfg));
-    let r_sdm = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
+    let r_sdm = run_phases(
+        &mut sdm,
+        &mut SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 1),
         quick_phases(),
-    )
-    .run(&mut sdm);
+    );
     assert!(r_sdm.delivered_fraction > 0.99, "SDM lost packets");
 }
 
@@ -74,20 +74,20 @@ fn tdm_saves_energy_on_local_traffic_at_moderate_load() {
     let net_cfg = NetworkConfig::with_mesh(mesh);
 
     let mut base = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-    let r_base = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 2),
+    let r_base = run_phases(
+        &mut base,
+        &mut SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 2),
         quick_phases(),
-    )
-    .run(&mut base);
+    );
 
     let mut cfg = tdm_cfg(mesh);
     cfg.gating = Some(tdm_hybrid_noc::sim::GatingConfig::default());
     let mut tdm = TdmNetwork::new(cfg);
-    let r_tdm = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 2),
+    let r_tdm = run_phases(
+        &mut tdm.net,
+        &mut SyntheticSource::new(mesh, TrafficPattern::Transpose, rate, 5, 2),
         quick_phases(),
-    )
-    .run(&mut tdm.net);
+    );
 
     let model = EnergyModel::default();
     let saving = model
@@ -134,7 +134,8 @@ fn hetero_mix_runs_on_every_network_kind() {
     use tdm_hybrid_noc::hetero::{CPU_BENCHES, GPU_BENCHES};
     let phases = PhaseConfig::pure_cycles(800, 2_500, 2_000);
     for kind in BackendKind::HETERO {
-        let r = run_mix(&CPU_BENCHES[3], &GPU_BENCHES[3], kind, phases, 5).expect("mix runs");
+        let (r, _) =
+            run_mix(&CPU_BENCHES[3], &GPU_BENCHES[3], kind, phases, 5, None).expect("mix runs");
         assert!(
             r.stats.packets_delivered > 200,
             "{}: too few deliveries",
@@ -185,11 +186,11 @@ fn deterministic_across_runs() {
     let run = || {
         let mesh = Mesh::square(4);
         let mut net = TdmNetwork::new(tdm_cfg(mesh));
-        let r = OpenLoop::new(
-            SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.12, 5, 99),
+        let r = run_phases(
+            &mut net.net,
+            &mut SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.12, 5, 99),
             quick_phases(),
-        )
-        .run(&mut net.net);
+        );
         (
             r.stats.packets_delivered,
             r.stats.latency_sum,

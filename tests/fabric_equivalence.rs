@@ -1,7 +1,7 @@
 //! Equivalence pin for the `Fabric` refactor: for every backend, the
 //! `dyn Fabric` engine (`build_fabric` + `run_phases`) must produce
 //! results identical to the pre-refactor concrete driver — reproduced here
-//! as a monomorphized copy of the old `OpenLoop::run` body over
+//! as a monomorphized copy of the old concrete driver body over
 //! `Network<M>` — on seeded quick runs. Host-timing fields
 //! (`wall_seconds`, `sim_cycles_per_sec`) are excluded: they are the only
 //! fields allowed to differ.
@@ -229,12 +229,13 @@ fn dyn_fabric_engine_matches_concrete_driver_for_every_backend() {
 }
 
 #[test]
-fn openloop_facade_matches_the_engine() {
-    // `OpenLoop` is a thin façade over `run_phases`; pin that equivalence
-    // too, through a boxed fabric.
+fn scenario_spec_run_matches_the_engine() {
+    // Experiment binaries run `ScenarioSpec`s; a spec's fabric and source
+    // must be exactly the hand-built ones, so the same engine call on
+    // either gives the same run.
     let net_cfg = NetworkConfig::with_mesh(Mesh::square(4));
     let kind = BackendKind::HybridTdmVc4;
-    let mut a = build_fabric(
+    let mut hand_built = build_fabric(
         kind,
         net_cfg,
         Tuning::Synthetic {
@@ -242,17 +243,12 @@ fn openloop_facade_matches_the_engine() {
         },
     )
     .unwrap();
-    let mut b = build_fabric(
-        kind,
-        net_cfg,
-        Tuning::Synthetic {
-            slot_capacity: None,
-        },
-    )
-    .unwrap();
-    let r_engine = run_phases(a.as_mut(), &mut source(net_cfg.mesh, 13), phases());
-    let r_facade = OpenLoop::new(source(net_cfg.mesh, 13), phases()).run(b.as_mut());
-    assert_identical(kind, &r_engine, &r_facade);
+    let r_engine = run_phases(hand_built.as_mut(), &mut source(net_cfg.mesh, 13), phases());
+    let spec = ScenarioSpec::synthetic(kind, 4, TrafficPattern::Transpose, 0.12, phases(), 13);
+    let mut fabric = spec.build_fabric().unwrap();
+    let mut src = spec.build_source().expect("synthetic spec");
+    let r_spec = run_phases(fabric.as_mut(), &mut src, spec.phases);
+    assert_identical(kind, &r_engine, &r_spec);
 }
 
 #[test]

@@ -27,12 +27,20 @@ fn tdm_cfg(mesh: Mesh, gating: bool) -> TdmConfig {
 fn run_packet(mesh: Mesh, pattern: TrafficPattern, rate: f64) -> RunResult {
     let net_cfg = NetworkConfig::with_mesh(mesh);
     let mut net = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-    OpenLoop::new(SyntheticSource::new(mesh, pattern, rate, 5, 7), phases()).run(&mut net)
+    run_phases(
+        &mut net,
+        &mut SyntheticSource::new(mesh, pattern, rate, 5, 7),
+        phases(),
+    )
 }
 
 fn run_tdm(mesh: Mesh, pattern: TrafficPattern, rate: f64, gating: bool) -> RunResult {
     let mut net = TdmNetwork::new(tdm_cfg(mesh, gating));
-    OpenLoop::new(SyntheticSource::new(mesh, pattern, rate, 5, 7), phases()).run(&mut net.net)
+    run_phases(
+        &mut net.net,
+        &mut SyntheticSource::new(mesh, pattern, rate, 5, 7),
+        phases(),
+    )
 }
 
 /// Figure 4 shape: on transpose traffic near the baseline's saturation,
@@ -106,11 +114,11 @@ fn stealing_matters() {
     let mut cfg = tdm_cfg(mesh, false);
     cfg.time_slot_stealing = false;
     let mut net = TdmNetwork::new(cfg);
-    let off = OpenLoop::new(
-        SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 7),
+    let off = run_phases(
+        &mut net.net,
+        &mut SyntheticSource::new(mesh, TrafficPattern::UniformRandom, rate, 5, 7),
         phases(),
-    )
-    .run(&mut net.net);
+    );
     assert!(
         off.avg_latency > on.avg_latency * 1.1,
         "no-stealing should hurt: {:.1} vs {:.1}",
@@ -133,11 +141,11 @@ fn sdm_low_load_latency_vs_tdm_crossover() {
             ..Default::default()
         };
         let mut net = Network::new(mesh, move |id| SdmNode::new(id, &sdm_cfg));
-        OpenLoop::new(
-            SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 7),
+        run_phases(
+            &mut net,
+            &mut SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 7),
             phases(),
         )
-        .run(&mut net)
     };
     let sdm_lo = run_sdm(0.05);
     let tdm_lo = run_tdm(mesh, TrafficPattern::Tornado, 0.05, false);
