@@ -7,6 +7,8 @@
 //! * the file checkpoint (`checkpoint_out` / `checkpoint_from`) and the
 //!   in-memory one (`WarmStart`) are the same seam: same blob bytes, same
 //!   envelopes;
+//! * checkpoints written by an earlier build (`tests/fixtures/`) restore,
+//!   re-encode to their own bytes and continue like the continuous run;
 //! * fault drops never leak — after a faulted run fully drains, the
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
@@ -149,6 +151,53 @@ fn file_and_in_memory_checkpoints_agree() {
         let (point, none) = serve_run(&base, WarmStart::Restore(&ck));
         assert!(none.is_none(), "{label}: a restore captures nothing");
         assert_eq!(in_memory(point), file_restored, "{label}: restored run");
+    }
+}
+
+/// Checkpoints written by an earlier build, beside the scenario files that
+/// wrote them: 4×4 Hybrid-TDM-VC4 and Hybrid-SDM-VC4 under UR at 0.20
+/// after a 3,000-cycle warm-up, which leaves slot tables, connection
+/// registries, retry cool-downs, frequency counts and CS queues populated.
+/// They pin the encoding against older builds: restoring one and
+/// checkpointing again gives the fixture's snapshot bytes, and the
+/// restored run's envelope is the continuous run's.
+///
+/// After an intended format change (which bumps `SNAPSHOT_VERSION` or
+/// `CHECKPOINT_VERSION`), regenerate both from the repository root:
+///
+/// ```text
+/// for f in tdm_ur_4x4 sdm_ur_4x4; do
+///     cargo run --release -p noc-bench --bin fig4_load_latency -- \
+///         --scenario crates/bench/tests/fixtures/$f.json --json /dev/null \
+///         --checkpoint-out crates/bench/tests/fixtures/$f.ckpt
+/// done
+/// ```
+#[test]
+fn checkpoints_from_an_earlier_build_restore_byte_identically() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    for name in ["tdm_ur_4x4", "sdm_ur_4x4"] {
+        let json = std::fs::read_to_string(format!("{dir}/{name}.json")).expect("fixture spec");
+        let [spec] = <[ScenarioSpec; 1]>::try_from(ScenarioSpec::parse(&json).expect("parses"))
+            .expect("one spec per fixture");
+        let blob = format!("{dir}/{name}.ckpt");
+        let ck = Checkpoint::read(&blob).expect("fixture decodes");
+        ck.compatible_with(&spec).expect("fixture matches its spec");
+
+        let mut fabric = spec.build_fabric().expect("builds");
+        fabric.restore(&ck.snapshot).expect("fixture restores");
+        let again = fabric.checkpoint().expect("checkpoints");
+        assert!(
+            again.as_bytes() == ck.snapshot.as_bytes(),
+            "{name}: the restored fabric re-encodes to different snapshot bytes"
+        );
+
+        let mut restored = spec.clone();
+        restored.checkpoint_from = Some(blob);
+        assert_eq!(
+            envelope_json(&restored),
+            envelope_json(&spec),
+            "{name}: restored run diverged from the continuous run"
+        );
     }
 }
 

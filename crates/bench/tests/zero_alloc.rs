@@ -11,6 +11,10 @@
 //! the test checks that the armed window delivers what it offers, so the
 //! pin holds at the load it names.
 //!
+//! The same allocator tracks each thread's live heap bytes, which pins
+//! the hybrid fabrics' footprint: per-node state must not grow with the
+//! mesh.
+//!
 //! This lives in its own integration-test binary because a global
 //! allocator is per-binary state; the tests serialise on a mutex so the
 //! armed counter is never shared between concurrently running tests.
@@ -19,15 +23,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use noc_bench::{BackendKind, ScenarioSpec};
 use noc_sdm::{SdmConfig, SdmNode};
 use noc_sim::{Fabric, Mesh, Network, NetworkConfig, PacketNode};
-use noc_traffic::{SyntheticSource, TrafficPattern};
+use noc_traffic::{PhaseConfig, SyntheticSource, TrafficPattern};
 use rand::{rngs::StdRng, SeedableRng};
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 /// Counts allocation events (alloc + realloc) while armed. Deallocations
 /// are free to happen — shrinking is not growth — but in practice the
-/// steady state performs none either.
+/// steady state performs none either. Live bytes are tracked always, per
+/// thread, so tests running beside a measurement do not disturb it.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -35,6 +41,12 @@ static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 std::thread_local! {
     static IN_HOOK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static LIVE_BYTES: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+}
+
+/// Add `delta` to this thread's live heap bytes.
+fn track(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
 }
 
 fn trace_hit(what: &str, size: usize) {
@@ -56,10 +68,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             trace_hit("alloc", layout.size());
         }
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -68,7 +85,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             trace_hit("realloc", new_size);
         }
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            track(new_size as i64 - layout.size() as i64);
+        }
+        new
     }
 }
 
@@ -196,4 +217,60 @@ fn sdm_steady_state_step_allocates_nothing() {
     };
     let mut net = Network::new(mesh, |id| SdmNode::new(id, &cfg));
     pin_steady_state("SDM backend", &mut net, TrafficPattern::Transpose, 0.05);
+}
+
+/// Heap bytes a freshly built `k`×`k` fabric of `backend` holds, with
+/// 256-entry slot tables at every size.
+fn built_fabric_bytes(backend: BackendKind, k: u16) -> i64 {
+    let mut spec = ScenarioSpec::synthetic(
+        backend,
+        k,
+        TrafficPattern::UniformRandom,
+        0.01,
+        PhaseConfig::quick(),
+        1,
+    );
+    spec.slot_capacity = Some(256);
+    let before = LIVE_BYTES.with(|live| live.get());
+    let fabric = spec.build_fabric().expect("spec builds");
+    let held = LIVE_BYTES.with(|live| live.get()) - before;
+    drop(fabric);
+    held
+}
+
+/// What one node of a hybrid fabric costs must not depend on how many
+/// nodes there are: the heap each added node costs between 16×16 and
+/// 32×32 is within 10% of what it costs between 8×8 and 16×16 (the
+/// differences cancel fixed costs), and the 32×32 fabrics stay under a
+/// budget. Per-node tables indexed by the whole mesh fail the first
+/// check: their cost per node grows with the node count.
+#[test]
+fn hybrid_fabric_heap_grows_linearly_with_nodes() {
+    // Building fabrics while another test's window is armed would count
+    // as that window's allocations.
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const MB: i64 = 1 << 20;
+    for (backend, budget_mb) in [
+        (BackendKind::HybridTdmVc4, 24),
+        (BackendKind::HybridSdmVc4, 14),
+    ] {
+        let [b8, b16, b32] = [8, 16, 32].map(|k| built_fabric_bytes(backend, k));
+        let small = (b16 - b8) as f64 / (256 - 64) as f64;
+        let large = (b32 - b16) as f64 / (1024 - 256) as f64;
+        let label = backend.label();
+        eprintln!(
+            "{label}: {b8} / {b16} / {b32} bytes at 8x8 / 16x16 / 32x32; \
+             {small:.0} then {large:.0} bytes per added node"
+        );
+        assert!(
+            (large / small - 1.0).abs() <= 0.10,
+            "{label}: a node costs {small:.0} bytes between 8x8 and 16x16 \
+             but {large:.0} between 16x16 and 32x32"
+        );
+        assert!(
+            b32 < budget_mb * MB,
+            "{label}: a 32x32 fabric holds {:.1} MB, over its {budget_mb} MB budget",
+            b32 as f64 / MB as f64
+        );
+    }
 }

@@ -195,7 +195,7 @@ impl TdmRouter {
     pub fn accept_flit(&mut self, now: Cycle, port: Port, flit: Flit) {
         self.pipeline.events.slot_lookups += 1;
         if flit.switching() == Switching::Circuit {
-            let entry = *self.slots.lookup(port, now).unwrap_or_else(|| {
+            let out = self.slots.lookup(port, now).unwrap_or_else(|| {
                 panic!(
                     "CS flit {:?} (src {:?} dst {:?} seq {} true_dst {:?}) arrived at {:?} \
                          port {:?} in unreserved slot {} (cycle {}) — teardown raced ahead of data",
@@ -215,14 +215,15 @@ impl TdmRouter {
                 "two CS flits in one cycle"
             );
             self.pipeline.events.cs_latch_writes += 1;
-            if flit.kind().is_head() && entry.out != Port::Local {
+            if flit.kind().is_head() && out != Port::Local {
+                let entry = self.slots.entry(port, now).expect("the slot is reserved");
                 self.dlt_observations.push(DltObservation::Confirm {
                     dst: entry.dst,
                     in_port: port,
                     slot: self.slots.slot_of(now),
                 });
             }
-            self.cs_latch[port.index()] = Some((flit, entry.out));
+            self.cs_latch[port.index()] = Some((flit, out));
             return;
         }
         if flit.class() == MsgClass::Config && flit.kind().is_head() {
@@ -242,10 +243,9 @@ impl TdmRouter {
     /// reservation; returns `false` (no injection) otherwise.
     pub fn inject_cs_local(&mut self, now: Cycle, flit: Flit) -> bool {
         self.pipeline.events.slot_lookups += 1;
-        let Some(entry) = self.slots.lookup(Port::Local, now) else {
+        let Some(out) = self.slots.lookup(Port::Local, now) else {
             return false;
         };
-        let out = entry.out;
         debug_assert!(self.cs_latch[Port::Local.index()].is_none());
         self.pipeline.events.cs_latch_writes += 1;
         self.cs_latch[Port::Local.index()] = Some((flit, out));
@@ -269,7 +269,7 @@ impl TdmRouter {
         if self.cs_latch[Port::Local.index()].is_some() {
             return false; // our own crossbar input is taken
         }
-        let Some(entry) = self.slots.lookup(in_port, now) else {
+        let Some(entry) = self.slots.entry(in_port, now) else {
             return false; // reservation vanished (torn down)
         };
         if entry.dst != expected_dst {
@@ -646,8 +646,8 @@ mod tests {
         let dst = m.id(Coord::new(3, 1));
         r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 42));
         // Reservation made at West for slots 6..10 toward East.
-        assert_eq!(r.slots.lookup(Port::West, 6).unwrap().out, Port::East);
-        assert_eq!(r.slots.lookup(Port::West, 9).unwrap().out, Port::East);
+        assert_eq!(r.slots.lookup(Port::West, 6), Some(Port::East));
+        assert_eq!(r.slots.lookup(Port::West, 9), Some(Port::East));
         assert!(r.slots.lookup(Port::West, 10).is_none());
         // The forwarded setup leaves through East with slot 8.
         let mut out = NodeOutputs::default();
@@ -676,7 +676,7 @@ mod tests {
         let src = m.id(Coord::new(0, 1));
         r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 4, 4, 7));
         // Reserved to Local.
-        assert_eq!(r.slots.lookup(Port::West, 4).unwrap().out, Port::Local);
+        assert_eq!(r.slots.lookup(Port::West, 4), Some(Port::Local));
         assert_eq!(r.protocol_out.len(), 1);
         let ack = &r.protocol_out[0];
         assert_eq!(ack.dst, src);
@@ -934,7 +934,7 @@ mod tests {
         let dst = m.id(Coord::new(3, 1));
         // The node's own setup passes through its router via the local port.
         r.accept_flit(0, Port::Local, setup_flit(r.arena(), r.id(), dst, 2, 4, 5));
-        assert_eq!(r.slots.lookup(Port::Local, 2).unwrap().out, Port::East);
+        assert_eq!(r.slots.lookup(Port::Local, 2), Some(Port::East));
         assert!(r.inject_cs_local(2, cs_flit(80, r.id(), dst, 0, 4)));
         // Unreserved slot: no injection.
         assert!(!r.inject_cs_local(7, cs_flit(81, r.id(), dst, 0, 4)));

@@ -66,7 +66,7 @@ fn setup_reserves_slots_along_the_whole_path_with_plus_two_arithmetic() {
         let entry = net.net.nodes[node.index()]
             .router
             .slots
-            .lookup(port, slot)
+            .entry(port, slot)
             .unwrap_or_else(|| panic!("no reservation at hop {i} ({node:?})"));
         assert_eq!(entry.path_id, conn.path_id, "wrong path at hop {i}");
         assert_eq!(entry.dst, dst);
@@ -75,7 +75,7 @@ fn setup_reserves_slots_along_the_whole_path_with_plus_two_arithmetic() {
             let e = net.net.nodes[node.index()]
                 .router
                 .slots
-                .lookup(port, (slot + k) % s)
+                .entry(port, (slot + k) % s)
                 .expect("duration slot reserved");
             assert_eq!(e.path_id, conn.path_id);
         }
@@ -85,9 +85,8 @@ fn setup_reserves_slots_along_the_whole_path_with_plus_two_arithmetic() {
     let e = net.net.nodes[dst.index()]
         .router
         .slots
-        .lookup(Port::West, final_slot)
-        .unwrap();
-    assert_eq!(e.out, Port::Local);
+        .lookup(Port::West, final_slot);
+    assert_eq!(e, Some(Port::Local));
 }
 
 #[test]
@@ -124,7 +123,7 @@ fn teardown_cleans_every_router_on_eviction() {
     for node in &net.net.nodes {
         for port in Port::ALL {
             for slot in 0..s {
-                if let Some(e) = node.router.slots.lookup(port, slot) {
+                if let Some(e) = node.router.slots.entry(port, slot) {
                     assert_ne!(
                         e.path_id,
                         conn.path_id,

@@ -8,11 +8,12 @@
 //! probe into a cache-cold control table.
 //!
 //! [`NodeTable`] replaces the node-keyed maps with a sparse-set: a dense
-//! entry vector for iteration, a `u16` index array for O(1) lookup, and
-//! a word-per-64-nodes occupancy bitmask so emptiness checks and sorted
-//! drains scan words, not buckets. Iteration order is *insertion order*
-//! (mutated only by `remove`'s swap), which is a deterministic function
-//! of the simulation history — the property the bit-identity pins need.
+//! entry vector for iteration and a small open-addressed `u16` index,
+//! sized to the entries rather than to the mesh, for O(1) lookup.
+//! Iteration order is *insertion order* (mutated only by `remove`'s
+//! swap), a deterministic function of the simulation history — the
+//! property the bit-identity pins need. It comes from the dense vector
+//! alone; the index's layout never decides an order.
 //!
 //! [`RxTable`] replaces the reassembly `FxHashMap<PacketId, u8>` with a
 //! small open-addressed table (linear probing, tombstone deletes, lazy
@@ -135,24 +136,50 @@ pub(crate) fn ones_below(k: usize) -> u64 {
     }
 }
 
-/// Sparse-set map from [`NodeId`] to `T`, sized to the mesh at
-/// construction. Lookups are two array indexes; iteration walks a dense
-/// vector; the occupancy bitmask makes "any key below/above N" and
-/// sorted drains cheap.
+/// Sparse-set map from [`NodeId`] to `T` over a universe of node ids
+/// fixed at construction (the mesh size). Iteration walks a dense entry
+/// vector; lookups go through an open-addressed index sized to the
+/// entries, so a table holding k entries costs O(k) memory however large
+/// the mesh.
 #[derive(Clone, Debug)]
 pub struct NodeTable<T> {
+    /// Positions into `entries` (`IDX_NONE` = empty slot): linear probing
+    /// from a Fibonacci hash of the key, power-of-two length (zero until
+    /// the first insert), at most half full, so every probe ends at an
+    /// empty slot. Deletion shifts displaced positions back instead of
+    /// leaving tombstones. The index only answers "where is key k"; no
+    /// iteration ever reads it.
     idx: Box<[u16]>,
-    mask: Box<[u64]>,
     entries: Vec<(NodeId, T)>,
+    /// Keys are `NodeId`s below this (written to snapshots).
+    universe: usize,
+}
+
+/// Smallest non-empty index length.
+const MIN_INDEX: usize = 8;
+
+/// Index length for `n` entries: at most half full, and growing exactly
+/// when `n` crosses a power of two, which is when the dense vector grows.
+fn index_len_for(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (2 * n).next_power_of_two().max(MIN_INDEX)
+    }
 }
 
 impl<T> NodeTable<T> {
     pub fn new(nodes: usize) -> Self {
+        Self::with_capacity(nodes, 0)
+    }
+
+    /// An empty table with room for `n` entries before it allocates.
+    fn with_capacity(nodes: usize, n: usize) -> Self {
         assert!(nodes < IDX_NONE as usize, "mesh too large for NodeTable");
         NodeTable {
-            idx: vec![IDX_NONE; nodes].into_boxed_slice(),
-            mask: vec![0u64; nodes.div_ceil(64)].into_boxed_slice(),
-            entries: Vec::new(),
+            idx: vec![IDX_NONE; index_len_for(n)].into_boxed_slice(),
+            entries: Vec::with_capacity(n),
+            universe: nodes,
         }
     }
 
@@ -166,42 +193,90 @@ impl<T> NodeTable<T> {
         self.entries.is_empty()
     }
 
+    /// Home slot of `node` (the index must be non-empty).
+    #[inline]
+    fn home(&self, node: NodeId) -> usize {
+        // Fibonacci hashing keeps the *top* bits of the product, so keys
+        // differing by a power of two (a mesh column) still spread out.
+        let bits = self.idx.len().trailing_zeros();
+        ((node.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Probe for `node`: `Ok(slot)` holding it, or `Err(slot)`, the empty
+    /// slot ending its probe sequence (the index must be non-empty).
+    #[inline]
+    fn probe(&self, node: NodeId) -> Result<usize, usize> {
+        let mask = self.idx.len() - 1;
+        let mut s = self.home(node);
+        loop {
+            match self.idx[s] {
+                IDX_NONE => return Err(s),
+                i if self.entries[i as usize].0 == node => return Ok(s),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Dense position of `node`'s entry.
+    #[inline]
+    fn position(&self, node: NodeId) -> Option<usize> {
+        if self.idx.is_empty() {
+            return None;
+        }
+        self.probe(node).ok().map(|s| self.idx[s] as usize)
+    }
+
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.idx[node.index()] != IDX_NONE
+        self.position(node).is_some()
     }
 
     #[inline]
     pub fn get(&self, node: NodeId) -> Option<&T> {
-        let i = self.idx[node.index()];
-        if i == IDX_NONE {
-            None
-        } else {
-            Some(&self.entries[i as usize].1)
-        }
+        self.position(node).map(|i| &self.entries[i].1)
     }
 
     #[inline]
     pub fn get_mut(&mut self, node: NodeId) -> Option<&mut T> {
-        let i = self.idx[node.index()];
-        if i == IDX_NONE {
-            None
-        } else {
-            Some(&mut self.entries[i as usize].1)
+        self.position(node).map(|i| &mut self.entries[i].1)
+    }
+
+    /// Append an entry for a key known to be absent; returns its position.
+    fn push_new(&mut self, node: NodeId, value: T) -> usize {
+        assert!(
+            node.index() < self.universe,
+            "NodeTable key outside the mesh"
+        );
+        let pos = self.entries.len();
+        if 2 * (pos + 1) > self.idx.len() {
+            self.reindex(index_len_for(pos + 1));
+        }
+        let slot = self.probe(node).expect_err("key is absent");
+        self.idx[slot] = pos as u16;
+        self.entries.push((node, value));
+        pos
+    }
+
+    /// Rebuild the index at length `len` (only when the entry count
+    /// reaches a new peak, so the steady state never allocates).
+    fn reindex(&mut self, len: usize) {
+        self.idx = vec![IDX_NONE; len].into_boxed_slice();
+        for pos in 0..self.entries.len() {
+            let slot = self
+                .probe(self.entries[pos].0)
+                .expect_err("keys are unique");
+            self.idx[slot] = pos as u16;
         }
     }
 
     /// Insert or overwrite; returns the previous value if any.
     pub fn insert(&mut self, node: NodeId, value: T) -> Option<T> {
-        let slot = node.index();
-        let i = self.idx[slot];
-        if i == IDX_NONE {
-            self.idx[slot] = self.entries.len() as u16;
-            self.mask[slot / 64] |= 1 << (slot % 64);
-            self.entries.push((node, value));
-            None
-        } else {
-            Some(std::mem::replace(&mut self.entries[i as usize].1, value))
+        match self.position(node) {
+            Some(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            None => {
+                self.push_new(node, value);
+                None
+            }
         }
     }
 
@@ -210,27 +285,56 @@ impl<T> NodeTable<T> {
     where
         T: Default,
     {
-        if !self.contains(node) {
-            self.insert(node, T::default());
-        }
-        self.get_mut(node).unwrap()
+        let i = match self.position(node) {
+            Some(i) => i,
+            None => self.push_new(node, T::default()),
+        };
+        &mut self.entries[i].1
     }
 
     /// Remove by swap: the last dense entry fills the hole, so the cost
     /// is O(1) and the resulting order is still history-deterministic.
     pub fn remove(&mut self, node: NodeId) -> Option<T> {
-        let slot = node.index();
-        let i = self.idx[slot];
-        if i == IDX_NONE {
+        if self.idx.is_empty() {
             return None;
         }
-        self.idx[slot] = IDX_NONE;
-        self.mask[slot / 64] &= !(1 << (slot % 64));
-        let (_, value) = self.entries.swap_remove(i as usize);
-        if let Some(&(moved, _)) = self.entries.get(i as usize) {
-            self.idx[moved.index()] = i;
+        let slot = self.probe(node).ok()?;
+        let pos = self.idx[slot] as usize;
+        self.unlink(slot);
+        let (_, value) = self.entries.swap_remove(pos);
+        if let Some(&(moved, _)) = self.entries.get(pos) {
+            // The moved entry's slot still names its old (tail) position.
+            let (mask, tail) = (self.idx.len() - 1, self.entries.len() as u16);
+            let mut s = self.home(moved);
+            while self.idx[s] != tail {
+                s = (s + 1) & mask;
+            }
+            self.idx[s] = pos as u16;
         }
         Some(value)
+    }
+
+    /// Empty index slot `hole`, shifting later members of its probe run
+    /// back so every key stays reachable from its home slot (reads
+    /// `entries`, so it runs before the dense vector changes).
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.idx.len() - 1;
+        let mut s = hole;
+        loop {
+            s = (s + 1) & mask;
+            let i = self.idx[s];
+            if i == IDX_NONE {
+                break;
+            }
+            // The key at `s` may fill the hole unless its home lies
+            // cyclically in (hole, s].
+            let home = self.home(self.entries[i as usize].0);
+            if (s.wrapping_sub(home) & mask) >= (s.wrapping_sub(hole) & mask) {
+                self.idx[hole] = i;
+                hole = s;
+            }
+        }
+        self.idx[hole] = IDX_NONE;
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
@@ -253,25 +357,13 @@ impl<T> NodeTable<T> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
-    /// Drain every entry in ascending [`NodeId`] order, walking the
-    /// occupancy bitmask word by word. Used where a canonical order is
-    /// required regardless of insertion history (e.g. freezing CS state
-    /// for a slot-table resize).
+    /// Drain every entry in ascending [`NodeId`] order. Used where a
+    /// canonical order is required regardless of insertion history (e.g.
+    /// freezing CS state for a slot-table resize).
     pub fn drain_sorted(&mut self) -> Vec<(NodeId, T)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for (w, word) in self.mask.iter().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push(NodeId((w * 64 + b) as u32));
-            }
-        }
-        let mut drained = Vec::with_capacity(out.len());
-        for node in out {
-            let v = self.remove(node).expect("bitmask and index agree");
-            drained.push((node, v));
-        }
+        self.idx.fill(IDX_NONE);
+        let mut drained: Vec<_> = self.entries.drain(..).collect();
+        drained.sort_unstable_by_key(|&(node, _)| node);
         drained
     }
 
@@ -318,10 +410,8 @@ impl<T> NodeTable<T> {
     }
 
     pub fn clear(&mut self) {
-        for (node, _) in self.entries.drain(..) {
-            self.idx[node.index()] = IDX_NONE;
-        }
-        self.mask.fill(0);
+        self.entries.clear();
+        self.idx.fill(IDX_NONE);
     }
 }
 
@@ -557,7 +647,7 @@ impl Snap for BitSet {
 
 impl<T: Snap> Snap for NodeTable<T> {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.usize(self.idx.len());
+        w.usize(self.universe);
         self.entries.save(w);
     }
     fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
@@ -566,7 +656,7 @@ impl<T: Snap> Snap for NodeTable<T> {
             return Err(SnapshotError::Corrupt("NodeTable universe"));
         }
         let entries = Vec::<(NodeId, T)>::load(r)?;
-        let mut t = NodeTable::new(nodes);
+        let mut t = NodeTable::with_capacity(nodes, entries.len());
         for (node, value) in entries {
             if node.index() >= nodes || t.contains(node) {
                 return Err(SnapshotError::Corrupt("NodeTable entry"));
@@ -778,6 +868,188 @@ mod tests {
                 assert_eq!(rx.get(id), None);
             }
             assert!(rx.is_empty());
+        }
+    }
+
+    fn node_table_bytes<T: Snap>(t: &NodeTable<T>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        t.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn node_table_decoder_rejects_bad_keys_and_sizes_by_entries() {
+        let mut t: NodeTable<u8> = NodeTable::new(60_000);
+        t.insert(NodeId(59_999), 1);
+        t.insert(NodeId(3), 2);
+        let bytes = node_table_bytes(&t);
+        let back = NodeTable::<u8>::load(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(node_table_bytes(&back), bytes);
+        // Two entries in a 60k-node universe: the index holds two keys,
+        // not the universe.
+        assert_eq!(back.idx.len(), MIN_INDEX);
+        let encode = |universe: usize, keys: &[u32]| {
+            let mut w = SnapshotWriter::new();
+            w.usize(universe);
+            keys.iter()
+                .map(|&k| (NodeId(k), 0u8))
+                .collect::<Vec<_>>()
+                .save(&mut w);
+            w.into_bytes()
+        };
+        for (what, bytes) in [
+            ("key outside the universe", encode(16, &[3, 16])),
+            ("duplicate key", encode(16, &[3, 5, 3])),
+            ("universe too large", encode(IDX_NONE as usize, &[])),
+        ] {
+            assert!(
+                matches!(
+                    NodeTable::<u8>::load(&mut SnapshotReader::new(&bytes)),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    mod node_table_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        const UNIVERSE: usize = 1024;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Insert(u32, u32),
+            Bump(u32),
+            Remove(u32),
+            Retain(u32),
+            RemoveWhere(u32),
+            DrainSorted,
+            Clear,
+            Restore,
+        }
+
+        /// Keys from a few dozen ids, spread densely, along a mesh column
+        /// (stride 32) or by an odd stride, so small tables collide and
+        /// grow.
+        fn key() -> impl Strategy<Value = u32> {
+            (0u32..40, 0usize..3).prop_map(|(k, i)| k * [1, 32, 7][i] % UNIVERSE as u32)
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (key(), 0u32..100).prop_map(|(k, v)| Op::Insert(k, v)),
+                (key(), 0u32..100).prop_map(|(k, v)| Op::Insert(k, v)),
+                key().prop_map(Op::Bump),
+                key().prop_map(Op::Bump),
+                key().prop_map(Op::Remove),
+                key().prop_map(Op::Remove),
+                (2u32..5).prop_map(Op::Retain),
+                (2u32..5).prop_map(Op::RemoveWhere),
+                Just(Op::DrainSorted),
+                Just(Op::Clear),
+                Just(Op::Restore),
+            ]
+        }
+
+        /// The reference: a plain vector searched linearly, with
+        /// `NodeTable`'s documented order rules (push on insert,
+        /// swap-remove on removal).
+        #[derive(Default)]
+        struct Model(Vec<(NodeId, u32)>);
+
+        impl Model {
+            fn pos(&self, k: NodeId) -> Option<usize> {
+                self.0.iter().position(|&(n, _)| n == k)
+            }
+            fn get(&self, k: NodeId) -> Option<u32> {
+                self.pos(k).map(|i| self.0[i].1)
+            }
+            fn insert(&mut self, k: NodeId, v: u32) -> Option<u32> {
+                match self.pos(k) {
+                    Some(i) => Some(std::mem::replace(&mut self.0[i].1, v)),
+                    None => {
+                        self.0.push((k, v));
+                        None
+                    }
+                }
+            }
+            fn remove(&mut self, k: NodeId) -> Option<u32> {
+                self.pos(k).map(|i| self.0.swap_remove(i).1)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every operation returns what the linear-search model
+            /// returns, and `iter()` keeps the model's order after every
+            /// step.
+            #[test]
+            fn node_table_matches_a_linear_search_model(
+                ops in prop::collection::vec(op(), 1..120),
+            ) {
+                let mut t: NodeTable<u32> = NodeTable::new(UNIVERSE);
+                let mut m = Model::default();
+                for op in ops {
+                    match op {
+                        Op::Insert(k, v) => {
+                            prop_assert_eq!(t.insert(NodeId(k), v), m.insert(NodeId(k), v));
+                        }
+                        Op::Bump(k) => {
+                            *t.entry_or_default(NodeId(k)) += 1;
+                            let v = m.get(NodeId(k)).unwrap_or(0) + 1;
+                            m.insert(NodeId(k), v);
+                        }
+                        Op::Remove(k) => {
+                            prop_assert_eq!(t.remove(NodeId(k)), m.remove(NodeId(k)));
+                        }
+                        Op::Retain(d) => {
+                            let keep = |n: NodeId, v: &mut u32| !(n.0 + *v).is_multiple_of(d);
+                            t.retain(keep);
+                            let mut i = 0;
+                            while i < m.0.len() {
+                                let (n, mut v) = m.0[i];
+                                if keep(n, &mut v) {
+                                    i += 1;
+                                } else {
+                                    m.0.swap_remove(i);
+                                }
+                            }
+                        }
+                        Op::RemoveWhere(d) => {
+                            t.remove_where(|v| v.is_multiple_of(d));
+                            let doomed: Vec<NodeId> =
+                                m.0.iter().filter(|(_, v)| v.is_multiple_of(d)).map(|(n, _)| *n).collect();
+                            for n in doomed {
+                                m.remove(n);
+                            }
+                        }
+                        Op::DrainSorted => {
+                            m.0.sort_by_key(|&(n, _)| n);
+                            prop_assert_eq!(t.drain_sorted(), std::mem::take(&mut m.0));
+                        }
+                        Op::Clear => {
+                            t.clear();
+                            m.0.clear();
+                        }
+                        Op::Restore => {
+                            let bytes = node_table_bytes(&t);
+                            t = NodeTable::load(&mut SnapshotReader::new(&bytes)).unwrap();
+                        }
+                    }
+                    let order: Vec<(NodeId, u32)> = t.iter().map(|(n, v)| (n, *v)).collect();
+                    prop_assert_eq!(&order, &m.0);
+                    prop_assert_eq!(t.len(), m.0.len());
+                    for k in 0..40u32 {
+                        for n in [k, k * 32 % 1024, k * 7] {
+                            prop_assert_eq!(t.get(NodeId(n)).copied(), m.get(NodeId(n)));
+                            prop_assert_eq!(t.contains(NodeId(n)), m.pos(NodeId(n)).is_some());
+                        }
+                    }
+                }
+            }
         }
     }
 }

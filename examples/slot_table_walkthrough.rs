@@ -15,7 +15,7 @@ fn render(t: &SlotTables) -> String {
     let mut s = String::from("        in_1 (West)      in_2 (South)\n");
     for slot in 0..t.active() {
         let cell = |p: Port| match t.lookup(p, slot as u64) {
-            Some(e) => format!("v=1 out={:?}", e.out),
+            Some(out) => format!("v=1 out={out:?}"),
             None => "v=0        ".into(),
         };
         s.push_str(&format!(

@@ -41,8 +41,8 @@ proptest! {
         for s in 0..32u64 {
             let mut outs = std::collections::HashSet::new();
             for p in Port::ALL {
-                if let Some(e) = t.lookup(p, s) {
-                    prop_assert!(outs.insert(e.out), "output {:?} double-promised in slot {s}", e.out);
+                if let Some(out) = t.lookup(p, s) {
+                    prop_assert!(outs.insert(out), "output {out:?} double-promised in slot {s}");
                 }
             }
         }
