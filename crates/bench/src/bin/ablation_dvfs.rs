@@ -9,8 +9,8 @@
 //! comparison stays apples-to-apples.)
 
 use noc_bench::{
-    format_table, paper_phases, quick_flag, scenario_mode_ran, sweep_points, synth_spec,
-    BackendKind,
+    format_table, paper_phases, quick_flag, scenario_mode_ran, sweep_points, BackendKind,
+    ScenarioSpec,
 };
 use noc_power::DvfsPoint;
 use noc_traffic::TrafficPattern;
@@ -24,7 +24,7 @@ fn main() {
     let rate = 0.20;
 
     let specs = [BackendKind::PacketVc4, BackendKind::HybridTdmVct]
-        .map(|kind| synth_spec(kind, 6, TrafficPattern::Transpose, rate, phases, 41));
+        .map(|kind| ScenarioSpec::synthetic(kind, 6, TrafficPattern::Transpose, rate, phases, 41));
     let [base, tdm]: [_; 2] = sweep_points(&specs).try_into().expect("two points");
 
     println!("=== §V-B1 — DVFS applied orthogonally to hybrid switching ===");

@@ -14,7 +14,7 @@
 
 use noc_bench::{
     format_table, json_flag, paper_phases, quick_flag, result_envelope, scenario_mode_ran,
-    sweep_points, synth_spec, write_json, BackendKind, ScenarioSpec, SynthPoint,
+    sweep_points, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_traffic::TrafficPattern;
 
@@ -40,7 +40,7 @@ fn main() {
         .flat_map(|pattern| {
             rates.iter().flat_map(move |&rate| {
                 [None, Some(PLAN_TOP)].into_iter().map(move |profiled| {
-                    let mut spec = synth_spec(
+                    let mut spec = ScenarioSpec::synthetic(
                         BackendKind::HybridTdmVc4,
                         6,
                         pattern.clone(),

@@ -8,8 +8,8 @@
 
 use noc_bench::{
     ascii_chart, format_table, json_flag, max_goodput, paper_patterns, paper_phases, quick_flag,
-    rate_sweep, result_envelope, scenario_mode_ran, sweep_points, synth_spec, write_json,
-    BackendKind, ScenarioSpec, SynthPoint,
+    rate_sweep, result_envelope, scenario_mode_ran, sweep_points, write_json, BackendKind,
+    ScenarioSpec, SynthPoint,
 };
 
 fn main() {
@@ -23,7 +23,14 @@ fn main() {
     for pattern in paper_patterns() {
         for kind in BackendKind::SYNTH {
             for &rate in &rates {
-                all_specs.push(synth_spec(kind, 6, pattern.clone(), rate, phases, 17));
+                all_specs.push(ScenarioSpec::synthetic(
+                    kind,
+                    6,
+                    pattern.clone(),
+                    rate,
+                    phases,
+                    17,
+                ));
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use noc_bench::{
     format_table, json_flag, paper_patterns, paper_phases, quick_flag, result_envelope,
-    scenario_mode_ran, sweep_points, synth_spec, write_json, BackendKind,
+    scenario_mode_ran, sweep_points, write_json, BackendKind, ScenarioSpec,
 };
 
 fn main() {
@@ -42,7 +42,14 @@ fn main() {
             BackendKind::HybridTdmVct,
         ] {
             for rate in rates_for(pattern.name()) {
-                all_specs.push(synth_spec(kind, 6, pattern.clone(), rate, phases, 23));
+                all_specs.push(ScenarioSpec::synthetic(
+                    kind,
+                    6,
+                    pattern.clone(),
+                    rate,
+                    phases,
+                    23,
+                ));
             }
         }
     }

@@ -10,7 +10,7 @@
 
 use noc_bench::{
     format_table, max_goodput, paper_patterns, paper_phases, quick_flag, scenario_mode_ran,
-    sweep_points, synth_spec, BackendKind, SynthPoint,
+    sweep_points, BackendKind, ScenarioSpec, SynthPoint,
 };
 
 const KINDS: [BackendKind; 2] = [BackendKind::PacketVc4, BackendKind::HybridTdmVct];
@@ -33,7 +33,14 @@ fn main() {
         for pattern in paper_patterns() {
             for kind in KINDS {
                 for &rate in &rates {
-                    specs.push(synth_spec(kind, k, pattern.clone(), rate, phases, 31));
+                    specs.push(ScenarioSpec::synthetic(
+                        kind,
+                        k,
+                        pattern.clone(),
+                        rate,
+                        phases,
+                        31,
+                    ));
                 }
             }
         }

@@ -6,12 +6,11 @@
 //! at the repo root holds the committed snapshot).
 //!
 //! Every point is named and reported by the load it really offers, in
-//! flits/node/cycle (`SyntheticSource` takes that unit). Three point
-//! kinds share the timing loop: per-cycle stepping, per-cycle stepping
-//! with the node-stepping pool at 2 threads (`_parallel2`), and near-idle
-//! leap points (`_leap`) that replay a pre-sampled injection schedule
-//! through `Fabric::run_until`, so idle stretches collapse and the
-//! schedule's RNG sweep stays outside the timed region.
+//! flits/node/cycle (`SyntheticSource` takes that unit). Two point kinds
+//! share the timing loop: per-cycle stepping, and near-idle leap points
+//! (`_leap`) that replay a pre-sampled injection schedule through
+//! `Fabric::run_until`, so idle stretches collapse and the schedule's RNG
+//! sweep stays outside the timed region.
 //!
 //! Flags:
 //!   --json-out PATH   write the schema-versioned result envelope
@@ -37,12 +36,10 @@ const RATE_LOW: f64 = 0.004;
 const RATE_NEAR_IDLE: f64 = 0.0004;
 
 /// How a point advances its fabric through a timed repetition.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Drive {
     /// One `step` per cycle, source ticked every cycle.
     Step,
-    /// As `Step`, with the node-stepping phase on 2 pool threads.
-    Parallel2,
     /// `run_until` between the events of a pre-sampled schedule.
     Leap,
 }
@@ -154,16 +151,13 @@ fn measure((name, backend, topo, rate, mode, warmup): Case, reps: u64) -> Point 
         _ => tdm_net(topo),
     };
     let mut src = SyntheticSource::new(topo, TrafficPattern::UniformRandom, rate, 5, 42);
-    if mode == Drive::Parallel2 {
-        net.set_step_threads(2);
-    }
     drive(net.as_mut(), &mut src, warmup);
     let mut wall_ns = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
         let start = net.now();
         let sched = match mode {
             Drive::Leap => sample_schedule(&mut src, start, STEPS),
-            Drive::Step | Drive::Parallel2 => Vec::new(),
+            Drive::Step => Vec::new(),
         };
         let t0 = Instant::now();
         match mode {
@@ -174,7 +168,7 @@ fn measure((name, backend, topo, rate, mode, warmup): Case, reps: u64) -> Point 
                 }
                 net.run_until(start + STEPS);
             }
-            Drive::Step | Drive::Parallel2 => drive(net.as_mut(), &mut src, STEPS),
+            Drive::Step => drive(net.as_mut(), &mut src, STEPS),
         }
         wall_ns.push(t0.elapsed().as_nanos() as u64);
     }
@@ -219,7 +213,7 @@ fn main() {
     let m32 = Mesh::square(32);
     let t32 = Mesh::torus_square(32);
 
-    use Drive::{Leap, Parallel2, Step};
+    use Drive::{Leap, Step};
     let cases: Vec<Case> = vec![
         (
             "packet_64n_0.06flits",
@@ -227,14 +221,6 @@ fn main() {
             m8,
             RATE_HEAVY,
             Step,
-            warm_64,
-        ),
-        (
-            "packet_64n_0.06flits_parallel2",
-            "packet",
-            m8,
-            RATE_HEAVY,
-            Parallel2,
             warm_64,
         ),
         (

@@ -1,7 +1,7 @@
 //! # noc-bench — experiment harnesses for every table and figure
 //!
-//! One binary per table/figure of the paper (`src/bin/`), plus Criterion
-//! microbenchmarks (`benches/`). Every figure point is a [`ScenarioSpec`]
+//! One binary per table/figure of the paper (`src/bin/`), plus the
+//! `network_step` kernel bench. Every figure point is a [`ScenarioSpec`]
 //! run by [`run_sweep`]; the ablations that need hand-built fabrics use
 //! the same [`par_map`] fan-out and the shared engine
 //! ([`noc_traffic::run_phases`]). This library also holds saturation
@@ -37,9 +37,8 @@ pub use noc_hetero::MixResult;
 pub use noc_scenario::{
     build_fabric, build_workload, json_flag, quick_flag, result_envelope,
     result_envelope_with_telemetry, scenario_flag, scenario_specs_from_cli, slot_capacity_for,
-    step_threads_from_env, sweep_threads_flag, telemetry_from_cli, trace_out_flag, write_json,
-    BackendKind, Checkpoint, ScenarioError, ScenarioSpec, SpecSource, TrafficSpec, Tuning,
-    SCHEMA_VERSION,
+    sweep_threads_flag, telemetry_from_cli, trace_out_flag, write_json, BackendKind, Checkpoint,
+    ScenarioError, ScenarioSpec, SpecSource, TrafficSpec, Tuning, SCHEMA_VERSION,
 };
 pub use noc_traffic::FreeRun;
 pub use noc_workload::{capture_ticks, plan_top_flows, PacketTrace};
@@ -56,21 +55,6 @@ pub struct SynthPoint {
     /// packets carry a 64 B line in 4 flits instead of 5, so raw flit
     /// counts would undercount the hybrid network's useful throughput.
     pub goodput: f64,
-}
-
-/// A figure's synthetic point as a [`ScenarioSpec`], with the host-side
-/// `NOC_STEP_THREADS` override applied (it never changes results).
-pub fn synth_spec(
-    kind: BackendKind,
-    mesh: u16,
-    pattern: TrafficPattern,
-    rate: f64,
-    phases: PhaseConfig,
-    seed: u64,
-) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::synthetic(kind, mesh, pattern, rate, phases, seed);
-    spec.step_threads = step_threads_from_env();
-    spec
 }
 
 /// Run a synthetic or trace [`ScenarioSpec`] (hetero specs are rejected —
@@ -721,7 +705,7 @@ pub fn find_saturation(
     let (mut lo, mut hi) = (0.01, 1.0);
     for _ in 0..iters {
         let mid = 0.5 * (lo + hi);
-        let spec = synth_spec(kind, mesh, pattern.clone(), mid, phases, seed);
+        let spec = ScenarioSpec::synthetic(kind, mesh, pattern.clone(), mid, phases, seed);
         let (p, _) = run_synthetic_spec(&spec, None).expect("synthetic specs run");
         if p.result.saturated {
             hi = mid;
@@ -836,7 +820,7 @@ mod tests {
     #[test]
     fn synthetic_point_runs_for_every_kind() {
         for kind in BackendKind::SYNTH {
-            let spec = synth_spec(
+            let spec = ScenarioSpec::synthetic(
                 kind,
                 4,
                 TrafficPattern::Transpose,
@@ -863,7 +847,7 @@ mod tests {
     #[test]
     fn tdm_circuit_switches_transpose() {
         // Transpose has one destination per source: circuits must form.
-        let spec = synth_spec(
+        let spec = ScenarioSpec::synthetic(
             BackendKind::HybridTdmVc4,
             6,
             TrafficPattern::Transpose,

@@ -80,14 +80,13 @@ fn export_then_replay_reproduces_the_delivered_multiset() {
     // ...is reproduced exactly by replaying the exported trace on a
     // fresh fabric: ids are allocated in record order, so even the
     // packet ids line up.
-    let mut replay = ScenarioSpec::trace(
+    let replay = ScenarioSpec::trace(
         BackendKind::HybridTdmVc4,
         4,
         Arc::new(trace),
         PhaseConfig::quick(),
         11,
     );
-    replay.step_threads = 0;
     let replayed = delivered_multiset(&replay);
     assert!(!continuous.is_empty());
     assert_eq!(continuous.len(), replayed.len(), "delivered counts differ");

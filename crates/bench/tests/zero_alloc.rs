@@ -1,6 +1,6 @@
 //! Zero-allocation steady-state enforcement (DESIGN.md §17).
 //!
-//! The flit-slab datapath removes per-VC `VecDeque` churn; the remaining
+//! The fixed-depth VC rings remove per-VC `VecDeque` churn; the remaining
 //! per-cycle containers (NIC inject queue, ejected scratch, local-credit
 //! scratch, CS-burst buffers, the source's pending-packet buffer) reach a
 //! steady-state capacity during warm-up and must never grow again. A
@@ -18,6 +18,10 @@
 //! This lives in its own integration-test binary because a global
 //! allocator is per-binary state; the tests serialise on a mutex so the
 //! armed counter is never shared between concurrently running tests.
+
+// The workspace denies `unsafe`; a counting allocator needs it because
+// `GlobalAlloc` is an unsafe trait.
+#![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1007,17 +1007,6 @@ impl NodeModel for TdmNode {
         self.router.set_arena(arena.clone());
     }
 
-    fn flit_slab_rings(&self) -> Option<(usize, u8)> {
-        Some((
-            self.router.pipeline.slab_rings(),
-            self.router.pipeline.cfg.buf_depth,
-        ))
-    }
-
-    fn attach_flit_slab(&mut self, region: noc_sim::SlabRegion) {
-        self.router.pipeline.attach_slab(region);
-    }
-
     fn set_trace_sink(&mut self, sink: TraceSink) {
         self.router.pipeline.trace = sink;
     }

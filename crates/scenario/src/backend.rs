@@ -277,8 +277,7 @@ pub fn build_fabric(
     net_cfg: NetworkConfig,
     tuning: Tuning,
 ) -> Result<Box<dyn Fabric>, ScenarioError> {
-    let threads = net_cfg.step_threads;
-    let mut fabric: Box<dyn Fabric> = match kind {
+    Ok(match kind {
         BackendKind::PacketVc4 => Box::new(Network::new(net_cfg.mesh, |id| {
             PacketNode::new(id, &net_cfg, None)
         })),
@@ -300,9 +299,7 @@ pub fn build_fabric(
             };
             Box::new(TdmNetwork::new(cfg))
         }
-    };
-    fabric.set_step_threads(threads);
-    Ok(fabric)
+    })
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@
 //! The **warm-up key** hashes only the prefix of the spec that determines
 //! the fabric state at the end of warm-up: grid, backend, traffic, seed,
 //! faults and the warm-up phase lengths. Measurement and drain parameters
-//! (and `step_threads`, a host-side knob with bit-identical results) are
-//! excluded, so a sweep over measurement windows shares one checkpoint.
+//! are excluded, so a sweep over measurement windows shares one checkpoint.
+//!
+//! The retired `step_threads` field is parsed and dropped, so it is not
+//! part of the echo: requests that differ only in it share both keys.
 
 use serde::{Serialize, Value};
 
@@ -127,9 +129,6 @@ pub fn warmup_key(spec: &ScenarioSpec, code_version: &str) -> Option<CacheKey> {
         _ => unreachable!("spec echo is an object"),
     } {
         match k.as_str() {
-            // Host-side knob: results are bit-identical at any thread
-            // count, so points differing only here share a warm-up.
-            "step_threads" => {}
             // Measurement/drain lengths are the warm-up *fork* axis.
             "phases" => {
                 if let Value::Object(ph) = v {
@@ -279,7 +278,6 @@ mod tests {
                        "measure_cycles": 2000, "measure_packets": 5000,
                        "drain_cycles": 1500},
             "seed": 7,
-            "step_threads": 0,
             "slot_capacity": 128
         }"#
     }
@@ -297,7 +295,6 @@ mod tests {
         let b = parse_one(
             r#"{
             "slot_capacity": 128,
-            "step_threads": 0,
             "seed": 7,
             "phases": {"drain_cycles": 1500, "measure_packets": 5000,
                        "measure_cycles": 2000, "warmup_packets": 40,
@@ -375,11 +372,6 @@ mod tests {
                 s.seed = 8;
                 s
             }),
-            ("step_threads", {
-                let mut s = base.clone();
-                s.step_threads = 2;
-                s
-            }),
             ("slot_capacity", {
                 let mut s = base.clone();
                 s.slot_capacity = Some(64);
@@ -397,13 +389,31 @@ mod tests {
         assert_eq!(keys.len(), mutations.len() + 1, "all keys are distinct");
     }
 
+    /// `step_threads` named a node-stepping thread pool that no longer
+    /// exists. Scenario files, checkpoint blobs and serve caches written
+    /// before its removal still spell it, so the parser accepts it and
+    /// drops it: such a request is the plain spec, echoes without the key,
+    /// and shares the plain spec's result and warm-up cache entries.
+    #[test]
+    fn step_threads_is_accepted_and_ignored() {
+        let plain = parse_one(base_spec_json());
+        let text = base_spec_json().replace(r#""seed": 7,"#, r#""seed": 7, "step_threads": 3,"#);
+        assert!(text.contains(r#""step_threads": 3"#));
+        let with = parse_one(&text);
+        assert_eq!(with, plain);
+        assert!(!canonical_spec_json(&with).contains("step_threads"));
+        let cv = code_version();
+        assert_eq!(result_key(&with, &cv), result_key(&plain, &cv));
+        assert_eq!(warmup_key(&with, &cv), warmup_key(&plain, &cv));
+    }
+
     #[test]
     fn warmup_key_ignores_measurement_but_tracks_warmup_params() {
         let base = parse_one(base_spec_json());
         let cv = code_version();
         let k0 = warmup_key(&base, &cv).expect("synthetic spec has a warm-up key");
 
-        // The fork axis: measurement/drain/step_threads changes share it.
+        // The fork axis: measurement/drain changes share it.
         for spec in [
             {
                 let mut s = base.clone();
@@ -418,11 +428,6 @@ mod tests {
             {
                 let mut s = base.clone();
                 s.phases.drain_cycles = 50;
-                s
-            },
-            {
-                let mut s = base.clone();
-                s.step_threads = 4;
                 s
             },
         ] {

@@ -1,7 +1,7 @@
 //! Shared command-line conventions for the experiment binaries:
-//! `--quick`, `--json <path>`, `--scenario <file>`, the
-//! `--trace-out`/`--trace-events`/`--trace-sample`/`--metrics-window`
-//! telemetry flags, and the `NOC_STEP_THREADS` host override.
+//! `--quick`, `--json <path>`, `--scenario <file>`, `--sweep-threads`,
+//! and the `--trace-out`/`--trace-events`/`--trace-sample`/
+//! `--metrics-window` telemetry flags.
 
 use crate::{ScenarioError, ScenarioSpec};
 use noc_sim::TelemetryConfig;
@@ -227,16 +227,6 @@ pub fn scenario_specs_from_cli() -> Result<Option<Vec<ScenarioSpec>>, ScenarioEr
         }
     }
     Ok(Some(specs))
-}
-
-/// Host-side override for `NetworkConfig::step_threads`: the
-/// `NOC_STEP_THREADS` environment variable (0 or unset = serial). Safe to
-/// set for any experiment — stepping mode never changes simulated results.
-pub fn step_threads_from_env() -> usize {
-    std::env::var("NOC_STEP_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -4,9 +4,16 @@
 //! trait), so scenario loading parses JSON by hand into a small value
 //! tree. Supports the full JSON grammar this workspace's spec files need:
 //! objects, arrays, strings with standard escapes, numbers, booleans and
-//! `null`.
+//! `null`. Nesting deeper than 128 levels is an error, so a hostile
+//! document cannot overflow the parser's stack.
 
 use crate::backend::ScenarioError;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Scenario specs
+/// and serve requests nest a handful of levels; the bound keeps the
+/// recursive descent far inside a 2 MiB thread stack (what `noc-serve`
+/// connection threads and test threads get).
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,6 +32,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -71,6 +79,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -113,8 +123,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ScenarioError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -281,6 +302,19 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         let e = Json::parse("{\n\"a\": @}").unwrap_err();
         assert!(e.to_string().contains("line 2"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.to_string().contains("nesting"), "{e}");
+        // Unclosed, and deep enough to overflow a 2 MiB stack without the
+        // bound; the test thread has exactly that stack.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

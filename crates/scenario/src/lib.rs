@@ -38,9 +38,9 @@ pub use cache_key::{
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use cli::{
     checkpoint_from_flag, checkpoint_out_flag, json_flag, metrics_window_flag,
-    profile_circuits_flag, quick_flag, scenario_flag, scenario_specs_from_cli,
-    step_threads_from_env, sweep_threads_flag, telemetry_from_cli, trace_events_flag,
-    trace_export_flag, trace_in_flag, trace_out_flag, trace_sample_flag,
+    profile_circuits_flag, quick_flag, scenario_flag, scenario_specs_from_cli, sweep_threads_flag,
+    telemetry_from_cli, trace_events_flag, trace_export_flag, trace_in_flag, trace_out_flag,
+    trace_sample_flag,
 };
 pub use envelope::{result_envelope, result_envelope_with_telemetry, write_json, SCHEMA_VERSION};
 pub use json::Json;

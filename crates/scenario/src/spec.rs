@@ -87,9 +87,6 @@ pub struct ScenarioSpec {
     pub traffic: TrafficSpec,
     pub phases: PhaseConfig,
     pub seed: u64,
-    /// Host worker threads for the node-stepping phase (0 = serial);
-    /// never changes simulated results.
-    pub step_threads: usize,
     /// TDM slot-table size override (default: sized from the mesh,
     /// §IV-D).
     pub slot_capacity: Option<u16>,
@@ -138,7 +135,6 @@ impl ScenarioSpec {
             traffic: TrafficSpec::Synthetic { pattern, rate },
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -166,7 +162,6 @@ impl ScenarioSpec {
             traffic: TrafficSpec::trace(trace),
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -249,7 +244,6 @@ impl ScenarioSpec {
             },
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -271,9 +265,7 @@ impl ScenarioSpec {
 
     /// The network configuration this scenario describes.
     pub fn net_config(&self) -> NetworkConfig {
-        let mut cfg = NetworkConfig::with_mesh(self.topo());
-        cfg.step_threads = self.step_threads;
-        cfg
+        NetworkConfig::with_mesh(self.topo())
     }
 
     /// Which circuit-setup tuning applies (§IV vs §V policies). Trace
@@ -343,6 +335,9 @@ impl ScenarioSpec {
             "gpu",
             "phases",
             "seed",
+            // Retired host-side knob (nodes always step serially): still
+            // accepted, and ignored, because older scenario files,
+            // checkpoint blobs and serve caches spell it out.
             "step_threads",
             "slot_capacity",
             "quick",
@@ -604,7 +599,6 @@ impl ScenarioSpec {
             traffic,
             phases,
             seed: opt_u64(v, "seed")?.unwrap_or(1),
-            step_threads: opt_u64(v, "step_threads")?.unwrap_or(0) as usize,
             slot_capacity: opt_u64(v, "slot_capacity")?.map(|c| c as u16),
             faults,
             checkpoint_out,
@@ -1065,10 +1059,6 @@ impl Serialize for ScenarioSpec {
             ("phases".to_string(), self.phases.to_value()),
             ("seed".to_string(), Value::UInt(self.seed)),
             (
-                "step_threads".to_string(),
-                Value::UInt(self.step_threads as u64),
-            ),
-            (
                 "slot_capacity".to_string(),
                 match self.slot_capacity {
                     Some(c) => Value::UInt(c as u64),
@@ -1151,7 +1141,6 @@ mod tests {
                 "rate": 0.3,
                 "phases": {"warmup_cycles": 100, "measure_cycles": 1000},
                 "seed": 42,
-                "step_threads": 2,
                 "slot_capacity": 64
             }"#,
         )
@@ -1172,7 +1161,6 @@ mod tests {
         // Unset phase fields keep the defaults.
         assert_eq!(s.phases.drain_cycles, PhaseConfig::default().drain_cycles);
         assert_eq!(s.seed, 42);
-        assert_eq!(s.step_threads, 2);
         assert_eq!(s.slot_capacity, Some(64));
     }
 

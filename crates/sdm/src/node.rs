@@ -459,14 +459,6 @@ impl NodeModel for SdmNode {
         self.router.set_arena(arena.clone());
     }
 
-    fn flit_slab_rings(&self) -> Option<(usize, u8)> {
-        Some((self.router.slab_rings(), self.router.cfg.buf_depth))
-    }
-
-    fn attach_flit_slab(&mut self, region: noc_sim::SlabRegion) {
-        self.router.attach_slab(region);
-    }
-
     fn set_trace_sink(&mut self, sink: TraceSink) {
         self.router.trace = sink;
     }

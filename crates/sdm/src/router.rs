@@ -15,8 +15,8 @@ use noc_sim::arbiter::RoundRobin;
 use noc_sim::routing::xy_route;
 use noc_sim::stats::EnergyEvents;
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, EventKind, Flit, Mesh, MsgClass, NodeId, NodeOutputs,
-    Packet, PacketId, Port, RouterConfig, SlabRegion, Snap, SnapshotError, SnapshotReader,
+    ConfigArena, ConfigKind, Credit, Cycle, EventKind, Flit, FlitRings, Mesh, MsgClass, NodeId,
+    NodeOutputs, Packet, PacketId, Port, RouterConfig, Snap, SnapshotError, SnapshotReader,
     SnapshotWriter, Switching, TraceSink, VcCtl, VcState,
 };
 
@@ -76,12 +76,10 @@ pub struct SdmRouter {
     vc_half: u8,
     /// Whether the link out of each port crosses a torus wrap edge.
     wrap_out: [bool; Port::COUNT],
-    /// Input VC buffers: one fixed-depth slab ring per VC, flat over
-    /// `port * vcs_per_port + vc`. Private at construction; the harness
-    /// swaps in a carve of the network-owned slab via
-    /// [`SdmRouter::attach_slab`].
-    buf: SlabRegion,
-    /// Per-VC pipeline control rows, parallel to the slab rings.
+    /// Input VC buffers: one fixed-depth ring per VC, flat over
+    /// `port * vcs_per_port + vc`.
+    buf: FlitRings,
+    /// Per-VC pipeline control rows, parallel to the rings.
     ctl: Vec<VcCtl>,
     // O(1) occupancy bookkeeping and stage-candidate masks over the flat
     // VC index, as in the PS pipeline: `buffered` = Σ ring lengths,
@@ -152,7 +150,7 @@ impl SdmRouter {
             planes_n: planes,
             vc_half,
             wrap_out,
-            buf: SlabRegion::private(Port::COUNT * vcs, cfg.buf_depth),
+            buf: FlitRings::new(Port::COUNT * vcs, cfg.buf_depth),
             ctl: vec![
                 VcCtl {
                     state: VcState::Idle,
@@ -202,29 +200,10 @@ impl SdmRouter {
         self.planes_n
     }
 
-    /// Flat slab-ring index of input VC `vc` at port `p`.
+    /// Flat ring index of input VC `vc` at port `p`.
     #[inline]
     fn vci(&self, p: usize, vc: usize) -> usize {
         p * self.cfg.vcs_per_port as usize + vc
-    }
-
-    /// Number of slab rings this router needs (one per input VC).
-    pub fn slab_rings(&self) -> usize {
-        self.ctl.len()
-    }
-
-    /// Adopt a carve of the network-owned flit slab. Must be called before
-    /// any flit is buffered — the private construction-time region is
-    /// dropped, not migrated.
-    pub fn attach_slab(&mut self, region: SlabRegion) {
-        assert_eq!(self.buffered, 0, "attach_slab on a non-empty router");
-        assert_eq!(region.rings(), self.ctl.len(), "slab region ring count");
-        assert_eq!(
-            region.depth(),
-            self.cfg.buf_depth as usize,
-            "slab region depth"
-        );
-        self.buf = region;
     }
 
     /// The configuration-payload arena this router resolves against.
@@ -814,7 +793,7 @@ impl SdmRouter {
     /// (geometry, `exists` flags, the arena, the trace sink) are skipped —
     /// restore targets a freshly built router of the same configuration.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
-        // Byte-compatible with the pre-slab `Vec<Vec<VcBuf>>` encoding:
+        // Byte-compatible with the pre-ring `Vec<Vec<VcBuf>>` encoding:
         // nested u64 counts, then per VC the ring in FIFO order (u64 length
         // + flits), the state tag and the stage cycle (DESIGN.md §17).
         let vcs = self.cfg.vcs_per_port as usize;

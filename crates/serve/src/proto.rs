@@ -280,4 +280,10 @@ mod tests {
             assert!(e.contains(needle), "{e:?} should mention {needle:?}");
         }
     }
+
+    #[test]
+    fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let e = parse_request(&"[".repeat(50_000), "f").unwrap_err();
+        assert!(e.contains("nesting"), "{e:?}");
+    }
 }

@@ -17,16 +17,17 @@
 //! `setup`/`teardown`. A leaked handle only wastes one 24-byte slot —
 //! never memory safety — and the whole arena drops with the network.
 //!
-//! # Concurrency and determinism
+//! # Sharing and determinism
 //!
 //! One arena is shared by every node of a network (`Arc`), so allocation
-//! uses a mutex. Configuration messages are well under 1 % of traffic
-//! (§II-B), and data flits carry [`ConfigRef::NONE`] without ever
-//! touching the arena, so the lock is off the hot path. Slot numbering
-//! may differ between serial and parallel stepping (allocation order
-//! inside the parallel node phase is scheduling-dependent), but handles
-//! are pure names: no observable statistic or delivered-packet field
-//! depends on them, which keeps the bit-identity pins intact.
+//! goes through a mutex. Configuration messages are well under 1 % of
+//! traffic (§II-B), and data flits carry [`ConfigRef::NONE`] without ever
+//! touching the arena, so the lock is off the hot path. Slot numbers
+//! follow allocation order, and nodes step in ascending order, so a run
+//! numbers its payloads the same way every time and the `NOCSNAP` blobs
+//! that store the numbers are reproducible byte for byte. Otherwise
+//! handles are pure names: no statistic or delivered-packet field
+//! depends on them.
 
 use std::sync::Mutex;
 

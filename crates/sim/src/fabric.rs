@@ -9,16 +9,16 @@
 //! call per simulated cycle ([`Fabric::step`]), not one per node or per
 //! flit. A 64-node cycle performs thousands of memory operations inside
 //! the allocation-free kernel (`Network::step`), so a single dynamic
-//! dispatch on top is unmeasurable — the parallel-stepping and
-//! zero-allocation properties of the kernel are untouched. This is the
-//! same seam EmuNoC-style harnesses use: any router model that can
-//! inject, step and report statistics plugs into the one engine.
+//! dispatch on top is unmeasurable — the zero-allocation property of the
+//! kernel is untouched. This is the same seam EmuNoC-style harnesses use:
+//! any router model that can inject, step and report statistics plugs
+//! into the one engine.
 //!
 //! # Implementations
 //!
-//! * [`Network<N>`](crate::Network) — generic over any sendable
-//!   [`NodeModel`], which covers the packet-switched baseline
-//!   (`Network<PacketNode>`) and the SDM hybrid (`Network<SdmNode>`);
+//! * [`Network<N>`](crate::Network) — generic over any [`NodeModel`],
+//!   which covers the packet-switched baseline (`Network<PacketNode>`) and
+//!   the SDM hybrid (`Network<SdmNode>`);
 //! * `TdmNetwork` (in `tdm-noc`) — forwards to its inner network but
 //!   routes [`Fabric::step`] through the dynamic slot-table resize
 //!   controller and exposes the resize observation hooks
@@ -103,9 +103,10 @@ pub trait Fabric {
     /// Clear the delivered-packet log (measurement-window bracketing).
     fn clear_delivered_log(&mut self);
 
-    /// Fan the node-stepping phase over a worker pool (`0` = serial).
-    /// Results are bit-identical either way.
-    fn set_step_threads(&mut self, threads: usize);
+    /// A no-op: nodes always step serially. Kept because the benchmark's
+    /// `TimedFabric` wrapper (`benchmark/src/trace.rs`) forwards it; it
+    /// goes with that wrapper (ROADMAP 2(c)).
+    fn set_step_threads(&mut self, _threads: usize) {}
 
     /// Disable the activity scheduler: step every node every cycle
     /// regardless of the active set. Results are bit-identical either way
@@ -223,7 +224,7 @@ pub trait Fabric {
     }
 }
 
-impl<N: NodeModel + Send + 'static> Fabric for Network<N> {
+impl<N: NodeModel> Fabric for Network<N> {
     fn mesh(&self) -> Mesh {
         self.mesh
     }
@@ -278,10 +279,6 @@ impl<N: NodeModel + Send + 'static> Fabric for Network<N> {
 
     fn clear_delivered_log(&mut self) {
         self.delivered_log.clear();
-    }
-
-    fn set_step_threads(&mut self, threads: usize) {
-        Network::set_step_threads(self, threads);
     }
 
     fn set_always_step(&mut self, on: bool) {

@@ -34,9 +34,9 @@ pub mod geometry;
 pub mod network;
 pub mod nic;
 pub mod node;
+pub mod rings;
 pub mod router;
 pub mod routing;
-pub mod slab;
 pub mod snapshot;
 pub mod stats;
 pub mod topology;
@@ -60,11 +60,11 @@ pub use geometry::{Coord, Direction, NodeId, Port};
 pub use network::{NetTelemetry, Network};
 pub use nic::Nic;
 pub use node::{DeliveredKind, DeliveredPacket, NodeModel, NodeOutputs, PacketNode, PowerState};
+pub use rings::FlitRings;
 pub use router::{
     GatingConfig, GatingMetric, HybridCtrl, NullCtrl, OutMeta, PacketRouter, PsOutput, PsPipeline,
     VcCtl, VcGatingController, VcState,
 };
-pub use slab::{FlitSlab, RingMeta, SlabRegion};
 pub use snapshot::{
     FabricSnapshot, FaultEvent, RouteOverrides, Snap, SnapshotError, SnapshotReader,
     SnapshotWriter, SNAPSHOT_VERSION,

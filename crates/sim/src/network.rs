@@ -21,28 +21,28 @@
 //! themselves with no timestamps, no front-of-queue comparisons, and no
 //! steady-state allocation (the vectors retain their capacity).
 //!
-//! # Parallel node stepping
+//! # Stepping phases and the determinism contract
 //!
 //! The per-cycle work splits into three phases:
 //!
 //! 1. **Deliver** the wire slots due this cycle into each node.
 //! 2. **Step** every node, each writing flits/credits into its own
-//!    [`NodeOutputs`] outbox. Nodes share no state, so this phase is
-//!    embarrassingly parallel; with [`Network::set_step_threads`] it fans
-//!    out over a persistent worker pool.
-//! 3. **Route** every outbox onto the wire slots, serially, in ascending
-//!    node order.
+//!    [`NodeOutputs`] outbox.
+//! 3. **Route** every outbox onto the wire slots in ascending node order.
 //!
-//! Determinism contract: phase 2 is order-independent (each node touches
-//! only its own state and outbox) and phase 3 is always serial and
-//! ordered, so serial and parallel stepping produce bit-identical
-//! networks. `tests/properties.rs` holds a property test comparing the
-//! delivered-packet streams of the two modes cycle by cycle.
+//! Phase 2 is order-independent as a property of the model: the paper's
+//! routers all act in the same cycle, and a router reads only its own
+//! state and the signals delivered to it in phase 1. Any visit order
+//! therefore yields the same results (configuration-payload handle
+//! numbers aside, which are pure names — see `arena.rs`);
+//! `exhaustive_order.rs` pins this over every permutation of a 2×2
+//! fabric. Nodes are visited in ascending order, and phase 3 fixes the
+//! order in which signals land on the wires, so a run is a function of
+//! its inputs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use noc_telemetry::{
     EventKind, MetricId, MetricsRegistry, TelemetryConfig, TelemetryReport, TraceSink,
@@ -61,54 +61,12 @@ use crate::stats::{EnergyEvents, NetStats};
 use crate::topology::{Mesh, TopoTables};
 use crate::Cycle;
 
-/// One contiguous chunk of the node-stepping phase, shipped to a pool
-/// worker. The pointers are the bases of the network's `nodes` and
-/// `outboxes` vectors; a job owns the disjoint index range `lo..hi` of
-/// both, and the main thread blocks until every job of the cycle
-/// completes before touching either vector again.
-struct StepJob<N> {
-    nodes: *mut N,
-    outs: *mut NodeOutputs,
-    /// Step-set bitmask (base of the network's `step_mask`); workers skip
-    /// nodes whose bit is clear. Read-only for the duration of the job.
-    mask: *const u64,
-    lo: usize,
-    hi: usize,
-    now: Cycle,
-}
-
-// Safety: jobs address disjoint ranges, the main thread waits for all
-// completions before reusing the buffers, and the pool can only be built
-// through `set_step_threads`, which requires `N: Send`.
-unsafe impl<N> Send for StepJob<N> {}
-
-/// Persistent worker pool for the node-stepping phase. Threads are spawned
-/// once and live for the network's lifetime; each cycle posts one job per
-/// worker and waits on a shared completion channel, so the steady state
-/// allocates nothing.
-struct StepPool<N> {
-    job_txs: Vec<mpsc::Sender<StepJob<N>>>,
-    done_rx: mpsc::Receiver<()>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<N> Drop for StepPool<N> {
-    fn drop(&mut self) {
-        // Hang up the job channels; workers exit their recv loop.
-        self.job_txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Harness-level telemetry state, boxed behind an `Option` so an untraced
 /// network pays one null check at each instrumentation site. Node sinks
-/// record the router-level event kinds during the (possibly parallel)
-/// stepping phase; this records the kinds only the harness can see —
-/// injections and activity-scheduler sleep/wake transitions — plus the
-/// per-link flit counters and the metrics registry, all touched only in
-/// the serial phases, so the determinism contract is untouched.
+/// record the router-level event kinds during the stepping phase; this
+/// records the kinds only the harness can see — injections and
+/// activity-scheduler sleep/wake transitions — plus the per-link flit
+/// counters and the metrics registry.
 pub struct NetTelemetry {
     cfg: TelemetryConfig,
     /// Harness-originated events (inject, node sleep/wake).
@@ -207,10 +165,9 @@ pub struct Network<N: NodeModel> {
     credit_slots: [Vec<Vec<(Direction, Credit)>>; 2],
     /// Per-node inbound active-VC-count slots (1-cycle wires).
     vc_count_slots: [Vec<Vec<(Direction, u8)>>; 2],
-    /// Per-node output scratch, reused every cycle; the fan-out target of
-    /// the (optionally parallel) node-stepping phase.
+    /// Per-node output scratch, reused every cycle; written by the
+    /// node-stepping phase.
     outboxes: Vec<NodeOutputs>,
-    pool: Option<StepPool<N>>,
     now: Cycle,
     pub stats: NetStats,
     /// When set, every measured delivered packet is also appended to
@@ -290,7 +247,6 @@ impl<N: NodeModel> Network<N> {
             credit_slots: slots(n),
             vc_count_slots: slots(n),
             outboxes: (0..n).map(|_| NodeOutputs::default()).collect(),
-            pool: None,
             now: 0,
             stats: NetStats::default(),
             collect_delivered: false,
@@ -325,37 +281,8 @@ impl<N: NodeModel> Network<N> {
         for node in &mut net.nodes {
             node.attach_arena(&arena);
         }
-        net.attach_flit_slab();
         net.wake_all();
         net
-    }
-
-    /// Build the network-owned flit slab — one contiguous allocation of
-    /// fixed-depth VC rings across every node — and hand each node its
-    /// exclusive carve (DESIGN.md §17). Nodes that opt out (no
-    /// [`NodeModel::flit_slab_rings`]) keep their private buffering.
-    fn attach_flit_slab(&mut self) {
-        let mut total = 0usize;
-        let mut depth = 0u8;
-        for node in &self.nodes {
-            if let Some((rings, d)) = node.flit_slab_rings() {
-                assert!(
-                    total == 0 || d == depth,
-                    "flit slab rings must share one depth"
-                );
-                total += rings;
-                depth = d;
-            }
-        }
-        if total == 0 {
-            return;
-        }
-        let mut slab = crate::slab::FlitSlab::new(total, depth);
-        for node in &mut self.nodes {
-            if let Some((rings, _)) = node.flit_slab_rings() {
-                node.attach_flit_slab(slab.carve(rings));
-            }
-        }
     }
 
     pub fn now(&self) -> Cycle {
@@ -468,13 +395,13 @@ impl<N: NodeModel> Network<N> {
 
         // 2. Step the active set, each node into its own outbox.
         #[cfg(feature = "exhaustive")]
-        let permuted = self.step_order.take();
+        let order = self.step_order.as_deref();
         #[cfg(not(feature = "exhaustive"))]
-        let permuted: Option<Vec<usize>> = None;
-        match (&self.pool, &permuted) {
-            (None, Some(order)) => {
+        let order: Option<&[usize]> = None;
+        match order {
+            Some(order) => {
                 // Exhaustive-schedule harness: same step set, caller's
-                // order. Phase 2 must be order-independent, so this is
+                // order. Phase 2 is order-independent, so this is
                 // observationally equivalent to the canonical loop below.
                 for &i in order {
                     if self.step_mask.get(i) {
@@ -483,7 +410,7 @@ impl<N: NodeModel> Network<N> {
                     }
                 }
             }
-            (None, None) => {
+            None => {
                 for w in 0..words {
                     let mut bits = self.step_mask.words()[w];
                     while bits != 0 {
@@ -494,43 +421,10 @@ impl<N: NodeModel> Network<N> {
                     }
                 }
             }
-            (Some(pool), _) => {
-                let chunk = n.div_ceil(pool.job_txs.len());
-                let nodes = self.nodes.as_mut_ptr();
-                let outs = self.outboxes.as_mut_ptr();
-                let mask = self.step_mask.words().as_ptr();
-                let mut sent = 0usize;
-                for (w, tx) in pool.job_txs.iter().enumerate() {
-                    let lo = w * chunk;
-                    if lo >= n {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(n);
-                    tx.send(StepJob {
-                        nodes,
-                        outs,
-                        mask,
-                        lo,
-                        hi,
-                        now,
-                    })
-                    .expect("step worker died");
-                    sent += 1;
-                }
-                for _ in 0..sent {
-                    pool.done_rx.recv().expect("step worker died");
-                }
-            }
-        }
-        #[cfg(feature = "exhaustive")]
-        {
-            // Taken around the match to sidestep the borrow of `self`;
-            // the override persists across cycles.
-            self.step_order = permuted;
         }
 
-        // 3. Route the stepped outboxes onto the wires: serial, ascending
-        // node order (the determinism contract — see the module docs).
+        // 3. Route the stepped outboxes onto the wires in ascending node
+        // order (the determinism contract — see the module docs).
         // Flits re-fill the slot drained in phase 1 (same parity at
         // `now + 2`); 1-cycle signals go to the opposite slot. Every push
         // sets the destination's wake bit for its delivery parity.
@@ -862,22 +756,16 @@ impl<N: NodeModel> Network<N> {
         self.always_step
     }
 
-    /// Mark every node active and re-derive the occupancy and power caches
-    /// from node state. Must be called after mutating nodes from outside
-    /// the harness (resize controllers, tests poking `nodes` directly), so
-    /// the scheduler never acts on stale cached state.
     /// Override the phase-2 node-stepping order (test-only; `exhaustive`
     /// feature). `order` must be a permutation of `0..n`; the step *set*
     /// is unchanged — only the visit order differs. Phase 2 is
     /// order-independent by contract, so every permutation must be
     /// observationally equivalent to the canonical ascending order; the
     /// exhaustive-schedule test enumerates all of them on a 2×2 fabric.
-    /// Ignored by the worker-pool path (serial stepping only).
     #[cfg(feature = "exhaustive")]
     pub fn set_step_order(&mut self, order: Option<Vec<usize>>) {
         if let Some(order) = &order {
             let n = self.nodes.len();
-            assert!(self.pool.is_none(), "step order override is serial-only");
             assert_eq!(order.len(), n, "order must cover every node");
             let mut seen = vec![false; n];
             for &i in order {
@@ -887,6 +775,10 @@ impl<N: NodeModel> Network<N> {
         self.step_order = order;
     }
 
+    /// Mark every node active and re-derive the occupancy and power caches
+    /// from node state. Must be called after mutating nodes from outside
+    /// the harness (resize controllers, tests poking `nodes` directly), so
+    /// the scheduler never acts on stale cached state.
     pub fn wake_all(&mut self) {
         let n = self.nodes.len();
         self.active_mask.set_all();
@@ -1288,8 +1180,8 @@ impl<N: NodeModel> Network<N> {
     /// (the TDM resize controller, the SDM backend) call this and then
     /// append their own state.
     ///
-    /// Not serialised: scratch buffers (outboxes, step mask), the worker
-    /// pool, the topology tables (structural, rebuilt by the constructor),
+    /// Not serialised: scratch buffers (outboxes, step mask), the topology
+    /// tables (structural, rebuilt by the constructor),
     /// the reroute table (recomputed from the down flags on load), and
     /// telemetry (must be disarmed).
     pub fn save_into(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
@@ -1452,54 +1344,6 @@ impl<N: NodeModel> Network<N> {
             }
         }
         Ok(())
-    }
-}
-
-impl<N: NodeModel + Send + 'static> Network<N> {
-    /// Fan the node-stepping phase over `threads` persistent worker
-    /// threads (`0` restores serial stepping). Results are bit-identical
-    /// either way — see the determinism contract in the module docs.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.pool = None;
-        if threads == 0 {
-            return;
-        }
-        let threads = threads.min(self.nodes.len().max(1));
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut job_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = mpsc::channel::<StepJob<N>>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // Safety: this worker has exclusive access to indices
-                    // `lo..hi` of both vectors until it reports completion,
-                    // and the step mask is not mutated while jobs are in
-                    // flight (see `StepJob`).
-                    unsafe {
-                        for k in job.lo..job.hi {
-                            if *job.mask.add(k / 64) >> (k % 64) & 1 == 0 {
-                                continue;
-                            }
-                            let node = &mut *job.nodes.add(k);
-                            let out = &mut *job.outs.add(k);
-                            out.clear();
-                            node.step(job.now, out);
-                        }
-                    }
-                    if done.send(()).is_err() {
-                        break;
-                    }
-                }
-            }));
-            job_txs.push(tx);
-        }
-        self.pool = Some(StepPool {
-            job_txs,
-            done_rx,
-            handles,
-        });
     }
 }
 
@@ -1810,38 +1654,5 @@ mod tests {
         assert!(leaped.drain(500));
         leaped.end_measurement();
         assert_eq!(leaped.stats.packets_delivered, 2);
-    }
-
-    /// Serial and pooled stepping must advance the network identically.
-    #[test]
-    fn parallel_stepping_is_bit_identical() {
-        let build = || {
-            let mut n = net(4);
-            let mut pid = 0;
-            for src in n.mesh.nodes() {
-                for dst in n.mesh.nodes() {
-                    if src != dst {
-                        n.inject(src, Packet::data(PacketId(pid), src, dst, 5, 0));
-                        pid += 1;
-                    }
-                }
-            }
-            n.collect_delivered = true;
-            n.begin_measurement();
-            n
-        };
-        let mut serial = build();
-        let mut pooled = build();
-        pooled.set_step_threads(3);
-        assert!(serial.drain(20_000) && pooled.drain(20_000));
-        serial.end_measurement();
-        pooled.end_measurement();
-        assert_eq!(serial.now(), pooled.now());
-        assert_eq!(serial.delivered_log, pooled.delivered_log);
-        assert_eq!(
-            serial.stats.packets_delivered,
-            pooled.stats.packets_delivered
-        );
-        assert_eq!(serial.stats.latency_sum, pooled.stats.latency_sum);
     }
 }

@@ -174,20 +174,6 @@ pub trait NodeModel {
     /// (unit tests, single-node rigs) works without a harness.
     fn attach_arena(&mut self, _arena: &std::sync::Arc<crate::arena::ConfigArena>) {}
 
-    /// Flit-buffer demand on the network-owned flit slab, as
-    /// `(rings, depth)` — one fixed-depth ring per input VC (DESIGN.md
-    /// §17). `None` (the default) opts out: the node keeps whatever
-    /// private buffering it was constructed with, so custom test models
-    /// are unaffected.
-    fn flit_slab_rings(&self) -> Option<(usize, u8)> {
-        None
-    }
-
-    /// Adopt an exclusive carve of the network-owned flit slab. Called
-    /// once at construction, before any flit is buffered, with a region of
-    /// exactly the geometry advertised by [`NodeModel::flit_slab_rings`].
-    fn attach_flit_slab(&mut self, _region: crate::slab::SlabRegion) {}
-
     /// Install a telemetry sink (the harness builds one per node when a
     /// trace is armed). The default drops it, so uninstrumented node
     /// models keep compiling and simply record nothing.
@@ -375,17 +361,6 @@ impl NodeModel for PacketNode {
 
     fn attach_arena(&mut self, arena: &std::sync::Arc<crate::arena::ConfigArena>) {
         self.nic.set_arena(arena.clone());
-    }
-
-    fn flit_slab_rings(&self) -> Option<(usize, u8)> {
-        Some((
-            self.router.pipeline.slab_rings(),
-            self.router.pipeline.cfg.buf_depth,
-        ))
-    }
-
-    fn attach_flit_slab(&mut self, region: crate::slab::SlabRegion) {
-        self.router.pipeline.attach_slab(region);
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {

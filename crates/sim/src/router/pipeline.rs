@@ -9,9 +9,8 @@
 //! 1 on the link, arriving downstream at `T+2` (§II-D).
 //!
 //! Hot state is laid out structure-of-arrays (DESIGN.md §13, §17): input
-//! VC buffers are fixed-depth rings inside a contiguous flit slab
-//! ([`crate::slab`]) — network-owned when the harness attaches one,
-//! private otherwise — with per-VC pipeline control state and the
+//! VC buffers are fixed-depth rings the router owns outright
+//! ([`crate::rings`]), with per-VC pipeline control state and the
 //! output-side allocation/credit tables in matching flat arrays, so the
 //! RC/VA/SA scans walk contiguous memory instead of chasing per-port
 //! heap buffers.
@@ -34,8 +33,8 @@ use crate::config::RouterConfig;
 use crate::flit::{Credit, Flit, MsgClass, PacketId};
 use crate::geometry::{Direction, NodeId, Port};
 use crate::node::NodeOutputs;
+use crate::rings::FlitRings;
 use crate::routing::{west_first_route, xy_route};
-use crate::slab::SlabRegion;
 use crate::snapshot::{RouteOverrides, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::EnergyEvents;
 use crate::topology::Mesh;
@@ -55,8 +54,8 @@ pub enum VcState {
 }
 
 /// Per-VC pipeline control row: the state machine plus its stage-gating
-/// timestamp. The flits themselves live in the flit slab ring of the same
-/// index (DESIGN.md §17).
+/// timestamp. The flits themselves live in the VC ring of the same index
+/// (DESIGN.md §17).
 #[derive(Clone, Copy, Debug)]
 pub struct VcCtl {
     pub state: VcState,
@@ -128,12 +127,10 @@ pub struct PsPipeline {
     pub id: NodeId,
     pub mesh: Mesh,
     pub cfg: RouterConfig,
-    /// Input VC buffers: one fixed-depth slab ring per VC, flat over
-    /// `port * vcs_per_port + vc`. Private at construction; the harness
-    /// swaps in a carve of the network-owned slab via
-    /// [`PsPipeline::attach_slab`].
-    buf: SlabRegion,
-    /// Per-VC pipeline control rows, parallel to the slab rings.
+    /// Input VC buffers: one fixed-depth ring per VC, flat over
+    /// `port * vcs_per_port + vc`.
+    buf: FlitRings,
+    /// Per-VC pipeline control rows, parallel to the rings.
     ctl: Vec<VcCtl>,
     /// Packet currently owning each input VC (valid while the VC is not
     /// `Idle`); lets the fault path identify which VC state to tear down
@@ -156,7 +153,7 @@ pub struct PsPipeline {
     pub local_credits: Vec<u8>,
     pub events: EnergyEvents,
     /// Telemetry sink (disabled unless the harness arms a trace). Recording
-    /// is node-local, so the parallel-stepping determinism contract holds.
+    /// is node-local, so phase 2 stays order-independent.
     pub trace: TraceSink,
     /// Locally active VC count (VC power gating); VCs ≥ this receive no new
     /// allocations but keep functioning until drained.
@@ -237,7 +234,7 @@ impl PsPipeline {
             id,
             mesh,
             cfg,
-            buf: SlabRegion::private(Port::COUNT * vcs, cfg.buf_depth),
+            buf: FlitRings::new(Port::COUNT * vcs, cfg.buf_depth),
             ctl: vec![
                 VcCtl {
                     state: VcState::Idle,
@@ -316,25 +313,6 @@ impl PsPipeline {
     /// Pipeline state of input VC `v` of port `p`.
     pub fn vc_state(&self, p: Port, v: usize) -> VcState {
         self.ctl[self.vci(p.index(), v)].state
-    }
-
-    /// Number of slab rings this pipeline needs (one per input VC).
-    pub fn slab_rings(&self) -> usize {
-        self.ctl.len()
-    }
-
-    /// Adopt a carve of the network-owned flit slab. Must be called before
-    /// any flit is buffered — the private construction-time region is
-    /// dropped, not migrated.
-    pub fn attach_slab(&mut self, region: SlabRegion) {
-        assert_eq!(self.buffered, 0, "attach_slab on a non-empty pipeline");
-        assert_eq!(region.rings(), self.ctl.len(), "slab region ring count");
-        assert_eq!(
-            region.depth(),
-            self.cfg.buf_depth as usize,
-            "slab region depth"
-        );
-        self.buf = region;
     }
 
     /// Busy for utilisation sampling: holds flits or mid-packet state.
@@ -513,7 +491,7 @@ impl PsPipeline {
             let i = cand.trailing_zeros() as usize;
             cand &= cand - 1;
             debug_assert!(self.ctl[i].state == VcState::Idle && !self.buf.is_empty(i));
-            // `Flit` is a 32-byte POD: copying the front out of the slab is
+            // `Flit` is a 32-byte POD: copying the front out of the ring is
             // cheaper than holding a borrow across the route computation.
             let Some(&front) = self.buf.front(i) else {
                 continue;
@@ -978,7 +956,7 @@ impl PsPipeline {
     /// sink — disarmed around checkpoints — and the reroute table, which
     /// the harness reinstalls from its own fault state).
     pub fn save_state(&self, w: &mut SnapshotWriter) {
-        // Byte-compatible with the pre-slab `Vec<VcBuf>` encoding: a u64
+        // Byte-compatible with the pre-ring `Vec<VcBuf>` encoding: a u64
         // count, then per VC the ring in FIFO order (u64 length + flits),
         // the state tag and the stage cycle (DESIGN.md §17).
         w.usize(self.ctl.len());

@@ -2,7 +2,7 @@
 //!
 //! The determinism contract (see `network.rs` module docs) rests on phase
 //! 2 — the node-stepping loop — being order-independent: each node reads
-//! only its own slab rings, NIC, and outbox. This test *proves* the claim
+//! only its own VC rings, NIC, and outbox. This test *proves* the claim
 //! on a 2×2 fabric by enumerating all 4! = 24 node-visit permutations and
 //! asserting observational equivalence with the canonical ascending
 //! order: identical delivery stats and a byte-identical `NOCSNAP`

@@ -22,9 +22,9 @@ cargo test -q --workspace "${OFFLINE[@]}"
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets "${OFFLINE[@]}" -- -D warnings
 
-echo "== clippy (slab datapath + exhaustive-schedule hook) =="
+echo "== clippy (exhaustive-schedule hook) =="
 # The feature-gated phase-2 override is outside the workspace clippy run
-# above; lint it (and the slab module it exercises) explicitly.
+# above; lint it explicitly.
 cargo clippy -p noc-sim --features exhaustive --all-targets "${OFFLINE[@]}" -- -D warnings
 
 echo "== exhaustive schedule permutations (2x2, all 24 orders) =="
@@ -35,9 +35,9 @@ cargo test -q -p noc-bench --test zero_alloc "${OFFLINE[@]}"
 
 echo "== network_step kernel bench (every point once, JSON schema smoke) =="
 # Runs every network_step point, including the 0.004 flits/node/cycle
-# low-load points that exercise the activity-driven scheduler, the
+# low-load points that exercise the activity-driven scheduler and the
 # 0.0004 flits/node/cycle near-idle points that drive run_until through
-# the idle cycle-leap path, and the 2-thread stepping-pool point.
+# the idle cycle-leap path.
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
     --quick --json-out "$NS_TMP/ns.json" > /dev/null
@@ -47,7 +47,7 @@ env = json.load(open(sys.argv[1]))
 assert env["schema_version"] == 1, env["schema_version"]
 assert env["bench"] == "network_step"
 names = {p["name"] for p in env["points"]}
-for want in ("packet_64n_0.06flits", "packet_64n_0.06flits_parallel2",
+for want in ("packet_64n_0.06flits",
              "packet_64n_0.0004flits_leap", "tdm_hybrid_64n_0.0004flits_leap",
              "packet_1024n_0.004flits", "tdm_hybrid_1024n_0.06flits"):
     assert want in names, (want, names)
@@ -167,9 +167,9 @@ cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
 cmp "$SWEEP_TMP/topo1.json" "$SWEEP_TMP/topo4.json"
 echo "non-mesh sweep JSON identical across thread counts"
 
-echo "== 1024-node slab smoke (packet + TDM + SDM, sweep-thread determinism) =="
-# Kilo-node point on the flat flit-slab datapath: one shared allocation
-# carries all 20480 VC rings; a short loaded run must be byte-identical
+echo "== 1024-node smoke (packet + TDM + SDM, sweep-thread determinism) =="
+# Kilo-node points on all three router datapaths (20480 VC rings, one
+# ring table per router): a short loaded run must be byte-identical
 # across sweep-thread counts.
 cat > "$SWEEP_TMP/kilo.json" <<'JSON'
 [
@@ -198,7 +198,7 @@ cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
 cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
     --scenario "$SWEEP_TMP/kilo.json" --json "$SWEEP_TMP/kilo2.json" --sweep-threads 2 > /dev/null
 cmp "$SWEEP_TMP/kilo1.json" "$SWEEP_TMP/kilo2.json"
-echo "1024-node slab smoke ok: JSON identical across thread counts"
+echo "1024-node smoke ok: JSON identical across thread counts"
 
 echo "== traced TDM hetero scenario (Perfetto trace + heatmap + envelope v2) =="
 cat > "$SWEEP_TMP/traced.json" <<'JSON'

@@ -250,28 +250,3 @@ fn scenario_spec_run_matches_the_engine() {
     let r_spec = run_phases(fabric.as_mut(), &mut src, spec.phases);
     assert_identical(kind, &r_engine, &r_spec);
 }
-
-#[test]
-fn stepping_mode_does_not_change_results_through_the_fabric() {
-    // The parallel cycle kernel is reached through the same single
-    // `Fabric::step` call; thread count must not alter simulated results.
-    let net_cfg = NetworkConfig::with_mesh(Mesh::square(5));
-    for kind in [BackendKind::PacketVc4, BackendKind::HybridTdmVct] {
-        let run_with = |threads: usize| {
-            let mut cfg = net_cfg;
-            cfg.step_threads = threads;
-            let mut fabric = build_fabric(
-                kind,
-                cfg,
-                Tuning::Synthetic {
-                    slot_capacity: None,
-                },
-            )
-            .unwrap();
-            run_phases(fabric.as_mut(), &mut source(cfg.mesh, 29), phases())
-        };
-        let serial = run_with(1);
-        let parallel = run_with(3);
-        assert_identical(kind, &serial, &parallel);
-    }
-}
