@@ -6,11 +6,9 @@
 //! at the repo root holds the committed snapshot).
 //!
 //! Every point is named and reported by the load it really offers, in
-//! flits/node/cycle (`SyntheticSource` takes that unit). Two point kinds
-//! share the timing loop: per-cycle stepping, and near-idle leap points
-//! (`_leap`) that replay a pre-sampled injection schedule through
-//! `Fabric::run_until`, so idle stretches collapse and the schedule's RNG
-//! sweep stays outside the timed region.
+//! flits/node/cycle (`SyntheticSource` takes that unit), and is timed the
+//! way the engine drives a fabric: the source ticked and the fabric
+//! stepped once per cycle.
 //!
 //! Flags:
 //!   --json-out PATH   write the schema-versioned result envelope
@@ -22,27 +20,17 @@
 
 use std::time::Instant;
 
-use noc_sim::{Fabric, Mesh, Network, NetworkConfig, NodeId, Packet, PacketNode};
+use noc_sim::{Fabric, Mesh, Network, NetworkConfig, PacketNode};
 use noc_traffic::{SyntheticSource, TrafficPattern};
 use serde::Serialize;
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 const STEPS: u64 = 512;
 /// Offered loads, flits/node/cycle: the historic "heavy" point (12% of
-/// the 8×8 mesh's UR bisection bound, ~50% of the 32×32 one), the
-/// low-load point and the near-idle leap point.
+/// the 8×8 mesh's UR bisection bound, ~50% of the 32×32 one) and the
+/// low-load point.
 const RATE_HEAVY: f64 = 0.06;
 const RATE_LOW: f64 = 0.004;
-const RATE_NEAR_IDLE: f64 = 0.0004;
-
-/// How a point advances its fabric through a timed repetition.
-#[derive(Clone, Copy)]
-enum Drive {
-    /// One `step` per cycle, source ticked every cycle.
-    Step,
-    /// `run_until` between the events of a pre-sampled schedule.
-    Leap,
-}
 
 #[derive(Serialize)]
 struct Envelope {
@@ -128,24 +116,11 @@ fn drive(net: &mut dyn Fabric, src: &mut SyntheticSource, cycles: u64) {
     }
 }
 
-/// The injection schedule for the next `cycles` cycles from `start`.
-fn sample_schedule(
-    src: &mut SyntheticSource,
-    start: u64,
-    cycles: u64,
-) -> Vec<(u64, NodeId, Packet)> {
-    let mut sched = Vec::new();
-    for c in start..start + cycles {
-        src.tick(c, true, |n, p| sched.push((c, n, p)));
-    }
-    sched
-}
+/// One operating point: name, backend, grid, offered flits/node/cycle and
+/// warm-up cycles.
+type Case = (&'static str, &'static str, Mesh, f64, u64);
 
-/// One operating point: name, backend, grid, offered flits/node/cycle,
-/// drive mode and warm-up cycles.
-type Case = (&'static str, &'static str, Mesh, f64, Drive, u64);
-
-fn measure((name, backend, topo, rate, mode, warmup): Case, reps: u64) -> Point {
+fn measure((name, backend, topo, rate, warmup): Case, reps: u64) -> Point {
     let mut net = match backend {
         "packet" => packet_net(topo),
         _ => tdm_net(topo),
@@ -154,22 +129,8 @@ fn measure((name, backend, topo, rate, mode, warmup): Case, reps: u64) -> Point 
     drive(net.as_mut(), &mut src, warmup);
     let mut wall_ns = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
-        let start = net.now();
-        let sched = match mode {
-            Drive::Leap => sample_schedule(&mut src, start, STEPS),
-            Drive::Step => Vec::new(),
-        };
         let t0 = Instant::now();
-        match mode {
-            Drive::Leap => {
-                for (t, n, p) in sched {
-                    net.run_until(t);
-                    net.inject(n, p);
-                }
-                net.run_until(start + STEPS);
-            }
-            Drive::Step => drive(net.as_mut(), &mut src, STEPS),
-        }
+        drive(net.as_mut(), &mut src, STEPS);
         wall_ns.push(t0.elapsed().as_nanos() as u64);
     }
     let mut sorted = wall_ns.clone();
@@ -213,62 +174,16 @@ fn main() {
     let m32 = Mesh::square(32);
     let t32 = Mesh::torus_square(32);
 
-    use Drive::{Leap, Step};
     let cases: Vec<Case> = vec![
-        (
-            "packet_64n_0.06flits",
-            "packet",
-            m8,
-            RATE_HEAVY,
-            Step,
-            warm_64,
-        ),
-        (
-            "packet_64n_0.004flits",
-            "packet",
-            m8,
-            RATE_LOW,
-            Step,
-            warm_64,
-        ),
-        (
-            "packet_64n_0.0004flits_leap",
-            "packet",
-            m8,
-            RATE_NEAR_IDLE,
-            Leap,
-            warm_64,
-        ),
-        (
-            "tdm_hybrid_64n_0.06flits",
-            "tdm",
-            m8,
-            RATE_HEAVY,
-            Step,
-            warm_64,
-        ),
-        (
-            "tdm_hybrid_64n_0.004flits",
-            "tdm",
-            m8,
-            RATE_LOW,
-            Step,
-            warm_64,
-        ),
-        (
-            "tdm_hybrid_64n_0.0004flits_leap",
-            "tdm",
-            m8,
-            RATE_NEAR_IDLE,
-            Leap,
-            warm_64,
-        ),
+        ("packet_64n_0.06flits", "packet", m8, RATE_HEAVY, warm_64),
+        ("packet_64n_0.004flits", "packet", m8, RATE_LOW, warm_64),
+        ("tdm_hybrid_64n_0.06flits", "tdm", m8, RATE_HEAVY, warm_64),
+        ("tdm_hybrid_64n_0.004flits", "tdm", m8, RATE_LOW, warm_64),
         (
             "packet_1024n_0.06flits",
             "packet",
             m32,
             RATE_HEAVY,
-            Step,
             warm_1024,
         ),
         (
@@ -276,7 +191,6 @@ fn main() {
             "packet",
             m32,
             RATE_LOW,
-            Step,
             warm_1024,
         ),
         (
@@ -284,7 +198,6 @@ fn main() {
             "packet",
             t32,
             RATE_HEAVY,
-            Step,
             warm_1024,
         ),
         (
@@ -292,7 +205,6 @@ fn main() {
             "tdm",
             m32,
             RATE_HEAVY,
-            Step,
             warm_1024,
         ),
         (
@@ -300,7 +212,6 @@ fn main() {
             "tdm",
             m32,
             RATE_LOW,
-            Step,
             warm_1024,
         ),
         (
@@ -308,7 +219,6 @@ fn main() {
             "tdm",
             t32,
             RATE_LOW,
-            Step,
             warm_1024,
         ),
     ];

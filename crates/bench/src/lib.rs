@@ -690,32 +690,6 @@ pub fn max_goodput(points: &[SynthPoint]) -> f64 {
     points.iter().map(|p| p.goodput).fold(0.0, f64::max)
 }
 
-/// Bisection search for a network configuration's saturation injection
-/// rate: the highest offered load it still delivers ≥ 95 % of. More
-/// principled than max-over-sweep when the sweep grid is coarse; costs
-/// `iters` simulation runs.
-pub fn find_saturation(
-    kind: BackendKind,
-    mesh: u16,
-    pattern: &TrafficPattern,
-    phases: PhaseConfig,
-    seed: u64,
-    iters: u32,
-) -> f64 {
-    let (mut lo, mut hi) = (0.01, 1.0);
-    for _ in 0..iters {
-        let mid = 0.5 * (lo + hi);
-        let spec = ScenarioSpec::synthetic(kind, mesh, pattern.clone(), mid, phases, seed);
-        let (p, _) = run_synthetic_spec(&spec, None).expect("synthetic specs run");
-        if p.result.saturated {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    lo
-}
-
 /// One chart series: label, plot glyph, and (x, y) points.
 pub type Series<'a> = (&'a str, char, Vec<(f64, f64)>);
 
@@ -1021,21 +995,6 @@ mod chart_tests {
         assert!(s.contains('a') && s.contains('b'));
         assert!(s.contains("= a") && s.contains("= b"));
         assert!(s.lines().count() >= 10);
-    }
-
-    #[test]
-    fn saturation_search_brackets_capacity() {
-        // A 6x6 mesh under transpose saturates well below 1.0 (bisection
-        // limit ≈ 0.33) and well above 0.05.
-        let sat = find_saturation(
-            BackendKind::PacketVc4,
-            6,
-            &TrafficPattern::Transpose,
-            PhaseConfig::quick(),
-            3,
-            5,
-        );
-        assert!(sat > 0.1 && sat < 0.7, "saturation estimate {sat}");
     }
 
     #[test]

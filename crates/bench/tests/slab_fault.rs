@@ -1,9 +1,9 @@
-//! Slab-datapath fault and restore pins (DESIGN.md §17).
+//! Ring-datapath fault and restore pins (DESIGN.md §17).
 //!
-//! The flit-slab conversion moved every VC FIFO into fixed-depth rings
-//! inside one shared allocation, so two seams deserve their own pins:
+//! Every VC FIFO is a fixed-depth ring in its router's own
+//! [`FlitRings`](noc_sim::FlitRings), so two seams deserve their own pins:
 //!
-//! * the fault purge sweeps flits *out of slab rings* — a permanent link
+//! * the fault purge sweeps flits *out of the rings* — a permanent link
 //!   kill on the TDM backend catches data, config and CS flits resident
 //!   in rings, and after the drain the config arena holds zero live
 //!   payload allocations (every swept config flit released its ref);
@@ -19,7 +19,7 @@ use noc_sim::{
 use noc_traffic::{run_phases, PhaseConfig, TrafficPattern};
 
 /// Permanent mid-run link kill on the hybrid backend at a loaded point:
-/// flits die inside slab rings (not just on wires), the repair FSM tears
+/// flits die inside VC rings (not just on wires), the repair FSM tears
 /// circuits down, survivors drain around the dead link, and the arena
 /// leaks nothing.
 #[test]
@@ -48,7 +48,7 @@ fn permanent_fault_sweep_on_slab_rings_frees_arena() {
     assert_eq!(result.stats.link_down_events, 1, "one directed kill");
     assert!(
         result.stats.flits_dropped_fault > 0,
-        "a loaded kill must catch flits resident in slab rings"
+        "a loaded kill must catch flits resident in VC rings"
     );
     assert!(
         result.stats.packets_delivered > 100,
@@ -58,7 +58,7 @@ fn permanent_fault_sweep_on_slab_rings_frees_arena() {
     assert_eq!(
         fabric.arena_live(),
         0,
-        "flits swept from slab rings leaked config-arena refs"
+        "flits swept from VC rings leaked config-arena refs"
     );
 }
 

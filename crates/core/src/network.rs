@@ -151,49 +151,10 @@ impl TdmNetwork {
         self.net.step();
     }
 
+    /// Run `cycles` steps.
     pub fn run(&mut self, cycles: u64) {
-        let target = self.net.now() + cycles;
-        self.run_until(target);
-    }
-
-    /// Advance until `now() == target`, leaping over provably idle
-    /// regions (see `Network::run_until`).
-    ///
-    /// The resize controller only acts at discrete decision points — the
-    /// end of an observation window, or a freeze deadline — and is a
-    /// guaranteed no-op at every cycle in between. Bounding each inner
-    /// leap at the next such point therefore yields results bit-identical
-    /// to per-cycle stepping: the controller still observes the network at
-    /// exactly the cycles where it could act.
-    pub fn run_until(&mut self, target: Cycle) {
-        while self.net.now() < target {
-            self.run_repair_controller();
-            if self.repair.is_none() {
-                self.run_resize_controller();
-            }
-            let now = self.net.now();
-            let mut bound = match self.repair {
-                // Pre-deadline the repair controller is inert; past the
-                // deadline it waits per-cycle for CS streams to finish.
-                Some(RepairState { deadline, .. }) => deadline.max(now + 1),
-                None => match self.phase {
-                    Some(ResizePhase::Observing { window_start, .. }) => {
-                        let rc = self.cfg.resize.expect("phase implies resize config");
-                        (window_start + rc.window).max(now + 1)
-                    }
-                    // Pre-deadline the controller is frozen too; past the
-                    // deadline it waits per-cycle for CS streams to finish.
-                    Some(ResizePhase::Freezing { deadline, .. }) => deadline.max(now + 1),
-                    None => target,
-                },
-            };
-            // Land one cycle past the next fault so the repair controller
-            // observes it at exactly the cycle per-cycle stepping would —
-            // leaping must stay bit-identical to `step()` loops.
-            if let Some(at) = self.net.next_fault_at() {
-                bound = bound.min((at + 1).max(now + 1));
-            }
-            self.net.run_until(bound.min(target));
+        for _ in 0..cycles {
+            self.step();
         }
     }
 
@@ -410,10 +371,6 @@ impl Fabric for TdmNetwork {
 
     fn step(&mut self) {
         TdmNetwork::step(self);
-    }
-
-    fn run_until(&mut self, target: Cycle) {
-        TdmNetwork::run_until(self, target);
     }
 
     fn begin_measurement(&mut self) {

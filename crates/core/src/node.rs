@@ -850,12 +850,6 @@ impl TdmNode {
         self.dlt.clear();
         self.share_fails.clear();
     }
-
-    /// Share of this node's slot-table entries currently reserved at the
-    /// local port (diagnostics).
-    pub fn local_reserved_fraction(&self) -> f64 {
-        self.router.slots.reserved_fraction(Port::Local)
-    }
 }
 
 impl NodeModel for TdmNode {

@@ -281,12 +281,6 @@ impl TdmRouter {
         true
     }
 
-    /// Whether an upstream CS flit occupies `in_port` this cycle (visible
-    /// one cycle in advance via the paper's designated signal wire).
-    pub fn cs_arriving_on(&self, in_port: Port) -> bool {
-        self.cs_latch[in_port.index()].is_some()
-    }
-
     /// Return the buffer credit of a configuration flit consumed on
     /// arrival: the upstream router (or local NIC) budgeted a buffer slot
     /// for it, and the normal switch-traversal credit return never runs.

@@ -157,10 +157,12 @@ pub trait Fabric {
         0
     }
 
-    /// Advance until `now() == target`. The default steps cycle by
-    /// cycle; backends with an activity scheduler override this to leap
-    /// over provably idle regions in O(1) (bit-identical results either
-    /// way — only wall-clock cost differs).
+    /// Advance until `now() == target`, one [`Fabric::step`] per cycle. No
+    /// backend overrides it and the engine never calls it; it stays
+    /// because the benchmark's `TimedFabric` wrapper forwards it (its
+    /// default loop calls the wrapped fabric's `step`, so the wrapper
+    /// times it as one `run_until` call) and goes with that wrapper
+    /// (ROADMAP 2(c)).
     fn run_until(&mut self, target: Cycle) {
         while self.now() < target {
             self.step();
@@ -239,10 +241,6 @@ impl<N: NodeModel> Fabric for Network<N> {
 
     fn step(&mut self) {
         Network::step(self);
-    }
-
-    fn run_until(&mut self, target: Cycle) {
-        Network::run_until(self, target);
     }
 
     fn begin_measurement(&mut self) {

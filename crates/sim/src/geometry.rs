@@ -38,11 +38,6 @@ impl Coord {
     pub fn new(x: u16, y: u16) -> Self {
         Coord { x, y }
     }
-
-    /// Manhattan distance between two coordinates.
-    pub fn manhattan(self, other: Coord) -> u32 {
-        (self.x.abs_diff(other.x) + self.y.abs_diff(other.y)) as u32
-    }
 }
 
 /// One of the four inter-router link directions.

@@ -3,15 +3,17 @@
 //! The packet-switched pipeline ([`PsPipeline`]) implements the canonical
 //! virtual-channel wormhole router of Figure 2's left half: input buffers
 //! organised as per-port VC FIFOs, route computation (X-Y for data,
-//! odd-even minimal-adaptive for configuration packets), separable
+//! west-first minimal-adaptive for configuration packets), separable
 //! round-robin VC and switch allocation, and a crossbar with credit-based
 //! flow control toward each neighbour.
 //!
-//! Hybrid routers (TDM in the `tdm-noc` crate, SDM in `noc-sdm`) reuse this
-//! pipeline and inject their switching decisions through the
-//! [`HybridCtrl`] hook: each cycle the pipeline asks whether an output port
-//! is free for packet-switched traffic, reserved-but-idle (time-slot
-//! stealing permitted, §II-D) or occupied by a circuit-switched flit.
+//! The TDM hybrid router (`tdm-noc`) reuses this pipeline and injects its
+//! switching decisions through the [`HybridCtrl`] hook: each cycle the
+//! pipeline asks whether an output port is free for packet-switched
+//! traffic, reserved-but-idle (time-slot stealing permitted, §II-D) or
+//! occupied by a circuit-switched flit. The SDM hybrid router (`noc-sdm`)
+//! has its own plane-partitioned pipeline, built from the same [`VcCtl`]
+//! tables and [`FlitRings`](crate::FlitRings).
 
 mod gating;
 mod packet;

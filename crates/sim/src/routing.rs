@@ -1,15 +1,15 @@
 //! Routing functions: deterministic dimension-order routing for data
-//! packets and minimal adaptive routing for configuration packets
-//! (Table I).
+//! packets and minimal adaptive routing under the west-first turn model
+//! for configuration packets (Table I).
 //!
 //! All routes are topology-aware: on a torus, dimension-order routing
 //! takes the shorter way around each ring (ties resolve to the positive
 //! direction so the choice never flips mid-path), and deadlock freedom
 //! comes from the dateline VC-class discipline in the router pipeline
 //! (DESIGN.md §13) rather than from the turn restrictions a mesh enjoys.
-//! The turn-model routes (`west_first_*`, `odd_even_*`) encode mesh-only
-//! deadlock arguments and must not be used on a torus — callers fall back
-//! to deterministic dimension-order routing there.
+//! The west-first route (`west_first_*`) encodes a mesh-only deadlock
+//! argument and must not be used on a torus — callers fall back to
+//! deterministic dimension-order routing there.
 
 use crate::geometry::{Direction, NodeId, Port};
 use crate::topology::Mesh;
@@ -30,112 +30,6 @@ pub fn xy_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Port {
     }
 }
 
-/// The set of productive (minimal) directions toward `dst` — at most one
-/// per dimension (on a torus an exact half-way tie resolves to the
-/// positive direction, matching [`xy_route`]).
-pub fn minimal_directions(mesh: &Mesh, cur: NodeId, dst: NodeId) -> DirPair {
-    let c = mesh.coord(cur);
-    let d = mesh.coord(dst);
-    let mut dirs = DirPair::default();
-    if let Some(dir) = mesh.x_dir_toward(c.x, d.x) {
-        dirs.push(dir);
-    }
-    if let Some(dir) = mesh.y_dir_toward(c.y, d.y) {
-        dirs.push(dir);
-    }
-    dirs
-}
-
-/// Minimal adaptive routing for configuration packets (§II-B "path
-/// selection"): among the productive directions, pick the one whose
-/// downstream resources score highest (the caller supplies the congestion
-/// metric, e.g. free credits). Ties and empty scores fall back to the X-Y
-/// choice so the route is always minimal and productive.
-pub fn adaptive_route<F: FnMut(Direction) -> u32>(
-    mesh: &Mesh,
-    cur: NodeId,
-    dst: NodeId,
-    mut score: F,
-) -> Port {
-    let dirs = minimal_directions(mesh, cur, dst);
-    match dirs.len() {
-        0 => Port::Local,
-        1 => dirs.get(0).as_port(),
-        _ => {
-            let xy = xy_route(mesh, cur, dst);
-            let mut best = xy;
-            let mut best_score = 0u32;
-            for d in dirs.iter() {
-                let s = score(d);
-                let p = d.as_port();
-                if p == xy {
-                    // X-Y choice wins ties.
-                    if s >= best_score {
-                        best = p;
-                        best_score = s;
-                    }
-                } else if s > best_score {
-                    best = p;
-                    best_score = s;
-                }
-            }
-            best
-        }
-    }
-}
-
-/// Directions permitted by the odd-even turn model (Chiu 2000) for a packet
-/// from `src` currently at `cur`, heading to `dst`. Minimal and
-/// deadlock-free without extra VC classes, which is what lets configuration
-/// packets route adaptively while data packets stay on X-Y.
-pub fn odd_even_directions(mesh: &Mesh, src: NodeId, cur: NodeId, dst: NodeId) -> DirPair {
-    debug_assert!(
-        !mesh.is_torus(),
-        "odd-even turn model is a mesh-only deadlock argument"
-    );
-    let s = mesh.coord(src);
-    let c = mesh.coord(cur);
-    let d = mesh.coord(dst);
-    let mut avail = DirPair::default();
-    if c == d {
-        return avail;
-    }
-    let vertical = if d.y > c.y {
-        Direction::South
-    } else {
-        Direction::North
-    };
-    if d.x == c.x {
-        avail.push(vertical);
-    } else if d.x > c.x {
-        // Eastbound.
-        if d.y == c.y {
-            avail.push(Direction::East);
-        } else {
-            // May only turn off the east heading (N/S) in odd columns or in
-            // the source column.
-            if c.x % 2 == 1 || c.x == s.x {
-                avail.push(vertical);
-            }
-            // May only continue east if the destination column is odd or we
-            // are not yet adjacent to it (EN/ES turns are forbidden in even
-            // columns, so we must be able to turn later).
-            if d.x % 2 == 1 || d.x - c.x != 1 {
-                avail.push(Direction::East);
-            }
-        }
-    } else {
-        // Westbound: W is always productive; NW/SW turns only from even
-        // columns.
-        avail.push(Direction::West);
-        if d.y != c.y && c.x.is_multiple_of(2) {
-            avail.push(vertical);
-        }
-    }
-    debug_assert!(!avail.is_empty(), "odd-even must offer a direction");
-    avail
-}
-
 /// Directions permitted by the west-first turn model for a minimal route:
 /// a packet with any westward displacement must finish it first (no
 /// adaptivity); otherwise every productive direction is allowed.
@@ -144,10 +38,7 @@ pub fn odd_even_directions(mesh: &Mesh, src: NodeId, cur: NodeId, dst: NodeId) -
 /// Deterministic X-Y routing uses none of those turns, so **X-Y data
 /// traffic and west-first adaptive configuration traffic can safely share
 /// the same virtual channels**: the union of their channel dependencies is
-/// the west-first set, which is acyclic. (The odd-even model above is *not*
-/// safe to mix with X-Y in shared VCs — X-Y takes `ES`/`EN` turns in even
-/// columns — which is why the routers use this model for configuration
-/// packets.)
+/// the west-first set, which is acyclic.
 pub fn west_first_directions(mesh: &Mesh, cur: NodeId, dst: NodeId) -> DirPair {
     debug_assert!(
         !mesh.is_torus(),
@@ -247,34 +138,6 @@ pub fn west_first_route<F: FnMut(Direction) -> u32>(
     }
 }
 
-/// Minimal adaptive routing restricted by the odd-even turn model: choose
-/// the permitted direction with the best congestion score.
-pub fn odd_even_route<F: FnMut(Direction) -> u32>(
-    mesh: &Mesh,
-    src: NodeId,
-    cur: NodeId,
-    dst: NodeId,
-    mut score: F,
-) -> Port {
-    let dirs = odd_even_directions(mesh, src, cur, dst);
-    match dirs.len() {
-        0 => Port::Local,
-        1 => dirs.get(0).as_port(),
-        _ => {
-            let mut best = dirs.get(0);
-            let mut best_score = score(best);
-            for d in dirs.iter().skip(1) {
-                let s = score(d);
-                if s > best_score {
-                    best = d;
-                    best_score = s;
-                }
-            }
-            best.as_port()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,104 +178,6 @@ mod tests {
                 assert_eq!(hops, m.hops(src, dst));
             }
         }
-    }
-
-    #[test]
-    fn minimal_directions_counts() {
-        let m = mesh();
-        let cur = m.id(Coord::new(2, 2));
-        assert_eq!(minimal_directions(&m, cur, m.id(Coord::new(5, 5))).len(), 2);
-        assert_eq!(minimal_directions(&m, cur, m.id(Coord::new(2, 0))).len(), 1);
-        assert_eq!(minimal_directions(&m, cur, cur).len(), 0);
-    }
-
-    #[test]
-    fn adaptive_prefers_uncongested() {
-        let m = mesh();
-        let cur = m.id(Coord::new(0, 0));
-        let dst = m.id(Coord::new(3, 3));
-        // South has far more free credits than East: adaptive must pick it.
-        let p = adaptive_route(&m, cur, dst, |d| if d == Direction::South { 10 } else { 1 });
-        assert_eq!(p, Port::South);
-        // Ties resolve to the X-Y (East) choice.
-        let p = adaptive_route(&m, cur, dst, |_| 5);
-        assert_eq!(p, Port::East);
-    }
-
-    #[test]
-    fn odd_even_is_minimal_and_complete() {
-        // From every (src, dst) pair, every greedy walk following odd-even
-        // choices is minimal and reaches the destination.
-        let m = mesh();
-        for src in m.nodes() {
-            for dst in m.nodes() {
-                if src == dst {
-                    continue;
-                }
-                // Explore the worst-scoring choice at each step too.
-                for pick_last in [false, true] {
-                    let mut cur = src;
-                    let mut hops = 0u32;
-                    while cur != dst {
-                        let dirs = odd_even_directions(&m, src, cur, dst);
-                        assert!(!dirs.is_empty(), "stuck at {cur:?} for {src:?}->{dst:?}");
-                        let d = if pick_last {
-                            dirs.last().unwrap()
-                        } else {
-                            dirs.get(0)
-                        };
-                        let next = m.neighbor(cur, d).expect("productive direction");
-                        assert_eq!(m.hops(next, dst) + 1, m.hops(cur, dst), "non-minimal");
-                        cur = next;
-                        hops += 1;
-                        assert!(hops <= m.hops(src, dst));
-                    }
-                    assert_eq!(hops, m.hops(src, dst));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn odd_even_respects_turn_rules() {
-        // EN/ES turns never taken in even columns; NW/SW never in odd ones.
-        // We verify by checking the offered directions directly.
-        let m = mesh();
-        for src in m.nodes() {
-            for dst in m.nodes() {
-                for cur in m.nodes() {
-                    let c = m.coord(cur);
-                    let d = m.coord(dst);
-                    let dirs = odd_even_directions(&m, src, cur, dst);
-                    for dir in dirs {
-                        if matches!(dir, Direction::North | Direction::South)
-                            && d.x > c.x
-                            && c.x.is_multiple_of(2)
-                        {
-                            // Turning off an eastbound heading in an even
-                            // column is only legal in the source column.
-                            assert_eq!(c.x, m.coord(src).x);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn odd_even_route_picks_allowed_best() {
-        let m = mesh();
-        let src = m.id(Coord::new(1, 0));
-        let dst = m.id(Coord::new(3, 3));
-        let p = odd_even_route(
-            &m,
-            src,
-            src,
-            dst,
-            |d| if d == Direction::South { 9 } else { 1 },
-        );
-        // Column 1 is odd so both E and S are allowed; S scores higher.
-        assert_eq!(p, Port::South);
     }
 
     #[test]
@@ -461,22 +226,6 @@ mod tests {
                     }
                     cur = t.neighbor(cur, p.direction().unwrap()).unwrap();
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_is_always_productive() {
-        let m = mesh();
-        for src in m.nodes() {
-            for dst in m.nodes() {
-                if src == dst {
-                    continue;
-                }
-                let p = adaptive_route(&m, src, dst, |d| d.index() as u32);
-                let dir = p.direction().expect("productive port");
-                let n = m.neighbor(src, dir).unwrap();
-                assert_eq!(m.hops(n, dst) + 1, m.hops(src, dst));
             }
         }
     }

@@ -1,48 +1,20 @@
-//! A small metrics registry: named counters, gauges and log-bucket
-//! histograms, snapshotted per measurement window and merged
-//! deterministically.
+//! A small metrics registry: named counters and gauges, snapshotted per
+//! measurement window and merged deterministically.
 //!
 //! Registration interns the name once and returns a dense id; the hot
 //! path is an array index. Windows capture counters as *deltas over the
 //! window* and gauges as their value at the window boundary, so a
 //! snapshot sequence reads as a time series. `merge` combines two
-//! registries metric-by-metric (counters add, gauges take the maximum,
-//! histogram buckets add) and is order-insensitive for counters and
-//! histograms — the property the sweep runner's ordered merge relies on.
+//! registries metric-by-metric (counters add, gauges take the maximum)
+//! and is order-insensitive for counters — the property the sweep
+//! runner's ordered merge relies on.
 
 use serde::{Serialize, Value};
-
-/// Power-of-two log-bucket histogram (bucket `i` holds values whose
-/// bit-length is `i`, i.e. `2^(i-1) <= v < 2^i`, with 0 and 1 sharing
-/// bucket 0..=1 like `noc_sim::LatencyHistogram`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LogHist {
-    pub buckets: [u64; 32],
-    pub count: u64,
-}
-
-impl LogHist {
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros()).min(31) as usize;
-        self.buckets[b] += 1;
-        self.count += 1;
-    }
-
-    pub fn merge(&mut self, other: &LogHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-}
 
 #[derive(Clone, Debug, PartialEq)]
 enum Metric {
     Counter(u64),
     Gauge(u64),
-    // Boxed: a LogHist is 33 words, the scalar variants one.
-    Hist(Box<LogHist>),
 }
 
 /// Dense handle returned by registration.
@@ -51,7 +23,7 @@ pub struct MetricId(pub usize);
 
 /// One window's worth of metric values, aligned with
 /// [`MetricsRegistry::names`]: counters as window deltas, gauges as the
-/// boundary value, histograms as their total count delta.
+/// boundary value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WindowSnapshot {
     pub start: u64,
@@ -100,7 +72,7 @@ pub fn window_frame(names: &[String], w: &WindowSnapshot) -> Value {
 pub struct MetricsRegistry {
     names: Vec<String>,
     metrics: Vec<Metric>,
-    /// Counter/hist-count values at the last window boundary.
+    /// Counter values at the last window boundary.
     window_base: Vec<u64>,
     window_start: u64,
     pub windows: Vec<WindowSnapshot>,
@@ -130,10 +102,6 @@ impl MetricsRegistry {
         self.register(name, Metric::Gauge(0))
     }
 
-    pub fn histogram(&mut self, name: &str) -> MetricId {
-        self.register(name, Metric::Hist(Box::default()))
-    }
-
     pub fn names(&self) -> &[String] {
         &self.names
     }
@@ -154,31 +122,15 @@ impl MetricsRegistry {
         }
     }
 
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        match &mut self.metrics[id.0] {
-            Metric::Hist(h) => h.record(value),
-            _ => debug_assert!(false, "observe on non-histogram"),
-        }
-    }
-
-    /// Current raw value: counter total, gauge value, histogram count.
+    /// Current raw value: counter total or gauge value.
     pub fn value(&self, id: MetricId) -> u64 {
         match &self.metrics[id.0] {
             Metric::Counter(v) | Metric::Gauge(v) => *v,
-            Metric::Hist(h) => h.count,
         }
     }
 
-    pub fn hist(&self, id: MetricId) -> Option<&LogHist> {
-        match &self.metrics[id.0] {
-            Metric::Hist(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Close the window ending at `now`: snapshot deltas (counters,
-    /// histogram counts) and boundary values (gauges), then re-base.
+    /// Close the window ending at `now`: snapshot deltas (counters) and
+    /// boundary values (gauges), then re-base.
     pub fn snapshot_window(&mut self, now: u64) {
         let values = self
             .metrics
@@ -191,11 +143,6 @@ impl MetricsRegistry {
                     delta
                 }
                 Metric::Gauge(v) => *v,
-                Metric::Hist(h) => {
-                    let delta = h.count - *base;
-                    *base = h.count;
-                    delta
-                }
             })
             .collect();
         self.windows.push(WindowSnapshot {
@@ -206,18 +153,17 @@ impl MetricsRegistry {
         self.window_start = now;
     }
 
-    /// Merge another registry with the same metric layout: counters and
-    /// histograms add, gauges take the maximum. Windows are merged
-    /// pairwise by index (extra windows in `other` are appended), so
-    /// merging per-shard registries of the same run is deterministic
-    /// regardless of shard count.
+    /// Merge another registry with the same metric layout: counters add,
+    /// gauges take the maximum. Windows are merged pairwise by index
+    /// (extra windows in `other` are appended), so merging per-shard
+    /// registries of the same run is deterministic regardless of shard
+    /// count.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         assert_eq!(self.names, other.names, "mismatched metric layouts");
         for (a, b) in self.metrics.iter_mut().zip(other.metrics.iter()) {
             match (a, b) {
                 (Metric::Counter(x), Metric::Counter(y)) => *x += y,
                 (Metric::Gauge(x), Metric::Gauge(y)) => *x = (*x).max(*y),
-                (Metric::Hist(x), Metric::Hist(y)) => x.merge(y),
                 _ => unreachable!("layouts checked equal"),
             }
         }
@@ -239,20 +185,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms_roundtrip() {
+    fn counters_and_gauges_roundtrip() {
         let mut r = MetricsRegistry::new();
         let c = r.counter("link_flits");
         let g = r.gauge("active_nodes");
-        let h = r.histogram("occupancy");
         r.add(c, 5);
         r.add(c, 2);
         r.set(g, 9);
-        r.observe(h, 3);
-        r.observe(h, 300);
+        r.set(g, 4);
         assert_eq!(r.value(c), 7);
-        assert_eq!(r.value(g), 9);
-        assert_eq!(r.value(h), 2);
-        assert_eq!(r.hist(h).unwrap().buckets[2], 1); // 3 → bucket 2
+        assert_eq!(r.value(g), 4);
     }
 
     #[test]
@@ -275,13 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_insensitive_for_counters_and_hists() {
+    fn merge_is_order_insensitive_for_counters() {
         let build = |seed: u64| {
             let mut r = MetricsRegistry::new();
             let c = r.counter("c");
-            let h = r.histogram("h");
+            let d = r.counter("d");
             r.add(c, seed);
-            r.observe(h, seed);
+            r.add(d, 1);
             r.snapshot_window(50);
             r
         };
@@ -290,8 +232,9 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
+        assert_eq!(ab.value(MetricId(0)), 73);
         assert_eq!(ab.value(MetricId(0)), ba.value(MetricId(0)));
-        assert_eq!(ab.hist(MetricId(1)), ba.hist(MetricId(1)));
+        assert_eq!(ab.value(MetricId(1)), ba.value(MetricId(1)));
         assert_eq!(ab.windows, ba.windows);
     }
 

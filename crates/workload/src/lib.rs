@@ -4,13 +4,12 @@
 //! (`noc-traffic`) and the heterogeneous CPU/GPU mixes (`noc-hetero`),
 //! in three pillars:
 //!
-//! * **Trace replay** ([`trace`], [`source`], [`capture`], [`export`]) —
-//!   the versioned `NOCTRACE1` packet-trace format (binary + JSON-lines
+//! * **Trace replay** ([`trace`], [`source`], [`capture`]) — the
+//!   versioned `NOCTRACE1` packet-trace format (binary + JSON-lines
 //!   twin), a [`TraceSource`] that replays a trace through the
 //!   `Workload` seam with checkpoint-compatible `skip_ticks` semantics,
-//!   an injection-side [`TraceRecorder`] for exact capture, and a
-//!   telemetry-side exporter that rebuilds a trace from flit-lifecycle
-//!   events.
+//!   and the injection-side [`TraceRecorder`], which captures a run's
+//!   offered packets exactly.
 //! * **Profiled hybrid switching** ([`profile`]) — rank a trace's flows
 //!   by volume/persistence and emit a static `CircuitPlan` the TDM
 //!   backend pre-establishes at run start, the A/B counterpart to the
@@ -21,14 +20,12 @@
 //!   injection path.
 
 pub mod capture;
-pub mod export;
 pub mod policy;
 pub mod profile;
 pub mod source;
 pub mod trace;
 
 pub use capture::{capture_ticks, TraceRecorder};
-pub use export::trace_from_events;
 pub use policy::{ActionSpec, ClassMatch, CompiledPolicy, Region, RuleSpec};
 pub use profile::{plan_top_flows, profile_trace, FlowStats};
 pub use source::TraceSource;

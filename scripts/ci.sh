@@ -35,9 +35,7 @@ cargo test -q -p noc-bench --test zero_alloc "${OFFLINE[@]}"
 
 echo "== network_step kernel bench (every point once, JSON schema smoke) =="
 # Runs every network_step point, including the 0.004 flits/node/cycle
-# low-load points that exercise the activity-driven scheduler and the
-# 0.0004 flits/node/cycle near-idle points that drive run_until through
-# the idle cycle-leap path.
+# low-load points that exercise the activity-driven scheduler.
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
     --quick --json-out "$NS_TMP/ns.json" > /dev/null
@@ -48,7 +46,6 @@ assert env["schema_version"] == 1, env["schema_version"]
 assert env["bench"] == "network_step"
 names = {p["name"] for p in env["points"]}
 for want in ("packet_64n_0.06flits",
-             "packet_64n_0.0004flits_leap", "tdm_hybrid_64n_0.0004flits_leap",
              "packet_1024n_0.004flits", "tdm_hybrid_1024n_0.06flits"):
     assert want in names, (want, names)
 for p in env["points"]:
