@@ -18,7 +18,7 @@ fn main() {
         vec!["Technology".into(), "45nm at 1.0V, 1.5GHz".into()],
         vec![
             "Routing".into(),
-            "Minimal adaptive (odd-even, configuration packets); X-Y (other packets)".into(),
+            "Minimal adaptive (west-first, configuration packets); X-Y (other packets)".into(),
         ],
         vec!["Channel width".into(), format!("{} bytes", net.router.channel_bytes)],
         vec![

@@ -3,12 +3,16 @@
 //! * restore ≡ continuous run — a checkpoint written after warm-up and a
 //!   run restored from it both produce a result envelope byte-identical
 //!   to the uninterrupted run, across the packet, TDM and SDM backends on
-//!   mesh, torus and concentrated-mesh topologies (property test);
+//!   mesh, torus and concentrated-mesh topologies, under patterns whose
+//!   source restore replays (UR) or jumps (TOR, TR, BC, HS) (property
+//!   test);
 //! * the file checkpoint (`checkpoint_out` / `checkpoint_from`) and the
 //!   in-memory one (`WarmStart`) are the same seam: same blob bytes, same
 //!   envelopes;
 //! * checkpoints written by an earlier build (`tests/fixtures/`) restore,
 //!   re-encode to their own bytes and continue like the continuous run;
+//! * a snapshot whose allocator state does not fit the built fabric
+//!   (arbiter shape, NIC credit count) is an `Err` from `restore`;
 //! * fault drops never leak — after a faulted run fully drains, the
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
@@ -19,8 +23,8 @@ use noc_bench::{
     result_envelope, run_sweep, run_synthetic_spec_ctl, BackendKind, Checkpoint, FreeRun,
     ScenarioSpec, ServeRun, SpecOutcome, SynthPoint, WarmStart,
 };
-use noc_sim::{Direction, FaultEvent, TopologyKind};
-use noc_traffic::{run_phases, PhaseConfig, TrafficPattern};
+use noc_sim::{Direction, FabricSnapshot, FaultEvent, NodeId, TopologyKind};
+use noc_traffic::{run_phases, run_warmup, PhaseConfig, TrafficPattern};
 use proptest::prelude::*;
 
 /// Serialised result envelope of a single-spec run, wall fields zeroed
@@ -67,11 +71,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Checkpoint-then-restore is bit-identical to the continuous run at
-    /// the same seed, for every snapshotable backend on every topology.
+    /// the same seed, for every snapshotable backend on every topology,
+    /// under patterns whose restore replays the source (UR) and patterns
+    /// whose restore jumps its generator (the rest). The hotspot list
+    /// names sources, which then inject nothing.
     #[test]
     fn restore_matches_continuous_run(
         backend_i in 0usize..3,
         topo_i in 0usize..3,
+        pattern_i in 0usize..5,
         rate in 0.05f64..0.18,
         seed in 1u64..500,
     ) {
@@ -85,16 +93,24 @@ proptest! {
             (TopologyKind::Torus2D, 4, 1),
             (TopologyKind::CMesh, 2, 4),
         ][topo_i];
+        let pattern = [
+            TrafficPattern::UniformRandom,
+            TrafficPattern::Tornado,
+            TrafficPattern::Transpose,
+            TrafficPattern::BitComplement,
+            TrafficPattern::Hotspot(vec![NodeId(0), NodeId(3)]),
+        ][pattern_i]
+            .clone();
         let base = ScenarioSpec::synthetic(
             backend,
             mesh,
-            TrafficPattern::UniformRandom,
+            pattern,
             rate,
             PhaseConfig::quick(),
             seed,
         )
         .with_topology(topology, conc);
-        let tag = format!("{backend_i}-{topo_i}-{seed}");
+        let tag = format!("{backend_i}-{topo_i}-{pattern_i}-{seed}");
         assert_checkpoint_round_trip(&base, &tag)?;
     }
 }
@@ -322,4 +338,119 @@ fn tdm_transient_fault_repairs_and_drains() {
     );
     assert!(fabric.drain(20_000), "network must drain after the revive");
     assert_eq!(fabric.arena_live(), 0, "no arena leaks across the repair");
+}
+
+/// Offsets of every `Vec<RoundRobin>` of `count` arbiters over `n`
+/// requesters each in `bytes`: a `u64` count, then per arbiter a `u64`
+/// requester count and a `u64` pointer below it.
+fn arbiter_vecs(bytes: &[u8], count: u64, n: u64) -> Vec<usize> {
+    let word = |at: usize| {
+        bytes
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    };
+    (0..bytes.len())
+        .filter(|&at| {
+            word(at) == Some(count)
+                && (0..count as usize).all(|i| {
+                    let arb = at + 8 + 16 * i;
+                    word(arb) == Some(n) && word(arb + 8).is_some_and(|last| last < n)
+                })
+        })
+        .collect()
+}
+
+/// A restored allocator must fit the fabric it is restored into: in a
+/// 4×4 packet snapshot, an arbiter with the wrong requester count, a
+/// pointer past its requesters, a missing arbiter, a NIC with a VC credit
+/// missing, or a NIC arbiter out of shape is an `Err` from `restore`,
+/// never a fabric that restores and panics once it steps.
+#[test]
+fn mutated_allocator_state_is_rejected_not_restored() {
+    let spec = ScenarioSpec::synthetic(
+        BackendKind::PacketVc4,
+        4,
+        TrafficPattern::UniformRandom,
+        0.20,
+        PhaseConfig::quick(),
+        5,
+    );
+    let mut fabric = spec.build_fabric().expect("builds");
+    let mut source = spec.build_source().expect("synthetic source");
+    run_warmup(fabric.as_mut(), &mut source, spec.phases);
+    let good = fabric.checkpoint().expect("checkpoints");
+    let bytes = good.as_bytes();
+    let restores = |mutated: Vec<u8>| {
+        let snap = FabricSnapshot::from_bytes(mutated).expect("header intact");
+        spec.build_fabric().expect("builds").restore(&snap)
+    };
+    assert!(
+        restores(bytes.to_vec()).is_ok(),
+        "the unmutated snapshot restores"
+    );
+
+    let put = |b: &mut Vec<u8>, at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    // Each router's allocators, in save order: VA (5 arbiters over
+    // 5 ports × 4 VCs), SA input (5 over 4 VCs), SA output (5 over 5 ports).
+    let va: Vec<usize> = arbiter_vecs(bytes, 5, 20)
+        .into_iter()
+        .filter(|&at| {
+            let sa_in = at + 8 + 5 * 16;
+            arbiter_vecs(&bytes[sa_in..sa_in + 8 + 5 * 16], 5, 4) == [0]
+        })
+        .collect();
+    // Each NIC: a `u64` VC count of 4 and the 4 credits, the two VC limit
+    // bytes, then the VC arbiter over 4 requesters.
+    let nic: Vec<usize> = (0..bytes.len() - 34)
+        .filter(|&at| {
+            let w = |o: usize| u64::from_le_bytes(bytes[at + o..at + o + 8].try_into().unwrap());
+            w(0) == 4 && bytes[at + 8..at + 14].iter().all(|&b| b <= 32) && w(14) == 4 && w(22) < 4
+        })
+        .collect();
+    assert_eq!((va.len(), nic.len()), (16, 16), "one match per router");
+
+    let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = bytes.to_vec();
+        edit(&mut b);
+        b
+    };
+    for (router, (&va, &nic)) in va.iter().zip(&nic).enumerate() {
+        let sa_out = va + 2 * (8 + 5 * 16);
+        let mutations = [
+            (
+                "VA arbiter over 3 requesters",
+                mutated(&|b| put(b, va + 8, 3)),
+            ),
+            (
+                "VA pointer past its requesters",
+                mutated(&|b| put(b, va + 16, 20)),
+            ),
+            (
+                "SA output pointer past its requesters",
+                mutated(&|b| put(b, sa_out + 8 + 4 * 16 + 8, 5)),
+            ),
+            (
+                "one VA arbiter missing",
+                mutated(&|b| {
+                    put(b, va, 4);
+                    b.drain(va + 8..va + 24);
+                }),
+            ),
+            (
+                "NIC with 3 VC credits",
+                mutated(&|b| {
+                    put(b, nic, 3);
+                    b.remove(nic + 8);
+                }),
+            ),
+            ("NIC arbiter over 2 VCs", mutated(&|b| put(b, nic + 14, 2))),
+            (
+                "NIC pointer past its VCs",
+                mutated(&|b| put(b, nic + 22, 4)),
+            ),
+        ];
+        for (what, b) in mutations {
+            assert!(restores(b).is_err(), "{what} at router {router} restored");
+        }
+    }
 }

@@ -6,10 +6,13 @@
 //! 1. the **spec** whose warm-up produced the snapshot (embedded as the
 //!    normal envelope-echo JSON), so restores can verify fabric
 //!    compatibility and reproduce the warm-up traffic;
-//! 2. the **warm-up tick count** and the **packet-id watermark**, so the
-//!    restoring run can fast-forward its own `SyntheticSource` to the
-//!    same RNG position (`skip_ticks`) without ever reusing an id that is
-//!    still in flight inside the snapshot (`PacketFactory::skip_to`);
+//! 2. the **warm-up tick count** and the **packet-id watermark**: the
+//!    restoring run fast-forwards its own source's RNG streams by the
+//!    tick count (`SpecSource::skip_ticks`, an O(log n) generator jump
+//!    for synthetic patterns other than UR without a policy table, a
+//!    replay otherwise), then raises its id allocator to the watermark
+//!    (`skip_to`), so it never reuses an id still in flight inside the
+//!    snapshot;
 //! 3. the framed [`FabricSnapshot`] itself (which carries its own magic
 //!    and snapshot version — see DESIGN.md §14).
 //!
@@ -40,8 +43,8 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 pub struct Checkpoint {
     /// The spec whose warm-up produced [`Checkpoint::snapshot`].
     pub spec: ScenarioSpec,
-    /// Workload ticks performed during warm-up (the `skip_ticks` replay
-    /// count for the restoring source).
+    /// Workload ticks performed during warm-up (the `skip_ticks` count
+    /// for the restoring source).
     pub warmup_ticks: u64,
     /// `PacketFactory` watermark at checkpoint time: the restoring
     /// source's allocator is raised to at least this id.

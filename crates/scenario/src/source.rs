@@ -102,19 +102,33 @@ impl SpecSource {
         }
     }
 
-    /// Replay `ticks` workload ticks into a discarding sink, advancing
-    /// every RNG (traffic *and* policy) exactly as a live run would —
-    /// the checkpoint-restore fast-forward. Callers must not combine
-    /// this with trace recording (`trace_export` ⊥ `checkpoint_from`,
-    /// enforced at parse time): the recorder would miss the skipped
-    /// injections.
+    /// Fast-forward every RNG (traffic *and* policy) past `ticks`
+    /// workload ticks, to where a live run would have left it — the
+    /// checkpoint-restore fast-forward.
+    ///
+    /// Only the streams are positioned: the packet-id allocator is left at
+    /// or below a live run's, so follow this with [`SpecSource::skip_to`]
+    /// and the checkpoint's watermark. Without a policy table the inner
+    /// source fast-forwards itself (O(log ticks) for every synthetic
+    /// pattern but UR). A policy table draws per packet, so then the
+    /// ticks replay through the wrapper into a discarding sink.
+    ///
+    /// Callers must not combine this with trace recording (`trace_export`
+    /// ⊥ `checkpoint_from`, enforced at parse time): the recorder would
+    /// miss the skipped injections.
     pub fn skip_ticks(&mut self, ticks: u64) {
         debug_assert!(
             self.recorder.is_none(),
             "cannot skip ticks while recording a trace export"
         );
-        for t in 0..ticks {
-            Workload::tick(self, t, false, &mut |_, _| {});
+        match (&self.policy, &mut self.inner) {
+            (Some(_), _) => {
+                for t in 0..ticks {
+                    Workload::tick(self, t, false, &mut |_, _| {});
+                }
+            }
+            (None, InnerSource::Synthetic(s)) => s.skip_ticks(ticks),
+            (None, InnerSource::Trace(t)) => t.skip_ticks(ticks),
         }
     }
 
@@ -184,6 +198,7 @@ impl Workload for SpecSource {
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use noc_sim::TopologyKind;
     use noc_traffic::{PhaseConfig, TrafficPattern};
     use noc_workload::{ActionSpec, RuleSpec, TraceRecorder};
 
@@ -244,22 +259,58 @@ mod tests {
     }
 
     #[test]
-    fn skip_ticks_matches_a_live_run_with_policy() {
-        let mut spec = spec();
-        spec.policy = vec![RuleSpec {
+    fn skip_then_watermark_matches_the_live_source() {
+        // skip_ticks(n) + skip_to(watermark) must continue exactly like a
+        // source that ticked n times live, on every pattern, at rates
+        // that draw nothing (0, and p = 1 at rate ≥ packet length) and
+        // some that draw, on a plain and a concentrated mesh, with and
+        // without a (per-packet drawing) policy table.
+        let patterns = [
+            TrafficPattern::UniformRandom,
+            TrafficPattern::Tornado,
+            TrafficPattern::Transpose,
+            TrafficPattern::BitComplement,
+            TrafficPattern::Hotspot(vec![NodeId(0), NodeId(6)]),
+            TrafficPattern::BitReverse,
+            TrafficPattern::Shuffle,
+            TrafficPattern::Neighbor,
+        ];
+        let scale = vec![RuleSpec {
             action: ActionSpec {
                 scale: Some(0.5),
                 ..ActionSpec::default()
             },
             ..RuleSpec::default()
         }];
-        let mut live = build_workload(&spec).unwrap().unwrap();
-        let _ = drain(&mut live, 100);
-        let tail_live = drain(&mut live, 100);
-        let mut skipped = build_workload(&spec).unwrap().unwrap();
-        skipped.skip_ticks(100);
-        let tail_skipped = drain(&mut skipped, 100);
-        assert_eq!(tail_live, tail_skipped, "policy RNG advanced in lockstep");
+        for pattern in patterns {
+            for rate in [0.0, 0.01, 0.3, 8.0] {
+                for (topology, conc) in [(TopologyKind::Mesh2D, 1), (TopologyKind::CMesh, 4)] {
+                    for policy in [Vec::new(), scale.clone()] {
+                        let mut spec = ScenarioSpec::synthetic(
+                            BackendKind::HybridTdmVc4,
+                            4,
+                            pattern.clone(),
+                            rate,
+                            PhaseConfig::quick(),
+                            19,
+                        )
+                        .with_topology(topology, conc);
+                        spec.policy = policy;
+                        let what = format!(
+                            "{} @ {rate}, c = {conc}, policy = {}",
+                            pattern.name(),
+                            !spec.policy.is_empty()
+                        );
+                        let mut live = build_workload(&spec).unwrap().unwrap();
+                        let _ = drain(&mut live, 150);
+                        let mut skipped = build_workload(&spec).unwrap().unwrap();
+                        skipped.skip_ticks(150);
+                        skipped.skip_to(live.next_id_preview());
+                        assert_eq!(drain(&mut skipped, 200), drain(&mut live, 200), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

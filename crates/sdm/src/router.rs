@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use noc_sim::arbiter::RoundRobin;
+use noc_sim::arbiter::{load_arbiters, RoundRobin};
 use noc_sim::routing::xy_route;
 use noc_sim::stats::EnergyEvents;
 use noc_sim::{
@@ -866,13 +866,8 @@ impl SdmRouter {
             return Err(SnapshotError::Corrupt("SDM circuit-table geometry"));
         }
         self.circuits = circuits;
-        let va_arb: Vec<RoundRobin> = Snap::load(r)?;
-        let sa_arb_out: Vec<RoundRobin> = Snap::load(r)?;
-        if va_arb.len() != self.va_arb.len() || sa_arb_out.len() != self.sa_arb_out.len() {
-            return Err(SnapshotError::Corrupt("SDM arbiter count"));
-        }
-        self.va_arb = va_arb;
-        self.sa_arb_out = sa_arb_out;
+        self.va_arb = load_arbiters(r, &self.va_arb)?;
+        self.sa_arb_out = load_arbiters(r, &self.sa_arb_out)?;
         self.cs_incoming = Snap::load(r)?;
         self.events = Snap::load(r)?;
         self.ejected = Snap::load(r)?;

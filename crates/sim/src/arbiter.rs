@@ -1,5 +1,7 @@
 //! Round-robin arbiters used by the separable VC and switch allocators.
 
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader};
+
 /// A round-robin arbiter over `n` requesters with a rotating priority
 /// pointer, as in canonical VC router allocators.
 ///
@@ -108,9 +110,46 @@ impl RoundRobin {
 // in exactly the order the continuous run would have.
 crate::impl_snap!(RoundRobin { n, last });
 
+impl RoundRobin {
+    /// Accept a decoded arbiter in place of `built`, the one the fabric
+    /// constructed: the requester count must be the built one and the
+    /// pointer must name a requester (a zero-requester arbiter's is 0).
+    /// The grants trust both, so a wrong one would trip
+    /// [`RoundRobin::grant_mask`]'s assertions or grant a requester that
+    /// does not exist once stepping resumes.
+    pub fn check_restored(&self, built: &RoundRobin) -> Result<(), SnapshotError> {
+        if self.n != built.n {
+            return Err(SnapshotError::Mismatch("arbiter requester count"));
+        }
+        if self.last >= self.n.max(1) {
+            return Err(SnapshotError::Corrupt(
+                "arbiter pointer past its requesters",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Decode a vector of arbiters saved in place of `built`, checking the
+/// count and each arbiter with [`RoundRobin::check_restored`].
+pub fn load_arbiters(
+    r: &mut SnapshotReader,
+    built: &[RoundRobin],
+) -> Result<Vec<RoundRobin>, SnapshotError> {
+    let arbs: Vec<RoundRobin> = Snap::load(r)?;
+    if arbs.len() != built.len() {
+        return Err(SnapshotError::Mismatch("arbiter count"));
+    }
+    for (a, b) in arbs.iter().zip(built) {
+        a.check_restored(b)?;
+    }
+    Ok(arbs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotWriter;
 
     #[test]
     fn fairness_under_full_load() {
@@ -190,6 +229,34 @@ mod tests {
         assert!(a.grant(&[true, true]).is_some());
         a.resize(1);
         assert_eq!(a.grant(&[true]), Some(0));
+    }
+
+    #[test]
+    fn restored_arbiters_must_match_the_built_geometry() {
+        let built = vec![RoundRobin::new(4), RoundRobin::new(4)];
+        let decode = |arbs: &[RoundRobin]| {
+            let mut w = SnapshotWriter::new();
+            arbs.to_vec().save(&mut w);
+            let bytes = w.into_bytes();
+            load_arbiters(&mut SnapshotReader::new(&bytes), &built).map(|_| ())
+        };
+        let mut granted = RoundRobin::new(4);
+        granted.grant_mask(0b1000);
+        assert_eq!(decode(&[RoundRobin::new(4), granted]), Ok(()));
+        let short = RoundRobin::new(3);
+        assert!(matches!(
+            decode(&[RoundRobin::new(4), short]),
+            Err(SnapshotError::Mismatch(_))
+        ));
+        assert!(matches!(
+            decode(&[RoundRobin::new(4)]),
+            Err(SnapshotError::Mismatch(_))
+        ));
+        let past = RoundRobin { n: 4, last: 4 };
+        assert!(matches!(
+            decode(&[past, RoundRobin::new(4)]),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 }
 

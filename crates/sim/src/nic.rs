@@ -244,10 +244,16 @@ impl Nic {
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         self.inject_queue = Snap::load(r)?;
         self.current = Snap::load(r)?;
-        self.credits = Snap::load(r)?;
+        let credits: Vec<u8> = Snap::load(r)?;
+        if credits.len() != self.credits.len() {
+            return Err(SnapshotError::Mismatch("NIC VC count"));
+        }
+        self.credits = credits;
         self.router_active_vcs = r.u8()?;
         self.inject_vc_limit = r.u8()?;
-        self.vc_rr = Snap::load(r)?;
+        let vc_rr: RoundRobin = Snap::load(r)?;
+        vc_rr.check_restored(&self.vc_rr)?;
+        self.vc_rr = vc_rr;
         self.rx = Snap::load(r)?;
         self.delivered = Snap::load(r)?;
         self.flits_injected = r.u64()?;

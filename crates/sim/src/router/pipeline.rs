@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use noc_telemetry::{EventKind, TraceSink};
 
-use crate::arbiter::RoundRobin;
+use crate::arbiter::{load_arbiters, RoundRobin};
 use crate::arena::ConfigArena;
 use crate::config::RouterConfig;
 use crate::flit::{Credit, Flit, MsgClass, PacketId};
@@ -1019,9 +1019,9 @@ impl PsPipeline {
         self.local_credits = Snap::load(r)?;
         self.events = Snap::load(r)?;
         self.active_vcs = r.u8()?;
-        self.va_arb = Snap::load(r)?;
-        self.sa_arb_in = Snap::load(r)?;
-        self.sa_arb_out = Snap::load(r)?;
+        self.va_arb = load_arbiters(r, &self.va_arb)?;
+        self.sa_arb_in = load_arbiters(r, &self.sa_arb_in)?;
+        self.sa_arb_out = load_arbiters(r, &self.sa_arb_out)?;
         self.busy_vc_samples = r.u64()?;
         self.active_vc_samples = r.u64()?;
         self.last_sample = r.u64()?;

@@ -224,7 +224,8 @@ fn head_of_line_packet_does_not_block_other_vcs() {
 #[test]
 fn config_packets_route_adaptively_around_congestion() {
     // With East congested, a config packet with both E and S productive
-    // must pick South (odd-even allows it at the source column when legal).
+    // must pick South (west-first allows any minimal direction once no
+    // West hop remains).
     let m = Mesh::square(4);
     let src = m.id(Coord::new(1, 0));
     let mut r = PsPipeline::new(src, m, RouterConfig::default());
@@ -248,8 +249,8 @@ fn config_packets_route_adaptively_around_congestion() {
     // At least one East VC is drained and parked with zero credits, so
     // East's congestion score is strictly below South's.
     assert!(r.port_score(Port::East) < r.port_score(Port::South));
-    // A config packet from here to (3,2): E and S both minimal; col 1 is
-    // odd so both are odd-even-legal; S has far more credit.
+    // A config packet from here to (3,2): E and S both minimal; neither
+    // is a West hop, so both are west-first-legal; S has far more credit.
     let dst = m.id(Coord::new(3, 2));
     let info = noc_sim::SetupInfo {
         src,

@@ -69,9 +69,11 @@ pub fn run_phases(
 /// Phase 1, **warm-up**: unmeasured traffic for at least `warmup_cycles`
 /// cycles *and* `warmup_packets` packets (with a zero-rate guard).
 ///
-/// Returns the number of workload ticks performed — the replay count a
+/// Returns the number of workload ticks performed — the count a
 /// checkpoint must record so a restored run can fast-forward its own
-/// source with `SyntheticSource::skip_ticks` to the same RNG position.
+/// source's RNG to the same position with `SyntheticSource::skip_ticks`
+/// (the id allocator follows from the checkpoint's watermark via
+/// `PacketFactory::skip_to`).
 pub fn run_warmup(
     fabric: &mut dyn Fabric,
     workload: &mut dyn Workload,

@@ -44,6 +44,12 @@ impl TrafficPattern {
         }
     }
 
+    /// Does [`TrafficPattern::dest`] draw from its RNG? Only UR does;
+    /// every other pattern is a fixed map that leaves the RNG untouched.
+    pub fn dest_draws(&self) -> bool {
+        matches!(self, TrafficPattern::UniformRandom)
+    }
+
     /// Destination for a packet from `src`. Returns `None` when the pattern
     /// maps the source onto itself (such sources inject no traffic, as in
     /// standard synthetic methodology).
@@ -204,6 +210,29 @@ mod tests {
             let (cs, cd) = (m.coord(src), m.coord(d));
             assert_eq!(cs.y, cd.y);
             assert_eq!(cd.x, (cs.x + 1) % 6);
+        }
+    }
+
+    #[test]
+    fn dest_leaves_the_rng_untouched_unless_it_draws() {
+        let m = Mesh::square(4); // power of two, for BR and SH
+        let patterns = [
+            TrafficPattern::UniformRandom,
+            TrafficPattern::Tornado,
+            TrafficPattern::Transpose,
+            TrafficPattern::BitComplement,
+            TrafficPattern::Hotspot(vec![NodeId(0), NodeId(5)]),
+            TrafficPattern::BitReverse,
+            TrafficPattern::Shuffle,
+            TrafficPattern::Neighbor,
+        ];
+        for p in patterns {
+            let mut rng = StdRng::seed_from_u64(10);
+            for src in m.nodes() {
+                let before = rng.clone();
+                p.dest(&m, src, &mut rng);
+                assert_eq!(rng != before, p.dest_draws(), "{} from {src:?}", p.name());
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use noc_sim::{Cycle, Mesh, NodeId, Packet, PacketId};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::pattern::TrafficPattern;
 
@@ -86,16 +86,29 @@ impl SyntheticSource {
         self.rate
     }
 
-    /// Fast-forward the source past `ticks` injection cycles by replaying
-    /// them into a discarding sink. The RNG draws and packet-id
-    /// allocations are exactly those of a live run (`tick` only uses the
-    /// cycle number to stamp metadata on the packets it emits, which are
-    /// discarded here), so a source skipped by a checkpoint's recorded
-    /// warm-up tick count continues bit-identically to the source that
-    /// produced the checkpoint.
+    /// Fast-forward the source's RNG past `ticks` injection cycles, to
+    /// where a live run that ticked them would have left it.
+    ///
+    /// Only the RNG stream is positioned: the packet-id allocator is left
+    /// at or below a live run's, and the caller restores it with
+    /// [`PacketFactory::skip_to`] and the checkpoint's watermark. When the
+    /// pattern's destinations draw nothing (every pattern but UR), a tick
+    /// makes the same number of draws whatever they return, so the
+    /// generator jumps ahead in O(log ticks). UR replays the trials and
+    /// destination draws, building no packets.
     pub fn skip_ticks(&mut self, ticks: u64) {
-        for now in 0..ticks {
-            self.tick(now, false, |_, _| {});
+        let trial = self.trial();
+        let SyntheticSource {
+            mesh, pattern, rng, ..
+        } = self;
+        if pattern.dest_draws() {
+            for _ in 0..ticks {
+                run_trials(trial, mesh, rng, |src, rng| {
+                    pattern.dest(mesh, src, rng);
+                });
+            }
+        } else if trial.draws() {
+            rng.advance(u128::from(ticks) * mesh.clients() as u128);
         }
     }
 
@@ -108,20 +121,91 @@ impl SyntheticSource {
     /// the RNG call sequence is identical to the historical single-trial
     /// loop, so plain-mesh runs stay bit-identical.
     pub fn tick(&mut self, now: Cycle, measured: bool, mut sink: impl FnMut(NodeId, Packet)) {
-        let p_packet = (self.rate / self.packet_len as f64).min(1.0);
-        let c = self.mesh.concentration();
-        for src in self.mesh.nodes() {
-            for _ in 0..c {
-                if !self.rng.random_bool(p_packet) {
-                    continue;
-                }
-                if let Some(dst) = self.pattern.dest(&self.mesh, src, &mut self.rng) {
-                    let pkt = self.factory.data(src, dst, self.packet_len, now, measured);
-                    sink(src, pkt);
+        let trial = self.trial();
+        let SyntheticSource {
+            mesh,
+            pattern,
+            packet_len,
+            rng,
+            factory,
+            ..
+        } = self;
+        run_trials(trial, mesh, rng, |src, rng| {
+            if let Some(dst) = pattern.dest(mesh, src, rng) {
+                sink(src, factory.data(src, dst, *packet_len, now, measured));
+            }
+        });
+    }
+
+    /// The per-trial decision at this source's packet probability.
+    fn trial(&self) -> Trial {
+        Trial::new((self.rate / self.packet_len as f64).min(1.0))
+    }
+}
+
+/// One Bernoulli trial at probability `p`, decided exactly as
+/// `RngExt::random_bool(p)` decides it, draw for draw.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Trial {
+    /// `p ≤ 0`: never succeeds and draws nothing.
+    Never,
+    /// `p ≥ 1`: always succeeds and draws nothing.
+    Always,
+    /// Succeeds when a draw's 53 high bits are below the threshold.
+    Below(u64),
+}
+
+impl Trial {
+    /// `random_bool(p)` succeeds when `(x >> 11) · 2^-53 < p`. Both sides
+    /// are exact in f64 and `x >> 11` is an integer, so the test is
+    /// `x >> 11 < ceil(p · 2^53)`.
+    fn new(p: f64) -> Trial {
+        if p >= 1.0 {
+            Trial::Always
+        } else if p <= 0.0 {
+            Trial::Never
+        } else {
+            Trial::Below((p * (1u64 << 53) as f64).ceil() as u64)
+        }
+    }
+
+    /// Does a trial consume a draw?
+    fn draws(self) -> bool {
+        matches!(self, Trial::Below(_))
+    }
+}
+
+/// Run one tick's `mesh.clients()` trials (`c` per router). Trial `k`
+/// belongs to router `k / c`; `hit` gets each successful trial's router
+/// and the generator, just past that trial's draw (if it made one). The
+/// generator is
+/// worked on in a local and written back once, and only hits leave the
+/// loop.
+fn run_trials(
+    trial: Trial,
+    mesh: &Mesh,
+    rng: &mut StdRng,
+    mut hit: impl FnMut(NodeId, &mut StdRng),
+) {
+    let c = usize::from(mesh.concentration());
+    let node = |k: usize| NodeId((k / c) as u32);
+    let mut local = rng.clone();
+    match trial {
+        Trial::Never => {}
+        Trial::Always => {
+            for k in 0..mesh.clients() {
+                hit(node(k), &mut local);
+            }
+        }
+        Trial::Below(threshold) => {
+            for k in 0..mesh.clients() {
+                if local.next_u64() >> 11 < threshold {
+                    hit(node(k), &mut local);
                 }
             }
         }
     }
+    *rng = local;
 }
 
 impl crate::engine::Workload for SyntheticSource {
@@ -137,6 +221,7 @@ impl crate::engine::Workload for SyntheticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt;
 
     #[test]
     fn injection_rate_matches_offered_load() {
@@ -185,28 +270,77 @@ mod tests {
 
     #[test]
     fn skip_ticks_matches_a_live_replay() {
-        // A skipped source must continue exactly where a live one that
-        // ticked the same number of cycles does: same RNG position, same
-        // next packet id.
-        let mesh = Mesh::square(5);
-        let mut live = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.25, 5, 77);
-        for now in 0..300 {
-            live.tick(now, false, |_, _| {});
-        }
-        let mut skipped = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.25, 5, 77);
-        skipped.skip_ticks(300);
-        assert_eq!(
-            live.factory.next_id_preview(),
-            skipped.factory.next_id_preview()
-        );
-        let drain = |s: &mut SyntheticSource| {
-            let mut v = Vec::new();
-            for now in 300..400 {
-                s.tick(now, true, |n, p| v.push((now, n, p.id, p.dst)));
+        // A skipped source whose allocator is raised to the live one's
+        // watermark continues exactly where the live source does: same
+        // RNG position, same packets, same ids. UR replays its trials;
+        // TR jumps the generator.
+        for pattern in [TrafficPattern::UniformRandom, TrafficPattern::Transpose] {
+            for mesh in [Mesh::square(4), Mesh::cmesh(4, 4, 4)] {
+                let new = || SyntheticSource::new(mesh, pattern.clone(), 0.25, 5, 77);
+                let mut live = new();
+                for now in 0..300 {
+                    live.tick(now, false, |_, _| {});
+                }
+                let mut skipped = new();
+                skipped.skip_ticks(300);
+                assert_eq!(skipped.rng, live.rng, "{}", pattern.name());
+                skipped.factory.skip_to(live.factory.next_id_preview());
+                let drain = |s: &mut SyntheticSource| {
+                    let mut v = Vec::new();
+                    for now in 300..400 {
+                        s.tick(now, true, |n, p| v.push((now, n, p.id, p.dst)));
+                    }
+                    v
+                };
+                assert_eq!(drain(&mut live), drain(&mut skipped));
             }
-            v
+        }
+    }
+
+    #[test]
+    fn threshold_trial_matches_random_bool() {
+        // Two generators in lockstep: the threshold test must take the
+        // same decision as `random_bool` on every draw, and draw exactly
+        // when it does.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let agree = |p: f64, draws: usize, seed: u64| {
+            let trial = Trial::new(p);
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..draws {
+                let want = a.random_bool(p);
+                let got = match trial {
+                    Trial::Never => false,
+                    Trial::Always => true,
+                    Trial::Below(t) => b.next_u64() >> 11 < t,
+                };
+                assert_eq!(got, want, "p = {p:e}");
+            }
+            assert_eq!(a, b, "p = {p:e}: draw counts differ");
+            // Random draws almost never land on the boundary, so pin it
+            // directly: the 53-bit value just below the threshold passes
+            // `random_bool`'s comparison and the threshold fails it.
+            if let Trial::Below(t) = trial {
+                let unit = |m: u64| m as f64 * ulp;
+                assert!(unit(t - 1) < p && unit(t) >= p, "p = {p:e}: threshold {t}");
+            }
         };
-        assert_eq!(drain(&mut live), drain(&mut skipped));
+        for p in [ulp, 0.002, 0.25, 0.5, 1.0 - ulp] {
+            agree(p, 1_000_000, 1);
+        }
+        for p in [0.0, -1.0, 1.0, 3.0] {
+            agree(p, 1_000, 2);
+        }
+        // Random p: uniform in (0, 1), and on the 2^-53 grid, where the
+        // strict comparison decides ties.
+        let mut r = StdRng::seed_from_u64(3);
+        for i in 0..1_000u64 {
+            let p = if i % 2 == 0 {
+                r.random_range(0.0..1.0)
+            } else {
+                (r.next_u64() >> 11) as f64 * ulp
+            };
+            agree(p, 1_000, i);
+        }
     }
 
     #[test]

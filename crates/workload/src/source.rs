@@ -14,9 +14,9 @@ use crate::trace::{PacketTrace, CLASS_CS};
 /// fabric clock: the engine's warm-up/measurement loops tick the workload
 /// once per fabric step from cycle 0, but a checkpoint-restored fabric
 /// resumes mid-stream — [`TraceSource::skip_ticks`] advances the cursor
-/// (and the packet-id allocator, via the same code path as a live replay)
-/// so forked runs continue bit-identically, mirroring
-/// `SyntheticSource::skip_ticks`.
+/// and the restore then raises the packet-id allocator to the
+/// checkpoint's watermark, so forked runs continue bit-identically (the
+/// `SyntheticSource::skip_ticks` contract).
 pub struct TraceSource {
     trace: Arc<PacketTrace>,
     /// Index of the first unreplayed record.
@@ -55,8 +55,10 @@ impl TraceSource {
     }
 
     /// Fast-forward past `ticks` injection cycles by replaying them into
-    /// a discarding sink, so cursor and packet-id state land exactly
-    /// where a live run's would.
+    /// a discarding sink, so the cursor lands exactly where a live run's
+    /// would. (The replay allocates the same ids a live run does; a
+    /// restore still raises the allocator to its watermark with
+    /// `factory.skip_to`.)
     pub fn skip_ticks(&mut self, ticks: u64) {
         for now in 0..ticks {
             Workload::tick(self, now, false, &mut |_, _| {});

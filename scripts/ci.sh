@@ -230,15 +230,17 @@ PY
 echo "== checkpoint/restore determinism (continuous vs --checkpoint-out vs --checkpoint-from) =="
 # 4x4 on every backend, and the hybrid backends at 32x32, where the slot
 # tables hold 256 entries per port and the per-node tables index a
-# 1024-node universe. Each point: backend, mesh, rate, warm-up, measure.
-for POINT in "PacketVc4 4 0.10 300 1500" "HybridTdmVc4 4 0.10 300 1500" \
-    "HybridSdmVc4 4 0.10 300 1500" "HybridTdmVc4 32 0.04 200 600" \
-    "HybridSdmVc4 32 0.02 200 600"; do
-    read -r BACKEND MESH RATE WARMUP MEASURE <<< "$POINT"
+# 1024-node universe. UR restores replay the source's trials; the TR point
+# restores by jumping the source's generator. Each point: backend, mesh,
+# pattern, rate, warm-up, measure.
+for POINT in "PacketVc4 4 UR 0.10 300 1500" "HybridTdmVc4 4 UR 0.10 300 1500" \
+    "HybridSdmVc4 4 UR 0.10 300 1500" "HybridTdmVc4 32 UR 0.04 200 600" \
+    "HybridSdmVc4 32 UR 0.02 200 600" "HybridTdmVc4 32 TR 0.01 2000 600"; do
+    read -r BACKEND MESH PATTERN RATE WARMUP MEASURE <<< "$POINT"
     cat > "$SWEEP_TMP/ckpt_spec.json" <<JSON
 [
   { "backend": "$BACKEND", "mesh": $MESH,
-    "traffic": { "pattern": "UR", "rate": $RATE },
+    "traffic": { "pattern": "$PATTERN", "rate": $RATE },
     "phases": { "warmup_cycles": $WARMUP, "warmup_packets": 50,
                 "measure_cycles": $MEASURE, "measure_packets": 2000,
                 "drain_cycles": 3000 },
@@ -256,7 +258,7 @@ JSON
     cmp "$SWEEP_TMP/ckpt_cont.json" "$SWEEP_TMP/ckpt_out.json"
     cmp "$SWEEP_TMP/ckpt_cont.json" "$SWEEP_TMP/ckpt_from.json"
     rm -f "$SWEEP_TMP/warm.ckpt"
-    echo "$BACKEND ${MESH}x${MESH}: restore byte-identical to continuous run"
+    echo "$BACKEND ${MESH}x${MESH} $PATTERN: restore byte-identical to continuous run"
 done
 
 echo "== transient-fault TDM scenario (kill + revive, repair FSM, drain) =="
