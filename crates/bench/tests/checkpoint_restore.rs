@@ -12,7 +12,9 @@
 //! * checkpoints written by an earlier build (`tests/fixtures/`) restore,
 //!   re-encode to their own bytes and continue like the continuous run;
 //! * a snapshot whose allocator state does not fit the built fabric
-//!   (arbiter shape, NIC credit count) is an `Err` from `restore`;
+//!   (arbiter shape, NIC credit count) is an `Err` from `restore`, and
+//!   so is a pipeline whose stored counters, VC counts or VC allocations
+//!   disagree with its VC state;
 //! * fault drops never leak — after a faulted run fully drains, the
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
@@ -23,7 +25,10 @@ use noc_bench::{
     result_envelope, run_sweep, run_synthetic_spec_ctl, BackendKind, Checkpoint, FreeRun,
     ScenarioSpec, ServeRun, SpecOutcome, SynthPoint, WarmStart,
 };
-use noc_sim::{Direction, FabricSnapshot, FaultEvent, NodeId, TopologyKind};
+use noc_sim::{
+    Direction, EnergyEvents, FabricSnapshot, FaultEvent, Flit, NodeId, PacketId, Snap,
+    SnapshotReader, TopologyKind, VcState,
+};
 use noc_traffic::{run_phases, run_warmup, PhaseConfig, TrafficPattern};
 use proptest::prelude::*;
 
@@ -452,5 +457,166 @@ fn mutated_allocator_state_is_rejected_not_restored() {
         for (what, b) in mutations {
             assert!(restores(b).is_err(), "{what} at router {router} restored");
         }
+    }
+}
+
+/// Where one router pipeline's restore-checked fields sit in a snapshot.
+struct PipelineBytes {
+    /// Each input VC's state: offset of its `VcState` tag, and the state.
+    states: Vec<(usize, VcState)>,
+    /// Each `out_alloc` entry: offset of its presence byte, and the entry.
+    out_alloc: Vec<(usize, Option<(u8, u8)>)>,
+    /// The five downstream VC count bytes.
+    downstream: usize,
+    /// The five stored `u32` counters (`buffered` … `gated_busy`).
+    counters: usize,
+}
+
+/// Decode a 4×4-VC `PsPipeline` record starting at `at` with the
+/// library's own decoders. `None` unless it parses and is followed by its
+/// three allocator vectors, so a stray `20` elsewhere cannot pass.
+fn pipeline_at(bytes: &[u8], at: usize) -> Option<PipelineBytes> {
+    let mut r = SnapshotReader::new(&bytes[at..]);
+    let pos = |r: &SnapshotReader| bytes.len() - r.remaining();
+    if r.seq_len().ok()? != 20 {
+        return None;
+    }
+    let mut states = Vec::new();
+    for _ in 0..20 {
+        for _ in 0..r.seq_len().ok().filter(|&n| n <= 5)? {
+            Flit::load(&mut r).ok()?;
+        }
+        states.push((pos(&r), VcState::load(&mut r).ok()?));
+        r.u64().ok()?;
+    }
+    if Vec::<PacketId>::load(&mut r).ok()?.len() != 20 || r.seq_len().ok()? != 20 {
+        return None;
+    }
+    let mut out_alloc = Vec::new();
+    for _ in 0..20 {
+        out_alloc.push((pos(&r), Option::<(u8, u8)>::load(&mut r).ok()?));
+    }
+    if Vec::<u8>::load(&mut r).ok()?.len() != 20 {
+        return None;
+    }
+    let downstream = pos(&r);
+    for _ in 0..5 {
+        r.u8().ok()?;
+    }
+    Vec::<Flit>::load(&mut r).ok()?;
+    Vec::<u8>::load(&mut r).ok()?;
+    EnergyEvents::load(&mut r).ok()?;
+    r.u8().ok()?;
+    // VA (5 arbiters over 20 VCs), SA input (5 over 4), SA output (5
+    // over 5), each a `u64` count and 16 bytes per arbiter.
+    let va = pos(&r);
+    let arbiters = [(20, va), (4, va + 88), (5, va + 176)];
+    if !arbiters.iter().all(|&(n, at)| {
+        bytes
+            .get(at..at + 88)
+            .is_some_and(|b| arbiter_vecs(b, 5, n) == [0])
+    }) {
+        return None;
+    }
+    // Three `u64` utilisation samples and the `u32` `prev_busy`.
+    let counters = va + 3 * 88 + 3 * 8 + 4;
+    Some(PipelineBytes {
+        states,
+        out_alloc,
+        downstream,
+        counters,
+    })
+}
+
+/// A restored pipeline must agree with itself: in 4×4 packet, TDM and
+/// SDM snapshots, a stored occupancy counter off by one, a downstream VC
+/// count past the port's VCs, an `Active` VC naming a downstream VC past
+/// the range, or an `out_alloc` entry naming an idle VC is an `Err` from
+/// `restore` — never a fabric that restores and then indexes past a
+/// port's slice when it steps.
+#[test]
+fn mutated_pipeline_state_is_rejected_not_restored() {
+    for backend in [
+        BackendKind::PacketVc4,
+        BackendKind::HybridTdmVc4,
+        BackendKind::HybridSdmVc4,
+    ] {
+        let spec = ScenarioSpec::synthetic(
+            backend,
+            4,
+            TrafficPattern::UniformRandom,
+            0.20,
+            PhaseConfig::quick(),
+            5,
+        );
+        let mut fabric = spec.build_fabric().expect("builds");
+        let mut source = spec.build_source().expect("synthetic source");
+        run_warmup(fabric.as_mut(), &mut source, spec.phases);
+        let good = fabric.checkpoint().expect("checkpoints");
+        let bytes = good.as_bytes();
+        let restores = |mutated: Vec<u8>| {
+            let snap = FabricSnapshot::from_bytes(mutated).expect("header intact");
+            spec.build_fabric().expect("builds").restore(&snap)
+        };
+        assert!(
+            restores(bytes.to_vec()).is_ok(),
+            "{backend:?}: the unmutated snapshot restores"
+        );
+        let pipelines: Vec<PipelineBytes> = (0..bytes.len())
+            .filter_map(|at| pipeline_at(bytes, at))
+            .collect();
+        assert_eq!(pipelines.len(), 16, "{backend:?}: one pipeline per router");
+
+        let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = bytes.to_vec();
+            edit(&mut b);
+            b
+        };
+        let mut active_seen = false;
+        for (router, pl) in pipelines.iter().enumerate() {
+            let mut mutations = vec![("downstream VC count 5", mutated(&|b| b[pl.downstream] = 5))];
+            for (k, name) in ["buffered", "waiting", "active", "busy_vcs", "gated_busy"]
+                .into_iter()
+                .enumerate()
+            {
+                let at = pl.counters + 4 * k;
+                let stored = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                for v in [stored.wrapping_add(1), stored.wrapping_sub(1)] {
+                    let edit =
+                        move |b: &mut Vec<u8>| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                    mutations.push((name, mutated(&edit)));
+                }
+            }
+            if let Some(&(at, _)) = pl
+                .states
+                .iter()
+                .find(|(_, s)| matches!(s, VcState::Active { .. }))
+            {
+                active_seen = true;
+                // Tag, output port, then the downstream VC byte.
+                mutations.push((
+                    "active VC naming downstream VC 4",
+                    mutated(&|b| b[at + 2] = 4),
+                ));
+            }
+            let idle = pl.states.iter().position(|(_, s)| *s == VcState::Idle);
+            let free = pl.out_alloc.iter().find(|(_, a)| a.is_none());
+            if let (Some(i), Some(&(at, _))) = (idle, free) {
+                let (p, v) = ((i / 4) as u8, (i % 4) as u8);
+                mutations.push((
+                    "out_alloc naming an idle VC",
+                    mutated(&|b| {
+                        b.splice(at..at + 1, [1, p, v]);
+                    }),
+                ));
+            }
+            for (what, b) in mutations {
+                assert!(
+                    restores(b).is_err(),
+                    "{backend:?}: {what} at router {router} restored"
+                );
+            }
+        }
+        assert!(active_seen, "{backend:?}: no router had an active VC");
     }
 }

@@ -1,7 +1,7 @@
 //! Ring-datapath fault and restore pins (DESIGN.md §17).
 //!
 //! Every VC FIFO is a fixed-depth ring in its router's own
-//! [`FlitRings`](noc_sim::FlitRings), so two seams deserve their own pins:
+//! [`FlitRings`](noc_sim::rings::FlitRings), so two seams deserve their own pins:
 //!
 //! * the fault purge sweeps flits *out of the rings* — a permanent link
 //!   kill on the TDM backend catches data, config and CS flits resident

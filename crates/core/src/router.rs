@@ -472,37 +472,13 @@ impl TdmRouter {
         // crossbar, no buffering.
         let mut used_outputs = 0u8;
         for p in 0..Port::COUNT {
-            let Some((mut flit, o)) = self.cs_latch[p].take() else {
+            let Some((flit, o)) = self.cs_latch[p].take() else {
                 continue;
             };
             debug_assert_eq!(used_outputs & (1 << o.index()), 0, "CS output collision");
             used_outputs |= 1 << o.index();
-            self.pipeline.events.xbar_traversals += 1;
-            match o.direction() {
-                Some(d) => {
-                    flit.hops += 1;
-                    self.pipeline.events.link_flits += 1;
-                    self.pipeline.trace.record(
-                        now,
-                        self.pipeline.id.0,
-                        EventKind::LinkTraverse,
-                        o.index() as u8,
-                        flit.packet.0,
-                    );
-                    out.flits.push((d, flit));
-                }
-                None => {
-                    self.pipeline.events.cs_flits_delivered += 1;
-                    self.pipeline.trace.record(
-                        now,
-                        self.pipeline.id.0,
-                        EventKind::Eject,
-                        Port::Local.index() as u8,
-                        flit.packet.0,
-                    );
-                    self.cs_ejected.push(flit);
-                }
-            }
+            self.pipeline
+                .cs_traverse(now, flit, o, out, &mut self.cs_ejected);
         }
 
         self.pipeline.step(now, &ctrl, out);

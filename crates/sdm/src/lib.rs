@@ -11,6 +11,11 @@
 //!
 //! Modelling choices (documented in DESIGN.md):
 //!
+//! * the router is the canonical VC pipeline every backend shares
+//!   (`noc_sim::PsPipeline`, round-robin separable VC and switch
+//!   allocation); SDM only adds the output side — planes, per-plane
+//!   circuits and the circuit bypass — and withholds from switch
+//!   allocation an input VC whose packet finds no free plane;
 //! * phit-level cut-through is modelled at flit granularity: a flit departs
 //!   a router immediately (same pipeline stages as the canonical router),
 //!   but *occupies its plane for `P` cycles*, which reproduces both the

@@ -194,7 +194,7 @@ impl SdmNode {
 
     fn issue_setup(&mut self, now: Cycle, dst: NodeId, attempts: u8) {
         let Some(plane) = self.router.free_local_plane(self.plane_scan + attempts) else {
-            self.router.events.setup_failures += 1;
+            self.router.pipeline.events.setup_failures += 1;
             self.registry
                 .set_cooldown(dst, now, self.cfg.retry_cooldown);
             return;
@@ -225,7 +225,7 @@ impl SdmNode {
                 issued: now,
             },
         );
-        self.router.events.setup_attempts += 1;
+        self.router.pipeline.events.setup_attempts += 1;
         self.enqueue_front(pkt);
     }
 
@@ -415,11 +415,11 @@ impl NodeModel for SdmNode {
     }
 
     fn accept_credit(&mut self, _now: Cycle, from: Direction, credit: Credit) {
-        self.router.accept_credit(from, credit);
+        self.router.pipeline.accept_credit(from, credit);
     }
 
     fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        for vc in self.router.local_credits.drain(..) {
+        for vc in self.router.pipeline.local_credits.drain(..) {
             let c = &mut self.credits[vc as usize];
             debug_assert!(*c < self.cfg.net.router.buf_depth);
             *c += 1;
@@ -447,11 +447,11 @@ impl NodeModel for SdmNode {
         self.pump_cs(now);
         self.pump_ps(now);
         self.router.step(now, out);
-        let mut ejected = std::mem::take(&mut self.router.ejected);
+        let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
         for flit in ejected.drain(..) {
             self.accept_ejected(now, flit);
         }
-        self.router.ejected = ejected;
+        self.router.pipeline.ejected = ejected;
     }
 
     fn attach_arena(&mut self, arena: &Arc<ConfigArena>) {
@@ -460,11 +460,11 @@ impl NodeModel for SdmNode {
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.router.trace = sink;
+        self.router.pipeline.trace = sink;
     }
 
     fn take_trace(&mut self) -> Option<Box<RingSink>> {
-        self.router.trace.take()
+        self.router.pipeline.trace.take()
     }
 
     fn drain_delivered(&mut self, sink: &mut Vec<DeliveredPacket>) {
@@ -472,7 +472,7 @@ impl NodeModel for SdmNode {
     }
 
     fn events(&self) -> noc_sim::EnergyEvents {
-        self.router.events
+        self.router.pipeline.events
     }
 
     fn occupancy(&self) -> usize {
@@ -486,7 +486,7 @@ impl NodeModel for SdmNode {
 
     fn power_state(&self) -> PowerState {
         PowerState {
-            buffer_slots: self.router.powered_buffer_slots(),
+            buffer_slots: self.router.pipeline.powered_buffer_slots(),
             // The per-plane circuit tables are the SDM analogue of slot
             // tables: P entries per input port.
             slot_entries: Port::COUNT as u32 * self.cfg.planes as u32,
@@ -501,7 +501,7 @@ impl NodeModel for SdmNode {
         // `busy_until` timestamps only gate flits that would also show up
         // in the occupancy count, so they need no timer.
         if self.occupancy() != 0
-            || !self.router.local_credits.is_empty()
+            || !self.router.pipeline.local_credits.is_empty()
             || self.router.has_deferred_credits()
         {
             return None;

@@ -60,10 +60,9 @@ pub use geometry::{Coord, Direction, NodeId, Port};
 pub use network::{NetTelemetry, Network};
 pub use nic::Nic;
 pub use node::{DeliveredKind, DeliveredPacket, NodeModel, NodeOutputs, PacketNode, PowerState};
-pub use rings::FlitRings;
 pub use router::{
     GatingConfig, GatingMetric, HybridCtrl, NullCtrl, OutMeta, PacketRouter, PsOutput, PsPipeline,
-    VcCtl, VcGatingController, VcState,
+    VcGatingController, VcState,
 };
 pub use snapshot::{
     FabricSnapshot, FaultEvent, RouteOverrides, Snap, SnapshotError, SnapshotReader,

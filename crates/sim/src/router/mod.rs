@@ -7,13 +7,14 @@
 //! round-robin VC and switch allocation, and a crossbar with credit-based
 //! flow control toward each neighbour.
 //!
-//! The TDM hybrid router (`tdm-noc`) reuses this pipeline and injects its
-//! switching decisions through the [`HybridCtrl`] hook: each cycle the
-//! pipeline asks whether an output port is free for packet-switched
-//! traffic, reserved-but-idle (time-slot stealing permitted, §II-D) or
-//! occupied by a circuit-switched flit. The SDM hybrid router (`noc-sdm`)
-//! has its own plane-partitioned pipeline, built from the same [`VcCtl`]
-//! tables and [`FlitRings`](crate::FlitRings).
+//! Both hybrid routers reuse this pipeline and inject their switching
+//! decisions through the [`HybridCtrl`] hook. Each cycle the TDM router
+//! (`tdm-noc`) tells it whether an output port is free for
+//! packet-switched traffic, reserved-but-idle (time-slot stealing
+//! permitted, §II-D) or occupied by a circuit-switched flit. The SDM
+//! router (`noc-sdm`) withholds from switch allocation the input VCs whose
+//! packet finds no free plane on its output link, and binds a plane to
+//! every flit the pipeline then sends.
 
 mod gating;
 mod packet;
@@ -21,7 +22,7 @@ mod pipeline;
 
 pub use gating::{GatingConfig, GatingMetric, VcGatingController};
 pub use packet::PacketRouter;
-pub use pipeline::{OutMeta, PsPipeline, VcCtl, VcState};
+pub use pipeline::{OutMeta, PsPipeline, VcState};
 
 use crate::geometry::Port;
 use crate::Cycle;
@@ -40,7 +41,7 @@ pub enum PsOutput {
 }
 
 /// Hook through which a hybrid switching scheme constrains the
-/// packet-switched pipeline.
+/// packet-switched pipeline for one cycle.
 pub trait HybridCtrl {
     /// State of output port `o` for packet-switched traffic at cycle `now`.
     fn ps_output_state(&self, now: Cycle, o: Port) -> PsOutput;
@@ -50,6 +51,12 @@ pub trait HybridCtrl {
     /// buffered packet-switched flit from that port may be granted.
     fn ps_input_blocked(&self, _now: Cycle, _p: Port) -> bool {
         false
+    }
+
+    /// Input VCs that may not bid for the switch this cycle, one bit per
+    /// flat VC index `port * vcs_per_port + vc`.
+    fn ps_blocked_vcs(&self) -> u64 {
+        0
     }
 }
 

@@ -121,6 +121,20 @@ fn port_dim(p: usize) -> u8 {
     }
 }
 
+/// The occupancy counters and stage-candidate masks of a
+/// [`PsPipeline`], as a full scan of its rings and VC states derives them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Counters {
+    buffered: u32,
+    waiting: u32,
+    active: u32,
+    busy_vcs: u32,
+    gated_busy: u32,
+    rc_mask: u64,
+    wait_mask: u64,
+    act_mask: u64,
+}
+
 /// The packet-switched pipeline shared by all router models.
 #[derive(Clone, Debug)]
 pub struct PsPipeline {
@@ -177,10 +191,12 @@ pub struct PsPipeline {
     last_sample: Cycle,
     prev_busy: u32,
     // O(1) occupancy bookkeeping so the per-cycle hot path can skip whole
-    // pipeline stages instead of scanning every VC. Invariants (checked by
-    // `debug_validate_counters`): `buffered` = Σ fifo lengths, `waiting` /
-    // `active` = VCs in the matching state, `busy_vcs` = VCs with flits or
-    // non-idle state, `gated_busy` = busy VCs at index ≥ `active_vcs`.
+    // pipeline stages instead of scanning every VC. Invariants (the
+    // derivation is `scan_counters`; debug builds check it every step and
+    // `load_state` checks the stored copies): `buffered` = Σ fifo lengths,
+    // `waiting` / `active` = VCs in the matching state, `busy_vcs` = VCs
+    // with flits or non-idle state, `gated_busy` = busy VCs at index ≥
+    // `active_vcs`.
     buffered: u32,
     waiting: u32,
     active: u32,
@@ -190,8 +206,8 @@ pub struct PsPipeline {
     // as the VA/SA request words): `rc_mask` = Idle VCs holding flits,
     // `wait_mask` = Waiting VCs, `act_mask` = Active VCs. The stage loops
     // walk only the set bits instead of scanning every VC. Derived state:
-    // never serialised, rebuilt by `rebuild_stage_masks` after restore and
-    // fault purges, cross-checked by `debug_validate_counters`.
+    // never serialised, rebuilt from `scan_counters` after restore and
+    // fault purges.
     rc_mask: u64,
     wait_mask: u64,
     act_mask: u64,
@@ -278,24 +294,41 @@ impl PsPipeline {
         }
     }
 
+    /// The counters and stage masks recomputed by a full scan of the rings
+    /// and VC states (cold paths and debug checks only).
+    fn scan_counters(&self) -> Counters {
+        let vcs = self.cfg.vcs_per_port as usize;
+        let mut c = Counters::default();
+        for (i, vc) in self.ctl.iter().enumerate() {
+            let bit = 1u64 << i;
+            c.buffered += self.buf.len(i) as u32;
+            match vc.state {
+                VcState::Idle if !self.buf.is_empty(i) => c.rc_mask |= bit,
+                VcState::Idle => {}
+                VcState::Waiting { .. } => {
+                    c.waiting += 1;
+                    c.wait_mask |= bit;
+                }
+                VcState::Active { .. } => {
+                    c.active += 1;
+                    c.act_mask |= bit;
+                }
+            }
+            if self.vc_busy(i) {
+                c.busy_vcs += 1;
+                if ((i % vcs) as u8) >= self.active_vcs {
+                    c.gated_busy += 1;
+                }
+            }
+        }
+        c
+    }
+
     /// Recompute the stage-candidate masks from the authoritative per-VC
     /// state (cold paths only: snapshot restore, fault purge).
     fn rebuild_stage_masks(&mut self) {
-        self.rc_mask = 0;
-        self.wait_mask = 0;
-        self.act_mask = 0;
-        for i in 0..self.ctl.len() {
-            let bit = 1u64 << i;
-            match self.ctl[i].state {
-                VcState::Idle => {
-                    if !self.buf.is_empty(i) {
-                        self.rc_mask |= bit;
-                    }
-                }
-                VcState::Waiting { .. } => self.wait_mask |= bit,
-                VcState::Active { .. } => self.act_mask |= bit,
-            }
-        }
+        let c = self.scan_counters();
+        (self.rc_mask, self.wait_mask, self.act_mask) = (c.rc_mask, c.wait_mask, c.act_mask);
     }
 
     /// Flat index of input VC `v` at port `p`.
@@ -435,51 +468,29 @@ impl PsPipeline {
         self.debug_validate_counters();
     }
 
+    /// The incremental counters and masks as they stand.
+    fn counters(&self) -> Counters {
+        Counters {
+            buffered: self.buffered,
+            waiting: self.waiting,
+            active: self.active,
+            busy_vcs: self.busy_vcs,
+            gated_busy: self.gated_busy,
+            rc_mask: self.rc_mask,
+            wait_mask: self.wait_mask,
+            act_mask: self.act_mask,
+        }
+    }
+
     /// Cross-check the incremental occupancy counters against a full scan
     /// (debug builds only; the release hot path trusts the increments).
     #[cfg(debug_assertions)]
     fn debug_validate_counters(&self) {
-        let vcs = self.cfg.vcs_per_port as usize;
-        let mut buffered = 0u32;
-        let mut waiting = 0u32;
-        let mut active = 0u32;
-        let mut busy = 0u32;
-        let mut gated = 0u32;
-        let mut rc = 0u64;
-        let mut wait = 0u64;
-        let mut act = 0u64;
-        for (i, vc) in self.ctl.iter().enumerate() {
-            buffered += self.buf.len(i) as u32;
-            match vc.state {
-                VcState::Idle => {
-                    if !self.buf.is_empty(i) {
-                        rc |= 1 << i;
-                    }
-                }
-                VcState::Waiting { .. } => {
-                    waiting += 1;
-                    wait |= 1 << i;
-                }
-                VcState::Active { .. } => {
-                    active += 1;
-                    act |= 1 << i;
-                }
-            }
-            if self.vc_busy(i) {
-                busy += 1;
-                if ((i % vcs) as u8) >= self.active_vcs {
-                    gated += 1;
-                }
-            }
-        }
-        debug_assert_eq!(self.buffered, buffered, "buffered counter drifted");
-        debug_assert_eq!(self.waiting, waiting, "waiting counter drifted");
-        debug_assert_eq!(self.active, active, "active counter drifted");
-        debug_assert_eq!(self.busy_vcs, busy, "busy counter drifted");
-        debug_assert_eq!(self.gated_busy, gated, "gated counter drifted");
-        debug_assert_eq!(self.rc_mask, rc, "rc mask drifted");
-        debug_assert_eq!(self.wait_mask, wait, "wait mask drifted");
-        debug_assert_eq!(self.act_mask, act, "act mask drifted");
+        debug_assert_eq!(
+            self.counters(),
+            self.scan_counters(),
+            "pipeline counters drifted from a full scan"
+        );
     }
 
     /// Route computation for VCs whose head flit reached the FIFO front.
@@ -664,6 +675,7 @@ impl PsPipeline {
         for o in Port::ALL {
             avail[o.index()] = ctrl.ps_output_state(now, o);
         }
+        let blocked = ctrl.ps_blocked_vcs();
 
         // Phase 1: each input port nominates one eligible VC.
         let mut candidates: [Option<(u8, Port, u8)>; Port::COUNT] = [None; Port::COUNT];
@@ -672,8 +684,9 @@ impl PsPipeline {
                 continue;
             }
             let mut req_mask = 0u64;
-            // This port's slice of the Active mask: bit `vc` of `port_act`.
-            let mut port_act = (self.act_mask >> (p * vcs)) & ((1u64 << vcs) - 1);
+            // This port's slice of the Active VCs that may bid: bit `vc`
+            // of `port_act`.
+            let mut port_act = ((self.act_mask & !blocked) >> (p * vcs)) & ((1u64 << vcs) - 1);
             while port_act != 0 {
                 let vc = port_act.trailing_zeros() as usize;
                 port_act &= port_act - 1;
@@ -825,6 +838,67 @@ impl PsPipeline {
                     flit.packet.0,
                 );
                 self.ejected.push(flit);
+            }
+        }
+    }
+
+    /// Every `Active` input VC that holds a flit, as `(flat VC index,
+    /// output port, front flit's packet)`: the VCs that can bid for the
+    /// switch. A hybrid router uses it to build
+    /// [`HybridCtrl::ps_blocked_vcs`] before stepping.
+    pub fn sa_bidders(&self) -> impl Iterator<Item = (usize, Port, PacketId)> + '_ {
+        let mut cand = self.act_mask;
+        std::iter::from_fn(move || {
+            while cand != 0 {
+                let i = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let VcState::Active { out, .. } = self.ctl[i].state else {
+                    unreachable!("act_mask bit on a non-Active VC")
+                };
+                if let Some(front) = self.buf.front(i) {
+                    return Some((i, out, front.packet));
+                }
+            }
+            None
+        })
+    }
+
+    /// Circuit-switched traversal of one latched flit through the
+    /// pre-configured crossbar to output `o`: onto the link, or into
+    /// `cs_ejected` at the path's end. CS flits are never buffered.
+    #[inline]
+    pub fn cs_traverse(
+        &mut self,
+        now: Cycle,
+        mut flit: Flit,
+        o: Port,
+        out: &mut NodeOutputs,
+        cs_ejected: &mut Vec<Flit>,
+    ) {
+        self.events.xbar_traversals += 1;
+        match o.direction() {
+            Some(d) => {
+                flit.hops += 1;
+                self.events.link_flits += 1;
+                self.trace.record(
+                    now,
+                    self.id.0,
+                    EventKind::LinkTraverse,
+                    o.index() as u8,
+                    flit.packet.0,
+                );
+                out.flits.push((d, flit));
+            }
+            None => {
+                self.events.cs_flits_delivered += 1;
+                self.trace.record(
+                    now,
+                    self.id.0,
+                    EventKind::Eject,
+                    Port::Local.index() as u8,
+                    flit.packet.0,
+                );
+                cs_ejected.push(flit);
             }
         }
     }
@@ -1031,7 +1105,59 @@ impl PsPipeline {
         self.active = r.u32()?;
         self.busy_vcs = r.u32()?;
         self.gated_busy = r.u32()?;
+        self.check_vc_tables()?;
         self.rebuild_stage_masks();
+        if self.counters() != self.scan_counters() {
+            return Err(SnapshotError::Corrupt(
+                "pipeline counters disagree with its VC state",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Reject restored VC tables that do not fit the built router: VC
+    /// counts outside the port's VC range, a VC state naming an unwired
+    /// output or a downstream VC past the range, and an `Active` input VC
+    /// and its downstream VC's `out_alloc` entry that do not name each
+    /// other.
+    fn check_vc_tables(&self) -> Result<(), SnapshotError> {
+        let vcs = self.cfg.vcs_per_port;
+        if !(1..=vcs).contains(&self.active_vcs) {
+            return Err(SnapshotError::Corrupt("active VC count"));
+        }
+        if self.out_meta.iter().any(|m| m.downstream_vcs > vcs) {
+            return Err(SnapshotError::Corrupt("downstream VC count"));
+        }
+        let vcs = vcs as usize;
+        for (i, ctl) in self.ctl.iter().enumerate() {
+            let fits = match ctl.state {
+                VcState::Idle => true,
+                VcState::Waiting { out } => self.out_meta[out.index()].exists,
+                VcState::Active { out, out_vc } => {
+                    self.out_meta[out.index()].exists
+                        && (out_vc as usize) < vcs
+                        && self.out_alloc[out.index() * vcs + out_vc as usize]
+                            == Some(((i / vcs) as u8, (i % vcs) as u8))
+                }
+            };
+            if !fits {
+                return Err(SnapshotError::Corrupt("VC state does not fit the router"));
+            }
+        }
+        for (o, alloc) in self.out_alloc.iter().enumerate() {
+            let Some((p, v)) = *alloc else { continue };
+            let owner = VcState::Active {
+                out: Port::from_index(o / vcs),
+                out_vc: (o % vcs) as u8,
+            };
+            if v as usize >= vcs
+                || self.ctl.get(p as usize * vcs + v as usize).map(|c| c.state) != Some(owner)
+            {
+                return Err(SnapshotError::Corrupt(
+                    "downstream VC allocated to no active VC",
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -1053,6 +1179,80 @@ mod tests {
         let mut f = Flit::of_packet(&p, 0, Switching::Packet);
         f.vc = vc;
         f
+    }
+
+    /// Flit `seq` of a `len`-flit packet `pid` to `dst`, on input VC `vc`.
+    fn packet_flit(pid: u64, dst: NodeId, len: u8, seq: u8, vc: u8) -> Flit {
+        let p = Packet::data(PacketId(pid), NodeId(0), dst, len, 0);
+        let mut f = Flit::of_packet(&p, seq, Switching::Packet);
+        f.vc = vc;
+        f
+    }
+
+    /// A ctrl that frees every output and withholds the flat input VCs
+    /// of its mask from switch allocation.
+    struct BlockVcs(u64);
+
+    impl HybridCtrl for BlockVcs {
+        fn ps_output_state(&self, _now: Cycle, _o: Port) -> PsOutput {
+            PsOutput::Free
+        }
+
+        fn ps_blocked_vcs(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn blocked_vc_keeps_its_flit_while_its_input_neighbour_leaves() {
+        let m = Mesh::square(3);
+        let dst = m.id(Coord::new(2, 1));
+        let mut r = mk(m, m.id(Coord::new(1, 1)));
+        r.accept_flit(0, Port::West, packet_flit(10, dst, 1, 0, 0));
+        r.accept_flit(0, Port::West, packet_flit(11, dst, 1, 0, 1));
+        let west_vc0 = BlockVcs(1 << (Port::West.index() * 4));
+        let mut out = NodeOutputs::default();
+        for now in 0..6 {
+            r.step(now, &west_vc0, &mut out);
+        }
+        let sent: Vec<PacketId> = out.flits.drain(..).map(|(_, f)| f.packet).collect();
+        assert_eq!(sent, [PacketId(11)], "VC 1 of the same input leaves");
+        assert_eq!(r.vc_len(Port::West, 0), 1, "the blocked VC keeps its flit");
+        r.step(6, &BlockVcs(0), &mut out);
+        let sent: Vec<PacketId> = out.flits.drain(..).map(|(_, f)| f.packet).collect();
+        assert_eq!(sent, [PacketId(10)], "clearing the mask lets VC 0 go");
+    }
+
+    #[test]
+    fn sa_bidders_are_the_active_vcs_holding_a_flit() {
+        let m = Mesh::square(3);
+        let east = m.id(Coord::new(2, 1));
+        let mut r = mk(m, m.id(Coord::new(1, 1)));
+        // West VC 0: the head of a two-flit packet leaves, so the VC is
+        // Active and empty. West VC 1: Active, held back with its flit.
+        r.accept_flit(0, Port::West, packet_flit(1, east, 2, 0, 0));
+        r.accept_flit(0, Port::West, packet_flit(2, east, 1, 0, 1));
+        let hold = BlockVcs(1 << (Port::West.index() * 4 + 1));
+        let mut out = NodeOutputs::default();
+        r.step(0, &hold, &mut out);
+        r.step(1, &hold, &mut out);
+        // Local VC 2: routed in the step it arrives, so Waiting.
+        r.accept_flit(2, Port::Local, packet_flit(3, east, 1, 0, 2));
+        r.step(2, &hold, &mut out);
+        // South VC 3: Idle with a flit.
+        r.accept_flit(3, Port::South, packet_flit(4, east, 1, 0, 3));
+        assert_eq!(out.flits.len(), 1, "the two-flit packet's head left");
+        assert!(matches!(r.vc_state(Port::West, 0), VcState::Active { .. }));
+        assert!(matches!(
+            r.vc_state(Port::Local, 2),
+            VcState::Waiting { .. }
+        ));
+        assert_eq!(r.vc_state(Port::South, 3), VcState::Idle);
+        let bidders: Vec<_> = r.sa_bidders().collect();
+        assert_eq!(
+            bidders,
+            [(Port::West.index() * 4 + 1, Port::East, PacketId(2))]
+        );
     }
 
     #[test]

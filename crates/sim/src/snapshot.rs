@@ -30,11 +30,13 @@
 //! Configuration (mesh shape, router config, TDM/SDM config) is *not* in
 //! the snapshot: a snapshot is restored into a freshly built fabric of the
 //! same configuration, and [`crate::network::Network::restore`] verifies
-//! the shape matches. Derived caches with cheap, provably-deterministic
-//! reconstructions could be recomputed, but this format serialises them
-//! verbatim instead (occupancy caches, power caches, in-flight counters):
-//! the bytes are small and a verbatim copy cannot disagree with the state
-//! it was derived from.
+//! the shape matches. Some derived caches are serialised verbatim anyway
+//! (occupancy caches, power caches, in-flight counters). A stored copy can
+//! disagree with the state it was derived from — a corrupt or hand-edited
+//! blob — so a decoder that can cheaply re-derive a cache checks the
+//! stored copy and returns [`SnapshotError::Corrupt`] on a difference:
+//! the router pipeline's occupancy counters and VC allocations, and the
+//! slot tables' per-slot output masks, are checked this way.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -46,7 +48,9 @@ use crate::Cycle;
 /// to any snapshotted type's encoding.
 ///
 /// v2: `TdmNode` gained the circuit-plan `pinned` table.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: `SdmRouter` runs on `PsPipeline`: its state is the pipeline's,
+/// then the planes, circuits, circuit flits, acks and owed credits.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

@@ -119,7 +119,7 @@ assert "telemetry" in traced, "traced run missing its telemetry block"
 print("data blocks identical with tracing on vs off")
 PY
 
-echo "== 256-node torus smoke (packet + TDM, dateline VC classes) =="
+echo "== 256-node torus smoke (packet + TDM + SDM, dateline VC classes) =="
 cat > "$SWEEP_TMP/torus.json" <<'JSON'
 [
   { "backend": "PacketVc4", "mesh": 16, "topology": "torus",
@@ -133,7 +133,13 @@ cat > "$SWEEP_TMP/torus.json" <<'JSON'
     "phases": { "warmup_cycles": 300, "warmup_packets": 50,
                 "measure_cycles": 1200, "measure_packets": 2000,
                 "drain_cycles": 4000 },
-    "seed": 22 }
+    "seed": 22 },
+  { "backend": "HybridSdmVc4", "mesh": 16, "topology": "torus",
+    "traffic": { "pattern": "UR", "rate": 0.03 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1200, "measure_packets": 2000,
+                "drain_cycles": 4000 },
+    "seed": 25 }
 ]
 JSON
 cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
@@ -154,7 +160,19 @@ cat > "$SWEEP_TMP/topo_sweep.json" <<'JSON'
     "phases": { "warmup_cycles": 300, "warmup_packets": 50,
                 "measure_cycles": 1500, "measure_packets": 2000,
                 "drain_cycles": 3000 },
-    "seed": 24 }
+    "seed": 24 },
+  { "backend": "HybridSdmVc4", "mesh": 4, "topology": "torus",
+    "traffic": { "pattern": "UR", "rate": 0.08 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1500, "measure_packets": 2000,
+                "drain_cycles": 3000 },
+    "seed": 26 },
+  { "backend": "HybridSdmVc4", "mesh": 4, "topology": "cmesh", "concentration": 2,
+    "traffic": { "pattern": "UR", "rate": 0.05 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1500, "measure_packets": 2000,
+                "drain_cycles": 3000 },
+    "seed": 27 }
 ]
 JSON
 cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
