@@ -463,8 +463,12 @@ pub fn sweep_mixes(specs: &[ScenarioSpec]) -> Vec<MixResult> {
 
 /// Handle the shared `--scenario <file>` flag: when present, run the
 /// spec(s) from the file and return `true` — the binary should then skip
-/// its built-in figure. Scenario errors are fatal (exit code 2).
+/// its built-in figure. Scenario errors are fatal (exit code 2). Every
+/// figure, table and ablation binary calls this first, so it first checks
+/// the command line ([`noc_scenario::check_cli_args`]): `--help` exits 0
+/// with the flag list, an unknown flag exits 2 before anything runs.
 pub fn scenario_mode_ran() -> bool {
+    noc_scenario::check_cli_args();
     let specs = match scenario_specs_from_cli() {
         Ok(None) => return false,
         Ok(Some(specs)) => specs,

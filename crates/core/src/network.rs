@@ -446,14 +446,14 @@ impl Fabric for TdmNetwork {
     }
 
     fn checkpoint(&self) -> Result<FabricSnapshot, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        self.phase.save(&mut w);
-        self.repair.save(&mut w);
-        w.u32(self.resizes);
-        w.u64(self.last_grow);
-        w.usize(self.link_events_seen);
-        self.net.save_into(&mut w)?;
-        Ok(FabricSnapshot::from_payload(w.into_bytes()))
+        FabricSnapshot::capture(|w| {
+            self.phase.save(w);
+            self.repair.save(w);
+            w.u32(self.resizes);
+            w.u64(self.last_grow);
+            w.usize(self.link_events_seen);
+            self.net.save_into(w)
+        })
     }
 
     fn restore(&mut self, snap: &FabricSnapshot) -> Result<(), SnapshotError> {

@@ -165,6 +165,7 @@ impl TdmNode {
             cfg.reservation_cap,
         );
         router.time_slot_stealing = cfg.time_slot_stealing;
+        router.hitchhiker = cfg.sharing.hitchhiker;
         let n = cfg.net.mesh.len();
         // One arena per node by default, shared between its NIC and router
         // so standalone nodes round-trip payloads; `attach_arena` swaps in
@@ -218,10 +219,20 @@ impl TdmNode {
         PacketId((1 << 62) | ((self.id.0 as u64) << 40) | self.fresh_path_id())
     }
 
-    /// Cycles until the next occurrence of `slot` strictly after `now`.
+    /// Cycles until the next occurrence of `slot` at or after `now`.
     fn wait_for_slot(&self, now: Cycle, slot: u16) -> u64 {
         let s = self.router.slots.active() as u64;
-        (slot as u64 + s - (now % s)) % s
+        let d = slot as u64 + s - self.router.slots.slot_of(now) as u64;
+        // `d < 2s` for every slot id below `s`, the only ones a node
+        // holds, so a compare replaces the second division; the modulus
+        // stays as the general case.
+        if d < s {
+            d
+        } else if d < 2 * s {
+            d - s
+        } else {
+            d % s
+        }
     }
 
     /// Estimated delivery time of a circuit-switched message to `dst`:
@@ -811,6 +822,36 @@ impl TdmNode {
         }
     }
 
+    /// Fold the router's DLT observations into the DLT (§III-A1: the DLT
+    /// "is updated when a new connection is setup in the router").
+    fn apply_dlt_observations(&mut self) {
+        for obs in self.router.dlt_observations.drain(..) {
+            if !self.cfg.sharing.hitchhiker {
+                continue;
+            }
+            match obs {
+                DltObservation::Insert {
+                    dst,
+                    slot,
+                    duration,
+                    in_port,
+                } => {
+                    // Only through-traffic is rideable: not our own circuits
+                    // (in the registry) and not circuits ending here.
+                    if in_port != Port::Local && dst != self.id {
+                        self.router.pipeline.events.dlt_updates +=
+                            self.dlt.insert(dst, slot, duration, in_port);
+                    }
+                }
+                DltObservation::Confirm { dst, in_port, slot } => {
+                    self.dlt
+                        .confirm(dst, in_port, slot, self.router.slots.active());
+                }
+                DltObservation::Remove { dst } => self.dlt.remove(dst),
+            }
+        }
+    }
+
     // --- resize support (§II-C) --------------------------------------------
 
     /// Freeze circuit switching (resize phase 1): flush queued CS work onto
@@ -877,73 +918,60 @@ impl NodeModel for TdmNode {
     }
 
     fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
+        // Each drain below runs only when its queue holds something: a
+        // step woken by a credit, or one that only moves a latched circuit
+        // flit, skips them all.
         // Local-port credits freed last cycle.
-        for vc in self.router.pipeline.local_credits.drain(..) {
-            self.nic.credit(vc);
+        if !self.router.pipeline.local_credits.is_empty() {
+            for vc in self.router.pipeline.local_credits.drain(..) {
+                self.nic.credit(vc);
+            }
         }
 
         // DLT maintenance from configuration messages seen by the router.
-        for obs in self.router.dlt_observations.drain(..) {
-            if !self.cfg.sharing.hitchhiker {
-                continue;
-            }
-            match obs {
-                DltObservation::Insert {
-                    dst,
-                    slot,
-                    duration,
-                    in_port,
-                } => {
-                    // Only through-traffic is rideable: not our own circuits
-                    // (in the registry) and not circuits ending here.
-                    if in_port != Port::Local && dst != self.id {
-                        self.router.pipeline.events.dlt_updates +=
-                            self.dlt.insert(dst, slot, duration, in_port);
-                    }
-                }
-                DltObservation::Confirm { dst, in_port, slot } => {
-                    self.dlt
-                        .confirm(dst, in_port, slot, self.router.slots.active());
-                }
-                DltObservation::Remove { dst } => self.dlt.remove(dst),
-            }
+        if !self.router.dlt_observations.is_empty() {
+            self.apply_dlt_observations();
         }
 
         // Acks generated by our own router (first-hop setup failures).
         // Taken and handed back drained: `handle_ack` needs `&mut self`
         // but never pushes into this queue — only the router's step does.
-        let mut protocol = std::mem::take(&mut self.router.protocol_out);
-        for pkt in protocol.drain(..) {
-            if pkt.dst == self.id {
-                if let Some(ConfigKind::Ack { info, success }) = pkt.config {
-                    self.handle_ack(now, info, success);
+        if !self.router.protocol_out.is_empty() {
+            let mut protocol = std::mem::take(&mut self.router.protocol_out);
+            for pkt in protocol.drain(..) {
+                if pkt.dst == self.id {
+                    if let Some(ConfigKind::Ack { info, success }) = pkt.config {
+                        self.handle_ack(now, info, success);
+                    }
+                } else {
+                    self.nic.enqueue_front(pkt);
                 }
-            } else {
-                self.nic.enqueue_front(pkt);
             }
+            self.router.protocol_out = protocol;
         }
-        self.router.protocol_out = protocol;
 
         // Circuit-switched ejections: vicinity hop-offs re-enter the
         // packet-switched network for their final hop (§III-A2).
         // `route_dst` resolves the hop-off field: it names this node for a
         // completed delivery and a neighbour for a vicinity forward.
-        for flit in self.router.cs_ejected.drain(..) {
-            let td = flit.route_dst();
-            if td != self.id {
-                if flit.kind().is_tail() {
-                    let mut p = Packet::data(
-                        flit.packet,
-                        flit.src(),
-                        td,
-                        self.cfg.net.ps_packet_flits,
-                        flit.created,
-                    );
-                    p.measured = flit.measured();
-                    self.nic.enqueue(p);
+        if !self.router.cs_ejected.is_empty() {
+            for flit in self.router.cs_ejected.drain(..) {
+                let td = flit.route_dst();
+                if td != self.id {
+                    if flit.kind().is_tail() {
+                        let mut p = Packet::data(
+                            flit.packet,
+                            flit.src(),
+                            td,
+                            self.cfg.net.ps_packet_flits,
+                            flit.created,
+                        );
+                        p.measured = flit.measured();
+                        self.nic.enqueue(p);
+                    }
+                } else {
+                    self.nic.accept_ejected(now, flit);
                 }
-            } else {
-                self.nic.accept_ejected(now, flit);
             }
         }
 
@@ -959,21 +987,23 @@ impl NodeModel for TdmNode {
         self.router.step(now, out);
 
         // Packet-switched ejections: data to the NIC, acks to the policy.
-        let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
-        for flit in ejected.drain(..) {
-            if flit.class() == MsgClass::Config {
-                if flit.config.is_some() {
-                    let kind = self.arena.get(flit.config);
-                    self.arena.free(flit.config);
-                    if let ConfigKind::Ack { info, success } = kind {
-                        self.handle_ack(now, info, success);
+        if !self.router.pipeline.ejected.is_empty() {
+            let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
+            for flit in ejected.drain(..) {
+                if flit.class() == MsgClass::Config {
+                    if flit.config.is_some() {
+                        let kind = self.arena.get(flit.config);
+                        self.arena.free(flit.config);
+                        if let ConfigKind::Ack { info, success } = kind {
+                            self.handle_ack(now, info, success);
+                        }
                     }
+                    continue;
                 }
-                continue;
+                self.nic.accept_ejected(now, flit);
             }
-            self.nic.accept_ejected(now, flit);
+            self.router.pipeline.ejected = ejected;
         }
-        self.router.pipeline.ejected = ejected;
 
         // Aggressive VC power gating (§III-B).
         if let Some(g) = &mut self.gating {
@@ -1087,19 +1117,22 @@ impl NodeModel for TdmNode {
         // Messages waiting for a TDM slot are deferred, not active: the
         // slot-table wheel says exactly when `pump_cs` can next make
         // progress, so wake at the earliest relevant slot occurrence
-        // (strictly after `now` — `pump_cs` already ran this cycle).
-        for (dst, q) in self.cs_queues.iter() {
-            if q.is_empty() {
-                continue;
-            }
-            let runs = self.registry.runs(dst);
-            if runs.is_empty() {
-                // A queue without a connection should not exist; stay
-                // awake rather than strand it.
-                return None;
-            }
-            for c in runs {
-                wake = wake.min(now + 1 + self.wait_for_slot(now + 1, c.slot));
+        // (strictly after `now` — `pump_cs` already ran this cycle). The
+        // exact flit counter says when every queue is empty.
+        if self.queued_cs_flits != 0 {
+            for (dst, q) in self.cs_queues.iter() {
+                if q.is_empty() {
+                    continue;
+                }
+                let runs = self.registry.runs(dst);
+                if runs.is_empty() {
+                    // A queue without a connection should not exist; stay
+                    // awake rather than strand it.
+                    return None;
+                }
+                for c in runs {
+                    wake = wake.min(now + 1 + self.wait_for_slot(now + 1, c.slot));
+                }
             }
         }
         let period = self.router.slots.active() as u64;

@@ -16,6 +16,27 @@
 //!   pipeline), `teardown` walks the reserved path by slot-table reference
 //!   and invalidates it, and failures turn into `ack` messages heading back
 //!   to the source (§II-B).
+//!
+//! # What a step costs
+//!
+//! An established circuit is a wire, not a pipeline (§II-D), so a step
+//! pays only for the work it has, and O(1) state says which work that is
+//! (DESIGN.md §8):
+//!
+//! * `latched`, a port bitmask beside the CS latches, names the inputs
+//!   holding a circuit flit; the traversal walks only its set bits, and
+//!   occupancy counts them with `count_ones`. It is derived state: set
+//!   where a latch is written, cleared where one is taken or purged,
+//!   never serialised, and rebuilt from the latches on load (debug builds
+//!   check it at every step);
+//! * the constraint view handed to the packet-switched pipeline is three
+//!   masks (latched inputs, latched outputs, stealing), and the slot
+//!   tables are read only when switch allocation asks about an output no
+//!   circuit flit took, so a step without packet-switched bidders never
+//!   reads them;
+//! * the credit drain runs only when a configuration flit was consumed,
+//!   and a circuit head's per-hop DLT `Confirm` is built only when the
+//!   node hitchhikes (without sharing the node would drop it unread).
 
 use std::sync::Arc;
 
@@ -102,19 +123,34 @@ impl Snap for DltObservation {
     }
 }
 
-/// Per-cycle switching constraints handed to the PS pipeline.
-struct TdmCtrl {
-    outputs: [PsOutput; Port::COUNT],
-    inputs_blocked: [bool; Port::COUNT],
+/// Per-cycle switching constraints handed to the PS pipeline: the inputs
+/// and outputs a circuit flit took this cycle, as port bitmasks. The slot
+/// tables are read only when the pipeline asks about an output that no
+/// circuit flit took, so a step with no switch allocation never reads
+/// them.
+struct TdmCtrl<'a> {
+    latched_ins: u8,
+    latched_outs: u8,
+    stealing: bool,
+    slots: &'a SlotTables,
 }
 
-impl HybridCtrl for TdmCtrl {
-    fn ps_output_state(&self, _now: Cycle, o: Port) -> PsOutput {
-        self.outputs[o.index()]
+impl HybridCtrl for TdmCtrl<'_> {
+    fn ps_output_state(&self, now: Cycle, o: Port) -> PsOutput {
+        let bit = 1u8 << o.index();
+        if self.latched_outs & bit != 0 {
+            PsOutput::Busy
+        } else if self.slots.reserved_outputs(now) & bit == 0 {
+            PsOutput::Free
+        } else if self.stealing {
+            PsOutput::ReservedIdle
+        } else {
+            PsOutput::Busy
+        }
     }
 
     fn ps_input_blocked(&self, _now: Cycle, p: Port) -> bool {
-        self.inputs_blocked[p.index()]
+        self.latched_ins & (1 << p.index()) != 0
     }
 }
 
@@ -124,6 +160,11 @@ pub struct TdmRouter {
     pub slots: SlotTables,
     /// CS flit arriving this cycle per input port, with its resolved output.
     cs_latch: [Option<(Flit, Port)>; Port::COUNT],
+    /// Bit `p` set ⇔ `cs_latch[p]` is `Some`, so `step` walks only the
+    /// latched inputs. Derived state: set wherever a latch is written,
+    /// cleared where one is taken, never serialised and rebuilt by
+    /// `load_state`.
+    latched: u8,
     /// Configuration packets generated here (acks), to be injected by the
     /// local NIC.
     pub protocol_out: Vec<Packet>,
@@ -134,6 +175,11 @@ pub struct TdmRouter {
     /// Time-slot stealing enabled (§II-D); disabling turns reserved-idle
     /// outputs into blocked ones (ablation).
     pub time_slot_stealing: bool,
+    /// The node rides through-circuits (hitchhiker sharing, §III-A1), so
+    /// it reads the `Confirm` observation a circuit head makes at every
+    /// hop. Without sharing the node drops every observation unread, and
+    /// the router skips that per-hop slot-table read.
+    pub hitchhiker: bool,
     /// Credits owed upstream for configuration flits consumed on arrival
     /// (a consumed flit never reaches the buffer-read stage where credits
     /// are normally returned). Drained into the wires each cycle.
@@ -158,12 +204,14 @@ impl TdmRouter {
             pipeline: PsPipeline::new(id, mesh, cfg),
             slots: SlotTables::new(slot_capacity, slot_active, reservation_cap),
             cs_latch: Default::default(),
+            latched: 0,
             // Small per-cycle scratch: seeded so steady-state churn
             // stays off the allocator (DESIGN.md §17).
             protocol_out: Vec::with_capacity(8),
             dlt_observations: Vec::with_capacity(8),
             cs_ejected: Vec::with_capacity(8),
             time_slot_stealing: true,
+            hitchhiker: true,
             pending_credits: Vec::with_capacity(8),
             arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
@@ -215,7 +263,7 @@ impl TdmRouter {
                 "two CS flits in one cycle"
             );
             self.pipeline.events.cs_latch_writes += 1;
-            if flit.kind().is_head() && out != Port::Local {
+            if self.hitchhiker && flit.kind().is_head() && out != Port::Local {
                 let entry = self.slots.entry(port, now).expect("the slot is reserved");
                 self.dlt_observations.push(DltObservation::Confirm {
                     dst: entry.dst,
@@ -223,7 +271,7 @@ impl TdmRouter {
                     slot: self.slots.slot_of(now),
                 });
             }
-            self.cs_latch[port.index()] = Some((flit, out));
+            self.latch(port, flit, out);
             return;
         }
         if flit.class() == MsgClass::Config && flit.kind().is_head() {
@@ -248,8 +296,16 @@ impl TdmRouter {
         };
         debug_assert!(self.cs_latch[Port::Local.index()].is_none());
         self.pipeline.events.cs_latch_writes += 1;
-        self.cs_latch[Port::Local.index()] = Some((flit, out));
+        self.latch(Port::Local, flit, out);
         true
+    }
+
+    /// Latch a circuit-switched flit on input `port` for this cycle's
+    /// traversal to `out`.
+    #[inline]
+    fn latch(&mut self, port: Port, flit: Flit, out: Port) {
+        self.cs_latch[port.index()] = Some((flit, out));
+        self.latched |= 1 << port.index();
     }
 
     /// Attempt to inject a hitchhiking flit onto a circuit passing through
@@ -263,10 +319,10 @@ impl TdmRouter {
         expected_dst: NodeId,
     ) -> bool {
         self.pipeline.events.slot_lookups += 1;
-        if self.cs_latch[in_port.index()].is_some() {
+        if self.latched & (1 << in_port.index()) != 0 {
             return false; // upstream burst wins
         }
-        if self.cs_latch[Port::Local.index()].is_some() {
+        if self.latched & (1 << Port::Local.index()) != 0 {
             return false; // our own crossbar input is taken
         }
         let Some(entry) = self.slots.entry(in_port, now) else {
@@ -275,9 +331,8 @@ impl TdmRouter {
         if entry.dst != expected_dst {
             return false; // slot now belongs to a different path
         }
-        let out = entry.out;
         self.pipeline.events.cs_latch_writes += 1;
-        self.cs_latch[Port::Local.index()] = Some((flit, out));
+        self.latch(Port::Local, flit, entry.out);
         true
     }
 
@@ -427,61 +482,68 @@ impl TdmRouter {
     }
 
     /// Advance one cycle: circuit-switched traversal, then the
-    /// packet-switched pipeline under the hybrid constraints.
+    /// packet-switched pipeline under the hybrid constraints. Each part
+    /// runs only on work it has: the credit drain when a configuration
+    /// flit was consumed, the traversal over the latched inputs only, and
+    /// the slot tables only when switch allocation asks about an output.
     pub fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
+        #[cfg(debug_assertions)]
+        self.debug_validate_latched();
         // Credits for configuration flits consumed on arrival.
-        for (port, vc) in self.pending_credits.drain(..) {
-            let dir = port
-                .direction()
-                .expect("local credits go via local_credits");
-            out.credits.push((dir, noc_sim::Credit { vc }));
-        }
-        // Build the per-cycle constraint view.
-        let mut ctrl = TdmCtrl {
-            outputs: [PsOutput::Free; Port::COUNT],
-            inputs_blocked: [false; Port::COUNT],
-        };
-        // One pass over the latches yields both the blocked inputs and the
-        // outputs busy with a circuit flit this cycle; the slot tables
-        // answer "reserved in this slot" with a single byte (maintained
-        // incrementally by reserve/release).
-        let mut latched_outs = 0u8;
-        for (p, l) in self.cs_latch.iter().enumerate() {
-            if let Some((_, cs_out)) = l {
-                latched_outs |= 1 << cs_out.index();
-                ctrl.inputs_blocked[p] = true;
+        if !self.pending_credits.is_empty() {
+            for (port, vc) in self.pending_credits.drain(..) {
+                let dir = port
+                    .direction()
+                    .expect("local credits go via local_credits");
+                out.credits.push((dir, noc_sim::Credit { vc }));
             }
-        }
-        let reserved_outs = self.slots.reserved_outputs(now);
-        for o in Port::ALL {
-            let bit = 1u8 << o.index();
-            ctrl.outputs[o.index()] = if latched_outs & bit != 0 {
-                PsOutput::Busy
-            } else if reserved_outs & bit != 0 {
-                if self.time_slot_stealing {
-                    PsOutput::ReservedIdle
-                } else {
-                    PsOutput::Busy
-                }
-            } else {
-                PsOutput::Free
-            };
         }
 
         // Circuit-switched traversal: one cycle through the pre-configured
-        // crossbar, no buffering.
-        let mut used_outputs = 0u8;
-        for p in 0..Port::COUNT {
-            let Some((flit, o)) = self.cs_latch[p].take() else {
-                continue;
-            };
-            debug_assert_eq!(used_outputs & (1 << o.index()), 0, "CS output collision");
-            used_outputs |= 1 << o.index();
+        // crossbar, no buffering. The inputs it takes are blocked for the
+        // packet-switched pipeline, and the outputs busy.
+        let latched_ins = self.latched;
+        let mut latched_outs = 0u8;
+        let mut ins = latched_ins;
+        while ins != 0 {
+            let p = ins.trailing_zeros() as usize;
+            ins &= ins - 1;
+            let (flit, o) = self.cs_latch[p]
+                .take()
+                .expect("latched bit on an empty latch");
+            debug_assert_eq!(latched_outs & (1 << o.index()), 0, "CS output collision");
+            latched_outs |= 1 << o.index();
             self.pipeline
                 .cs_traverse(now, flit, o, out, &mut self.cs_ejected);
         }
+        self.latched = 0;
 
+        let ctrl = TdmCtrl {
+            latched_ins,
+            latched_outs,
+            stealing: self.time_slot_stealing,
+            slots: &self.slots,
+        };
         self.pipeline.step(now, &ctrl, out);
+    }
+
+    /// The `latched` mask as a scan of the latches derives it.
+    fn scan_latched(&self) -> u8 {
+        self.cs_latch
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.is_some())
+            .fold(0, |m, (p, _)| m | 1 << p)
+    }
+
+    /// Cross-check `latched` against the latches (debug builds only).
+    #[cfg(debug_assertions)]
+    fn debug_validate_latched(&self) {
+        debug_assert_eq!(
+            self.latched,
+            self.scan_latched(),
+            "latched mask drifted from the CS latches"
+        );
     }
 
     /// Reset all slot tables to `new_active` entries (dynamic granularity
@@ -502,14 +564,18 @@ impl TdmRouter {
 
     /// Flits owned by the router (drain detection).
     pub fn occupancy(&self) -> usize {
-        self.pipeline.occupancy()
-            + self.cs_latch.iter().flatten().count()
-            + self.cs_ejected.len()
-            + self
-                .protocol_out
+        let protocol = if self.protocol_out.is_empty() {
+            0
+        } else {
+            self.protocol_out
                 .iter()
                 .map(|p| p.len_flits as usize)
                 .sum::<usize>()
+        };
+        self.pipeline.occupancy()
+            + self.latched.count_ones() as usize
+            + self.cs_ejected.len()
+            + protocol
     }
 
     /// Purge everything belonging to `pid` after the network dropped one
@@ -525,9 +591,10 @@ impl TdmRouter {
         credits: &mut Vec<(Direction, Credit)>,
     ) -> usize {
         let mut dropped = self.pipeline.purge_packet(pid, arena, credits);
-        for l in &mut self.cs_latch {
+        for (p, l) in self.cs_latch.iter_mut().enumerate() {
             if l.as_ref().is_some_and(|(f, _)| f.packet == pid) {
                 *l = None;
+                self.latched &= !(1 << p);
                 dropped += 1;
             }
         }
@@ -537,9 +604,10 @@ impl TdmRouter {
     }
 
     /// Serialise the router's mutable state (snapshot seam, DESIGN.md §14).
-    /// `time_slot_stealing` is configuration and the trace sink is
-    /// telemetry (checkpoints are refused while telemetry is armed); the
-    /// arena is serialised once at network level.
+    /// `time_slot_stealing` and `hitchhiker` are configuration, the trace
+    /// sink is telemetry (checkpoints are refused while telemetry is
+    /// armed), the arena is serialised once at network level, and
+    /// `latched` is derived from the latches on load.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         self.pipeline.save_state(w);
         self.slots.save_state(w);
@@ -556,6 +624,7 @@ impl TdmRouter {
         self.pipeline.load_state(r)?;
         self.slots.load_state(r)?;
         self.cs_latch = Snap::load(r)?;
+        self.latched = self.scan_latched();
         self.protocol_out = Snap::load(r)?;
         self.dlt_observations = Snap::load(r)?;
         self.cs_ejected = Snap::load(r)?;
@@ -1006,6 +1075,84 @@ mod more_tests {
             .protocol_out
             .iter()
             .any(|p| matches!(p.config, Some(ConfigKind::Ack { success: false, .. }))));
+    }
+
+    /// A router at (1,1) holding two circuits in slot 6, West→East and
+    /// North→South, with a CS flit latched on each input at cycle 6.
+    fn two_latched(m: Mesh) -> TdmRouter {
+        let mut r = router_at(m, Coord::new(1, 1));
+        let (west, north) = (m.id(Coord::new(0, 1)), m.id(Coord::new(1, 0)));
+        let (east_end, south_end) = (m.id(Coord::new(3, 1)), m.id(Coord::new(1, 3)));
+        r.accept_flit(
+            0,
+            Port::West,
+            setup_flit(r.arena(), west, east_end, 6, 2, 1),
+        );
+        r.accept_flit(
+            0,
+            Port::North,
+            setup_flit(r.arena(), north, south_end, 6, 2, 2),
+        );
+        // Flush the forwarded setups so only the latches hold flits.
+        let mut out = NodeOutputs::default();
+        for now in 0..4 {
+            r.step(now, &mut out);
+        }
+        assert_eq!(out.flits.len(), 2, "both setups forwarded");
+        r.accept_flit(6, Port::West, cs_flit(50, west, east_end, 0, 2));
+        r.accept_flit(6, Port::North, cs_flit(51, north, south_end, 0, 2));
+        r
+    }
+
+    fn sent(out: &NodeOutputs) -> Vec<(noc_sim::Direction, PacketId)> {
+        out.flits.iter().map(|(d, f)| (*d, f.packet)).collect()
+    }
+
+    #[test]
+    fn latched_mask_is_derived_not_saved_and_survives_restore() {
+        let m = mesh();
+        let mut r = two_latched(m);
+        let both = (1u8 << Port::West.index()) | (1 << Port::North.index());
+        assert_eq!(r.latched, both);
+        assert_eq!(r.occupancy(), 2);
+        let mut w = SnapshotWriter::new();
+        r.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = router_at(m, Coord::new(1, 1));
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .expect("restore");
+        assert_eq!(restored.latched, both, "rebuilt from the latches");
+        let mut again = SnapshotWriter::new();
+        restored.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "the mask adds no bytes");
+        let (mut a, mut b) = (NodeOutputs::default(), NodeOutputs::default());
+        r.step(6, &mut a);
+        restored.step(6, &mut b);
+        // Latches traverse in input-port order: North before West.
+        let expect = [
+            (noc_sim::Direction::South, PacketId(51)),
+            (noc_sim::Direction::East, PacketId(50)),
+        ];
+        assert_eq!(sent(&a), expect);
+        assert_eq!(sent(&b), expect);
+        assert_eq!((r.latched, restored.latched), (0, 0));
+        assert_eq!(restored.occupancy(), 0);
+    }
+
+    #[test]
+    fn purging_a_latched_packet_clears_its_bit() {
+        let m = mesh();
+        let mut r = two_latched(m);
+        let mut credits = Vec::new();
+        let arena = r.arena().clone();
+        assert_eq!(r.purge_packet(PacketId(50), &arena, &mut credits), 1);
+        assert_eq!(r.latched, 1 << Port::North.index());
+        assert_eq!(r.occupancy(), 1);
+        let mut out = NodeOutputs::default();
+        r.step(6, &mut out);
+        assert_eq!(sent(&out), [(noc_sim::Direction::South, PacketId(51))]);
+        assert_eq!(r.latched, 0);
     }
 
     #[test]

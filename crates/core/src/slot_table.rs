@@ -128,10 +128,18 @@ impl SlotTables {
         self.capacity
     }
 
-    /// Slot index controlling cycle `t`.
+    /// Slot index controlling cycle `t`. Table sizes are powers of two in
+    /// every shipped configuration (128 and 256 entries, doubled or halved
+    /// by a resize); there the mask is exact and skips a 64-bit division,
+    /// which this per-hop lookup would otherwise pay several times a step.
     #[inline]
     pub fn slot_of(&self, t: u64) -> u16 {
-        (t % self.active as u64) as u16
+        let a = self.active as u64;
+        if a.is_power_of_two() {
+            (t & (a - 1)) as u16
+        } else {
+            (t % a) as u16
+        }
     }
 
     /// Total powered entries (leakage accounting): active × ports.

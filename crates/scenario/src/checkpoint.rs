@@ -59,12 +59,19 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialise to the blob format.
     pub fn encode(&self) -> Vec<u8> {
-        let spec_json =
-            serde_json::to_string(&self.spec.to_value()).expect("spec serialisation is infallible");
+        // The blob, megabytes on a kilo-node fabric, is allocated before
+        // the spec is serialised. Made first, the spec's small temporaries
+        // split the free block an earlier blob left behind, and the blob
+        // then takes fresh memory: +4.6 MB peak RSS when one process
+        // captured a 32×32 TDM warm-up for the second time. A spec longer
+        // than `SPEC_ROOM` (long fault or policy lists) grows the buffer.
+        const SPEC_ROOM: usize = 4096;
         let snap = self.snapshot.as_bytes();
-        let mut out = Vec::with_capacity(36 + spec_json.len() + snap.len());
+        let mut out = Vec::with_capacity(36 + SPEC_ROOM + snap.len());
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        let spec_json =
+            serde_json::to_string(&self.spec.to_value()).expect("spec serialisation is infallible");
         out.extend_from_slice(&(spec_json.len() as u32).to_le_bytes());
         out.extend_from_slice(spec_json.as_bytes());
         out.extend_from_slice(&self.warmup_ticks.to_le_bytes());
@@ -191,7 +198,11 @@ mod tests {
             ),
             warmup_ticks: 1_234,
             next_packet_id: 567,
-            snapshot: FabricSnapshot::from_payload(vec![1, 2, 3, 4]),
+            snapshot: FabricSnapshot::capture(|w| {
+                [1u8, 2, 3, 4].iter().for_each(|&b| w.u8(b));
+                Ok(())
+            })
+            .expect("infallible"),
         }
     }
 

@@ -2,9 +2,101 @@
 //! `--quick`, `--json <path>`, `--scenario <file>`, `--sweep-threads`,
 //! and the `--trace-out`/`--trace-events`/`--trace-sample`/
 //! `--metrics-window` telemetry flags.
+//!
+//! Each flag is looked up on its own by the accessors below, so
+//! [`check_cli_args`] runs first and rejects anything outside [`FLAGS`]:
+//! a misspelt flag would otherwise be ignored and start the full sweep.
 
 use crate::{ScenarioError, ScenarioSpec};
 use noc_sim::TelemetryConfig;
+
+/// Every flag the experiment binaries share, one per line: the flag, its
+/// value placeholder if it takes one, and its help text. `--help` prints
+/// this list, indented.
+pub const FLAGS: &str = "\
+--quick                    coarse sweep, seconds instead of minutes (also -q)
+--json <path>              write the raw points as a result envelope
+--scenario <file>          run the JSON spec(s) in <file>, not the built-in figure
+--sweep-threads <n>        sweep worker threads (0 = one per core, the default)
+--checkpoint-out <path>    write the warm-up as a checkpoint (one-spec --scenario)
+--checkpoint-from <path>   restore every spec's warm-up from a checkpoint
+--trace-in <path>          replay a NOCTRACE1 packet trace as every spec's traffic
+--trace-export <path>      record the injected packets (one-spec --scenario)
+--profile-circuits <n>     pre-establish pinned circuits for the top <n> flows
+--trace-out <path>         arm tracing: a Chrome trace JSON and a link heatmap
+--trace-events <list>      traced kinds: all,flit,circuit,steal,share,gating,sleep
+--trace-sample <n>         keep 1 in <n> flit-lifecycle events
+--metrics-window <cycles>  metrics snapshot period (0 = one whole-run window)
+--help                     print this list (also -h)
+";
+
+/// What [`check_args`] found on a command line of shared flags.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgCheck {
+    Run,
+    Help,
+}
+
+/// Check `args` (program name excluded) against [`FLAGS`]: a flag that
+/// takes a value consumes the next argument whatever it looks like, and
+/// `--help`/`-h` stops the scan.
+fn check_args(args: &[String]) -> Result<ArgCheck, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--help" | "-h" => return Ok(ArgCheck::Help),
+            "-q" => continue,
+            _ => {}
+        }
+        // `Some(placeholder)` for a known flag: the placeholder, if any,
+        // is the word after it.
+        let flag = FLAGS.lines().find_map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next() == Some(a.as_str())).then(|| words.next().filter(|w| w.starts_with('<')))
+        });
+        match flag {
+            Some(None) => {}
+            Some(Some(value)) => {
+                if it.next().is_none() {
+                    return Err(format!("{a} needs a value {value}"));
+                }
+            }
+            None if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
+            None => return Err(format!("unexpected argument {a:?}")),
+        }
+    }
+    Ok(ArgCheck::Run)
+}
+
+/// The `--help` text: [`FLAGS`] under a heading.
+fn flag_list() -> String {
+    let mut s = String::from("flags:\n");
+    for line in FLAGS.lines() {
+        s.push_str(&format!("  {line}\n"));
+    }
+    s
+}
+
+/// Validate the process arguments before anything runs: `--help` or `-h`
+/// prints the flag list and exits 0; an unknown flag, a stray argument or
+/// a flag missing its value prints `error: …` and the list to stderr and
+/// exits 2. Every figure, table and ablation binary calls this first
+/// (through `noc_bench::scenario_mode_ran`); `network_step` has its own
+/// parser.
+pub fn check_cli_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match check_args(&args) {
+        Ok(ArgCheck::Run) => {}
+        Ok(ArgCheck::Help) => {
+            print!("{}", flag_list());
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprint!("error: {e}\n{}", flag_list());
+            std::process::exit(2);
+        }
+    }
+}
 
 /// `--quick` flag for every experiment binary.
 pub fn quick_flag() -> bool {
@@ -235,6 +327,86 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_and_their_values_pass() {
+        let a = args(&[
+            "--quick",
+            "--json",
+            "out.json",
+            "--sweep-threads",
+            "2",
+            "-q",
+            "--trace-out",
+            "t.json",
+            "--trace-events",
+            "flit,circuit",
+        ]);
+        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
+        assert_eq!(check_args(&[]), Ok(ArgCheck::Run));
+    }
+
+    #[test]
+    fn a_value_may_start_with_dashes() {
+        // The value is taken as given, not read as a flag.
+        let a = args(&["--json", "--out.json", "--quick"]);
+        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
+        let a = args(&["--scenario", "--qiuck"]);
+        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
+    }
+
+    #[test]
+    fn unknown_flags_stray_arguments_and_missing_values_are_rejected() {
+        let err = check_args(&args(&["--qiuck"])).unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains("--qiuck"),
+            "{err}"
+        );
+        let err = check_args(&args(&["--quick", "extra"])).unwrap_err();
+        assert!(err.contains("unexpected argument"), "{err}");
+        let err = check_args(&args(&["--quick", "--json"])).unwrap_err();
+        assert!(err.contains("--json needs a value"), "{err}");
+        assert!(check_args(&args(&["-x"])).is_err());
+    }
+
+    #[test]
+    fn help_stops_the_scan() {
+        assert_eq!(check_args(&args(&["--help"])), Ok(ArgCheck::Help));
+        assert_eq!(
+            check_args(&args(&["--quick", "-h", "--bogus"])),
+            Ok(ArgCheck::Help)
+        );
+        // A value that reads `--help` is still a value.
+        assert_eq!(check_args(&args(&["--json", "--help"])), Ok(ArgCheck::Run));
+        // An error before the help flag wins.
+        assert!(check_args(&args(&["--bogus", "--help"])).is_err());
+    }
+
+    #[test]
+    fn every_accessor_flag_is_listed() {
+        for flag in [
+            "--quick",
+            "--json",
+            "--scenario",
+            "--sweep-threads",
+            "--checkpoint-out",
+            "--checkpoint-from",
+            "--trace-in",
+            "--trace-export",
+            "--profile-circuits",
+            "--trace-out",
+            "--trace-events",
+            "--trace-sample",
+            "--metrics-window",
+        ] {
+            assert!(
+                FLAGS
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(flag)),
+                "{flag} missing from FLAGS"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use cache_key::{
 };
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use cli::{
-    checkpoint_from_flag, checkpoint_out_flag, json_flag, metrics_window_flag,
+    check_cli_args, checkpoint_from_flag, checkpoint_out_flag, json_flag, metrics_window_flag,
     profile_circuits_flag, quick_flag, scenario_flag, scenario_specs_from_cli, sweep_threads_flag,
     telemetry_from_cli, trace_events_flag, trace_export_flag, trace_in_flag, trace_out_flag,
     trace_sample_flag,

@@ -84,7 +84,15 @@ impl RoundRobin {
         if self.n == 0 || mask == 0 {
             return None;
         }
-        let start = (self.last + 1) % self.n;
+        // `last < n` holds (`new`, `resize` and `check_restored` keep it),
+        // so one past it is at most `n` and wraps with a compare, not a
+        // division.
+        debug_assert!(self.last < self.n, "arbiter pointer past its requesters");
+        let start = if self.last + 1 == self.n {
+            0
+        } else {
+            self.last + 1
+        };
         let ahead = mask >> start;
         let i = if ahead != 0 {
             start + ahead.trailing_zeros() as usize
@@ -294,15 +302,25 @@ mod proptests {
 
         /// `grant_mask` is grant-for-grant identical to the slice-based
         /// `grant` over arbitrary request sequences, including empty sets
-        /// (which must not advance the priority pointer).
+        /// (which must not advance the priority pointer). Resizes are
+        /// interleaved (a `resize` draw of 1..=16 applies before that
+        /// round's grant), so the compare-and-wrap start stays pinned to
+        /// the modular search after a shrink leaves the pointer at `n - 1`
+        /// or wraps it.
         #[test]
         fn mask_matches_slice(
             n in 1usize..17,
-            rounds in prop::collection::vec(any::<u16>(), 1..64),
+            rounds in prop::collection::vec((any::<u16>(), 0usize..40), 1..64),
         ) {
+            let mut n = n;
             let mut slice = RoundRobin::new(n);
             let mut mask = RoundRobin::new(n);
-            for bits in rounds {
+            for (bits, resize) in rounds {
+                if (1..=16).contains(&resize) {
+                    n = resize;
+                    slice.resize(n);
+                    mask.resize(n);
+                }
                 let reqs: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
                 let m = reqs.iter().enumerate()
                     .filter(|(_, &r)| r)

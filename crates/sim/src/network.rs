@@ -386,20 +386,30 @@ impl<N: NodeModel> Network<N> {
         // 1. Deliver the wire slots due this cycle. Per node: flits first,
         // then credits, then VC counts (credit and VC-count application
         // touch disjoint router state, so their relative order is free).
+        // Most slots of a stepped node are empty; they are skipped.
         for w in 0..words {
             let mut bits = self.step_mask.words()[w];
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.inflight_flits -= self.flit_slots[par][i].len();
-                for (dir, flit) in self.flit_slots[par][i].drain(..) {
-                    self.nodes[i].accept_flit(now, dir, flit);
+                let flits = &mut self.flit_slots[par][i];
+                if !flits.is_empty() {
+                    self.inflight_flits -= flits.len();
+                    for (dir, flit) in flits.drain(..) {
+                        self.nodes[i].accept_flit(now, dir, flit);
+                    }
                 }
-                for (dir, credit) in self.credit_slots[par][i].drain(..) {
-                    self.nodes[i].accept_credit(now, dir, credit);
+                let credits = &mut self.credit_slots[par][i];
+                if !credits.is_empty() {
+                    for (dir, credit) in credits.drain(..) {
+                        self.nodes[i].accept_credit(now, dir, credit);
+                    }
                 }
-                for (dir, count) in self.vc_count_slots[par][i].drain(..) {
-                    self.nodes[i].accept_vc_count(now, dir, count);
+                let counts = &mut self.vc_count_slots[par][i];
+                if !counts.is_empty() {
+                    for (dir, count) in counts.drain(..) {
+                        self.nodes[i].accept_vc_count(now, dir, count);
+                    }
                 }
             }
         }
@@ -438,7 +448,8 @@ impl<N: NodeModel> Network<N> {
         // order (the determinism contract — see the module docs).
         // Flits re-fill the slot drained in phase 1 (same parity at
         // `now + 2`); 1-cycle signals go to the opposite slot. Every push
-        // sets the destination's wake bit for its delivery parity.
+        // sets the destination's wake bit for its delivery parity. An
+        // empty outbox (an idle wake) is skipped.
         let Network {
             outboxes,
             flit_slots,
@@ -460,6 +471,9 @@ impl<N: NodeModel> Network<N> {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let out = &mut outboxes[i];
+                if out.is_empty() {
+                    continue;
+                }
                 for (dir, flit) in out.flits.drain(..) {
                     // A flit emitted onto a dead link is dropped at the link
                     // driver: free its config payload, refund the buffer
@@ -1085,9 +1099,7 @@ impl<N: NodeModel> Network<N> {
     /// deliberately outside the snapshot seam — disarm via
     /// [`Network::take_telemetry`] first).
     pub fn checkpoint(&self) -> Result<FabricSnapshot, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        self.save_into(&mut w)?;
-        Ok(FabricSnapshot::from_payload(w.into_bytes()))
+        FabricSnapshot::capture(|w| self.save_into(w))
     }
 
     /// Restore from a snapshot taken by [`Network::checkpoint`] on a

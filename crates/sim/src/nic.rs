@@ -198,6 +198,9 @@ impl Nic {
 
     /// Hand completed packets to the caller.
     pub fn drain_delivered(&mut self, sink: &mut Vec<DeliveredPacket>) {
+        if self.delivered.is_empty() {
+            return;
+        }
         sink.append(&mut self.delivered);
     }
 

@@ -29,6 +29,11 @@ impl NodeOutputs {
         self.credits.clear();
         self.vc_counts.clear();
     }
+
+    /// Nothing was emitted.
+    pub fn is_empty(&self) -> bool {
+        self.flits.is_empty() && self.credits.is_empty() && self.vc_counts.is_empty()
+    }
 }
 
 /// Per-cycle powered-component snapshot, integrated by the harness into

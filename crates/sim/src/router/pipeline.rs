@@ -453,14 +453,15 @@ impl PsPipeline {
         // Stage gating on the candidate masks. Skipping a stage is
         // state-identical to running it over zero eligible VCs: the
         // round-robin arbiters only advance on a successful grant, so an
-        // empty scan never mutates anything.
+        // empty scan never mutates anything. SA/ST also needs a buffered
+        // flit: an Active VC still waiting for its body flits cannot bid.
         if self.rc_mask != 0 {
             self.refresh_rc(now);
         }
         if self.wait_mask != 0 {
             self.do_va(now);
         }
-        if self.act_mask != 0 {
+        if self.act_mask != 0 && self.buffered != 0 {
             self.do_sa_st(now, ctrl, out);
         }
         self.prev_busy = self.busy_vcs;
@@ -669,24 +670,30 @@ impl PsPipeline {
     }
 
     /// Switch allocation (input-first separable) + switch traversal.
+    ///
+    /// The hybrid constraints are read only where they can matter: an
+    /// input port with no bidding VC never asks `ps_input_blocked`, and an
+    /// output's `ps_output_state` is read once, the first time a bidder
+    /// names it (`asked` marks the filled entries of `avail`).
     fn do_sa_st<C: HybridCtrl>(&mut self, now: Cycle, ctrl: &C, out: &mut NodeOutputs) {
         let vcs = self.cfg.vcs_per_port as usize;
+        let bidders = self.act_mask & !ctrl.ps_blocked_vcs();
         let mut avail = [PsOutput::Free; Port::COUNT];
-        for o in Port::ALL {
-            avail[o.index()] = ctrl.ps_output_state(now, o);
-        }
-        let blocked = ctrl.ps_blocked_vcs();
+        let mut asked = 0u8;
 
-        // Phase 1: each input port nominates one eligible VC.
-        let mut candidates: [Option<(u8, Port, u8)>; Port::COUNT] = [None; Port::COUNT];
+        // Phase 1: each input port nominates one eligible VC, and the
+        // nominee's output collects the port's request bit.
+        let mut candidates: [Option<(u8, u8)>; Port::COUNT] = [None; Port::COUNT];
+        let mut out_reqs = [0u64; Port::COUNT];
+        let mut req_outs = 0u8;
         for (p, cand) in candidates.iter_mut().enumerate() {
-            if ctrl.ps_input_blocked(now, Port::from_index(p)) {
+            // This port's slice of the Active VCs that may bid: bit `vc`
+            // of `port_act`.
+            let mut port_act = (bidders >> (p * vcs)) & ((1u64 << vcs) - 1);
+            if port_act == 0 || ctrl.ps_input_blocked(now, Port::from_index(p)) {
                 continue;
             }
             let mut req_mask = 0u64;
-            // This port's slice of the Active VCs that may bid: bit `vc`
-            // of `port_act`.
-            let mut port_act = ((self.act_mask & !blocked) >> (p * vcs)) & ((1u64 << vcs) - 1);
             while port_act != 0 {
                 let vc = port_act.trailing_zeros() as usize;
                 port_act &= port_act - 1;
@@ -697,10 +704,15 @@ impl PsPipeline {
                 if ctl.stage_cycle >= now || self.buf.is_empty(p * vcs + vc) {
                     continue;
                 }
-                if avail[out.index()] == PsOutput::Busy {
+                let o = out.index();
+                if asked & (1 << o) == 0 {
+                    avail[o] = ctrl.ps_output_state(now, out);
+                    asked |= 1 << o;
+                }
+                if avail[o] == PsOutput::Busy {
                     continue;
                 }
-                if out == Port::Local || self.out_credits[out.index() * vcs + out_vc as usize] > 0 {
+                if out == Port::Local || self.out_credits[o * vcs + out_vc as usize] > 0 {
                     req_mask |= 1 << vc;
                 }
             }
@@ -708,7 +720,9 @@ impl PsPipeline {
                 let VcState::Active { out, out_vc } = self.ctl[p * vcs + vc].state else {
                     unreachable!()
                 };
-                *cand = Some((vc as u8, out, out_vc));
+                *cand = Some((vc as u8, out_vc));
+                out_reqs[out.index()] |= 1 << p;
+                req_outs |= 1 << out.index();
                 self.events.sa_ops += 1;
                 if self.trace.wants(EventKind::SaGrant) {
                     let pkt = self.buf.front(p * vcs + vc).map_or(0, |f| f.packet.0);
@@ -718,25 +732,22 @@ impl PsPipeline {
             }
         }
 
-        // Phase 2: each output port grants one input port; winner traverses.
-        let mut out_reqs = [0u64; Port::COUNT];
-        for (p, cand) in candidates.iter().enumerate() {
-            if let Some((_, out, _)) = cand {
-                out_reqs[out.index()] |= 1 << p;
-            }
-        }
-        for o in Port::ALL {
-            let Some(p) = self.sa_arb_out[o.index()].grant_mask(out_reqs[o.index()]) else {
-                continue;
-            };
-            let (vc, _, out_vc) = candidates[p].unwrap();
+        // Phase 2: each requested output grants one input port, in port
+        // order; the winner traverses.
+        while req_outs != 0 {
+            let o = req_outs.trailing_zeros() as usize;
+            req_outs &= req_outs - 1;
+            let p = self.sa_arb_out[o]
+                .grant_mask(out_reqs[o])
+                .expect("a requested output always grants");
+            let (vc, out_vc) = candidates[p].unwrap();
             self.traverse(
                 now,
                 Port::from_index(p),
                 vc,
-                o,
+                Port::from_index(o),
                 out_vc,
-                avail[o.index()],
+                avail[o],
                 out,
             );
         }
@@ -1221,6 +1232,51 @@ mod tests {
         r.step(6, &BlockVcs(0), &mut out);
         let sent: Vec<PacketId> = out.flits.drain(..).map(|(_, f)| f.packet).collect();
         assert_eq!(sent, [PacketId(10)], "clearing the mask lets VC 0 go");
+    }
+
+    /// A ctrl that fails the test if switch allocation consults it.
+    struct NoSwitchAllocation;
+
+    impl HybridCtrl for NoSwitchAllocation {
+        fn ps_output_state(&self, _now: Cycle, o: Port) -> PsOutput {
+            panic!("switch allocation asked about output {o:?} with no flit to send")
+        }
+
+        fn ps_input_blocked(&self, _now: Cycle, p: Port) -> bool {
+            panic!("switch allocation asked about input {p:?} with no flit to send")
+        }
+    }
+
+    #[test]
+    fn an_active_vc_without_a_flit_leaves_switch_allocation_untouched() {
+        let m = Mesh::square(3);
+        let east = m.id(Coord::new(2, 1));
+        let mut r = mk(m, m.id(Coord::new(1, 1)));
+        // The head of a two-flit packet leaves; its VC stays Active and
+        // empty, waiting for the tail.
+        r.accept_flit(0, Port::West, packet_flit(1, east, 2, 0, 0));
+        let mut out = NodeOutputs::default();
+        for now in 0..3 {
+            r.step(now, &NullCtrl, &mut out);
+        }
+        assert_eq!(out.flits.len(), 1, "the head left");
+        assert!(matches!(r.vc_state(Port::West, 0), VcState::Active { .. }));
+        assert_eq!(r.occupancy(), 0);
+        let arbiters = |r: &PsPipeline| format!("{:?}", (&r.va_arb, &r.sa_arb_in, &r.sa_arb_out));
+        let (arbs, events, counters) = (arbiters(&r), r.events, r.counters());
+        out.clear();
+        for now in 3..8 {
+            r.step(now, &NoSwitchAllocation, &mut out);
+        }
+        assert!(out.flits.is_empty() && out.credits.is_empty());
+        assert_eq!(arbiters(&r), arbs, "an arbiter pointer moved");
+        assert_eq!(r.events, events);
+        assert_eq!(r.counters(), counters);
+        // The tail arrives: the VC bids again and the packet completes.
+        r.accept_flit(8, Port::West, packet_flit(1, east, 2, 1, 0));
+        r.step(8, &NullCtrl, &mut out);
+        assert_eq!(out.flits.len(), 1, "the tail left");
+        assert_eq!(r.vc_state(Port::West, 0), VcState::Idle);
     }
 
     #[test]

@@ -94,6 +94,9 @@ impl std::error::Error for SnapshotError {}
 #[derive(Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
+    /// `Some(bytes so far)` for the sizing pass of
+    /// [`FabricSnapshot::capture`]: bytes are counted, not stored.
+    sized: Option<usize>,
 }
 
 impl SnapshotWriter {
@@ -106,31 +109,39 @@ impl SnapshotWriter {
     }
 
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.sized.unwrap_or(self.buf.len())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sized {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     #[inline]
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     #[inline]
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     #[inline]
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     #[inline]
@@ -383,13 +394,30 @@ pub struct FabricSnapshot {
 }
 
 impl FabricSnapshot {
-    /// Wrap a backend payload in the container header.
-    pub fn from_payload(payload: Vec<u8>) -> Self {
-        let mut bytes = Vec::with_capacity(payload.len() + 12);
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        FabricSnapshot { bytes }
+    /// Encode a fabric's state with `save` into one buffer of exactly the
+    /// container's size: a sizing pass counts the payload, then header and
+    /// payload are written once. A growing buffer would instead peak at
+    /// about three times the payload (a doubling, then the copy behind the
+    /// header), megabytes on a kilo-node fabric. `save` must write the same
+    /// bytes both times; it reads the fabric through `&self`, so it does.
+    pub fn capture(
+        save: impl Fn(&mut SnapshotWriter) -> Result<(), SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
+        let mut sizing = SnapshotWriter {
+            buf: Vec::new(),
+            sized: Some(0),
+        };
+        save(&mut sizing)?;
+        let len = 12 + sizing.len();
+        let mut w = SnapshotWriter {
+            buf: Vec::with_capacity(len),
+            sized: None,
+        };
+        w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        w.buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        save(&mut w)?;
+        debug_assert_eq!(w.buf.len(), len, "sizing pass disagrees with the encode");
+        Ok(FabricSnapshot { bytes: w.buf })
     }
 
     /// The full container (header + payload), e.g. for writing to disk.
@@ -494,6 +522,7 @@ impl RouteOverrides {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PacketId;
 
     #[test]
     fn primitives_round_trip() {
@@ -517,8 +546,36 @@ mod tests {
     }
 
     #[test]
+    fn capture_writes_the_wrapped_payload_into_an_exact_buffer() {
+        let save = |w: &mut SnapshotWriter| {
+            w.u8(7);
+            w.u64(u64::MAX);
+            vec![1u16, 2, 3].save(w);
+            Some(PacketId(9)).save(w);
+            Ok(())
+        };
+        let mut w = SnapshotWriter::new();
+        save(&mut w).unwrap();
+        let mut wrapped = SNAPSHOT_MAGIC.to_vec();
+        wrapped.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        wrapped.extend_from_slice(&w.into_bytes());
+        let captured = FabricSnapshot::capture(save).unwrap();
+        assert_eq!(captured.as_bytes(), wrapped);
+        assert_eq!(captured.bytes.capacity(), captured.bytes.len());
+        let failing = FabricSnapshot::capture(|w| {
+            w.u8(1);
+            Err(SnapshotError::Unsupported("test"))
+        });
+        assert!(matches!(failing, Err(SnapshotError::Unsupported(_))));
+    }
+
+    #[test]
     fn container_header_is_validated() {
-        let snap = FabricSnapshot::from_payload(vec![1, 2, 3]);
+        let snap = FabricSnapshot::capture(|w| {
+            [1u8, 2, 3].iter().for_each(|&b| w.u8(b));
+            Ok(())
+        })
+        .unwrap();
         let bytes = snap.as_bytes().to_vec();
         let back = FabricSnapshot::from_bytes(bytes.clone()).unwrap();
         let mut r = back.payload();

@@ -16,6 +16,28 @@ cargo fmt --check
 echo "== cargo build --release =="
 cargo build --release --workspace "${OFFLINE[@]}"
 
+echo "== experiment binaries: unknown flag exits 2, --help exits 0, neither simulates =="
+# Every figure, table and ablation binary checks its command line before
+# it runs anything (network_step has its own parser). The timeout catches
+# a binary that starts a sweep instead.
+FLAG_TMP="$(mktemp -d)"
+for SRC in crates/bench/src/bin/*.rs; do
+    BIN="$(basename "$SRC" .rs)"
+    [[ "$BIN" == network_step ]] && continue
+    EXE="${CARGO_TARGET_DIR:-target}/release/$BIN"
+    CODE=0
+    timeout 5 "$EXE" --qiuck > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
+    [[ $CODE == 2 ]] || { echo "$BIN --qiuck exited $CODE, want 2"; exit 1; }
+    grep -q 'unknown flag "--qiuck"' "$FLAG_TMP/err" || { echo "$BIN: no unknown-flag error"; exit 1; }
+    [[ ! -s "$FLAG_TMP/out" ]] || { echo "$BIN --qiuck printed output"; exit 1; }
+    CODE=0
+    timeout 5 "$EXE" --help > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
+    [[ $CODE == 0 ]] || { echo "$BIN --help exited $CODE, want 0"; exit 1; }
+    grep -q -- "--sweep-threads <n>" "$FLAG_TMP/out" || { echo "$BIN --help: no flag list"; exit 1; }
+done
+rm -rf "$FLAG_TMP"
+echo "every experiment binary rejects unknown flags and answers --help"
+
 echo "== cargo test -q =="
 cargo test -q --workspace "${OFFLINE[@]}"
 
