@@ -468,7 +468,7 @@ pub fn sweep_mixes(specs: &[ScenarioSpec]) -> Vec<MixResult> {
 /// the command line ([`noc_scenario::check_cli_args`]): `--help` exits 0
 /// with the flag list, an unknown flag exits 2 before anything runs.
 pub fn scenario_mode_ran() -> bool {
-    noc_scenario::check_cli_args();
+    noc_scenario::check_cli_args(noc_scenario::cli::FLAGS);
     let specs = match scenario_specs_from_cli() {
         Ok(None) => return false,
         Ok(Some(specs)) => specs,

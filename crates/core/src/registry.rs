@@ -7,7 +7,6 @@
 use noc_sim::{
     Cycle, Mesh, NodeId, NodeTable, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use rustc_hash::FxHashMap;
 
 /// An established circuit-switched connection, registered at the source
 /// after a successful `ack` (§II-B).
@@ -45,7 +44,8 @@ pub struct PendingSetup {
 #[derive(Clone, Debug)]
 pub struct ConnRegistry {
     conns: NodeTable<Vec<Connection>>,
-    pending: FxHashMap<u64, PendingSetup>,
+    /// Setups in flight, in ascending path-id order.
+    pending: Vec<(u64, PendingSetup)>,
     /// Destinations that exhausted their retries: no new setup until the
     /// stored cycle, with an exponential-backoff level — repeatedly
     /// unsatisfiable pairs stop spamming the network with configuration
@@ -58,7 +58,7 @@ impl ConnRegistry {
     pub fn new(nodes: usize) -> Self {
         ConnRegistry {
             conns: NodeTable::new(nodes),
-            pending: FxHashMap::default(),
+            pending: Vec::new(),
             cooldown: NodeTable::new(nodes),
         }
     }
@@ -108,13 +108,27 @@ impl ConnRegistry {
         self.conns.values().flat_map(|v| v.iter())
     }
 
+    /// Where `path_id`'s pending setup is (`Ok`) or would go (`Err`).
+    fn pending_position(&self, path_id: u64) -> Result<usize, usize> {
+        self.pending.binary_search_by_key(&path_id, |&(id, _)| id)
+    }
+
     /// Record an issued setup.
     pub fn begin_setup(&mut self, path_id: u64, setup: PendingSetup) {
-        self.pending.insert(path_id, setup);
+        match self.pending_position(path_id) {
+            Ok(i) => self.pending[i].1 = setup,
+            Err(i) => self.pending.insert(i, (path_id, setup)),
+        }
+    }
+
+    /// Forget `path_id`'s pending setup and return it.
+    fn take_pending(&mut self, path_id: u64) -> Option<PendingSetup> {
+        let i = self.pending_position(path_id).ok()?;
+        Some(self.pending.remove(i).1)
     }
 
     pub fn pending_for(&self, dst: NodeId) -> bool {
-        self.pending.values().any(|p| p.dst == dst)
+        self.pending.iter().any(|(_, p)| p.dst == dst)
     }
 
     pub fn pending_count(&self) -> usize {
@@ -123,7 +137,7 @@ impl ConnRegistry {
 
     /// Successful `ack`: register the run.
     pub fn confirm(&mut self, path_id: u64, now: Cycle) -> Option<Connection> {
-        let p = self.pending.remove(&path_id)?;
+        let p = self.take_pending(path_id)?;
         let conn = Connection {
             dst: p.dst,
             slot: p.slot,
@@ -140,7 +154,7 @@ impl ConnRegistry {
     /// Failed `ack`: forget the pending setup and hand it back so the
     /// caller can retry with a different slot id.
     pub fn fail(&mut self, path_id: u64) -> Option<PendingSetup> {
-        self.pending.remove(&path_id)
+        self.take_pending(path_id)
     }
 
     /// Remove every run toward `dst` (teardown initiated); returns them so
@@ -204,23 +218,23 @@ impl ConnRegistry {
         self.cooldown.clear();
     }
 
-    /// Serialise the registry (snapshot seam, DESIGN.md §14). The pending
-    /// map is written sorted by path id: hash-map iteration order is not
-    /// deterministic and the snapshot encoding must be.
+    /// Serialise the registry (snapshot seam, DESIGN.md §14). Pending
+    /// setups are written in their ascending path-id order.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         self.conns.save(w);
-        let mut pending: Vec<(u64, PendingSetup)> =
-            self.pending.iter().map(|(k, v)| (*k, *v)).collect();
-        pending.sort_by_key(|(k, _)| *k);
-        pending.save(w);
+        self.pending.save(w);
         self.cooldown.save(w);
     }
 
-    /// Inverse of [`ConnRegistry::save_state`].
+    /// Inverse of [`ConnRegistry::save_state`]. Rejects pending path ids
+    /// that are out of order or repeated.
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         self.conns = Snap::load(r)?;
         let pending: Vec<(u64, PendingSetup)> = Snap::load(r)?;
-        self.pending = pending.into_iter().collect();
+        if pending.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapshotError::Corrupt("pending setup order"));
+        }
+        self.pending = pending;
         self.cooldown = Snap::load(r)?;
         Ok(())
     }
@@ -402,6 +416,29 @@ mod tests {
         assert!(r.vicinity_of(&mesh, NodeId(6)).is_some()); // (2,1)
         assert!(r.vicinity_of(&mesh, NodeId(15)).is_none()); // (3,3)
         assert!(r.vicinity_of(&mesh, NodeId(5)).is_none(), "endpoint itself");
+    }
+
+    #[test]
+    fn pending_setups_round_trip_and_the_decoder_rejects_bad_ids() {
+        let save = |r: &ConnRegistry| {
+            let mut w = SnapshotWriter::new();
+            r.save_state(&mut w);
+            w.into_bytes()
+        };
+        let load = |bytes: &[u8]| ConnRegistry::new(16).load_state(&mut SnapshotReader::new(bytes));
+        let mut r = ConnRegistry::new(16);
+        for pid in [5u64, 2, 9] {
+            r.begin_setup(pid, pending(3, 0));
+        }
+        assert_eq!(r.pending.iter().map(|p| p.0).collect::<Vec<_>>(), [2, 5, 9]);
+        assert_eq!(load(&save(&r)), Ok(()));
+        for ids in [[2u64, 9, 5], [2, 5, 5]] {
+            r.pending = ids.iter().map(|&id| (id, pending(3, 0))).collect();
+            assert!(
+                matches!(load(&save(&r)), Err(SnapshotError::Corrupt(_))),
+                "{ids:?}"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"NOCCKPT1";
 /// v3: the embedded snapshot moved to `SNAPSHOT_VERSION` 3 (the SDM
 /// router's state is its `PsPipeline`'s plus its planes); bumping here
 /// too keys result and warm-up caches away from stale SDM envelopes.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v4: the embedded snapshot moved to `SNAPSHOT_VERSION` 4 (NIC
+/// reassembly tables are written as their entry lists); bumping here too
+/// keys the warm-up cache away from v3 blobs.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// A warm-up checkpoint: everything needed to resume (or fork) a
 /// synthetic scenario run after its warm-up phase.

@@ -6,13 +6,14 @@
 //! Each flag is looked up on its own by the accessors below, so
 //! [`check_cli_args`] runs first and rejects anything outside [`FLAGS`]:
 //! a misspelt flag would otherwise be ignored and start the full sweep.
+//! A binary with flags of its own (`noc-serve`) passes its own table.
 
 use crate::{ScenarioError, ScenarioSpec};
 use noc_sim::TelemetryConfig;
 
 /// Every flag the experiment binaries share, one per line: the flag, its
 /// value placeholder if it takes one, and its help text. `--help` prints
-/// this list, indented.
+/// this list, indented. Other flag tables use the same format.
 pub const FLAGS: &str = "\
 --quick                    coarse sweep, seconds instead of minutes (also -q)
 --json <path>              write the raw points as a result envelope
@@ -30,17 +31,17 @@ pub const FLAGS: &str = "\
 --help                     print this list (also -h)
 ";
 
-/// What [`check_args`] found on a command line of shared flags.
+/// What [`check_args`] found on a command line.
 #[derive(Debug, PartialEq, Eq)]
 enum ArgCheck {
     Run,
     Help,
 }
 
-/// Check `args` (program name excluded) against [`FLAGS`]: a flag that
-/// takes a value consumes the next argument whatever it looks like, and
-/// `--help`/`-h` stops the scan.
-fn check_args(args: &[String]) -> Result<ArgCheck, String> {
+/// Check `args` (program name excluded) against `flags`, a table in the
+/// format of [`FLAGS`]: a flag that takes a value consumes the next
+/// argument whatever it looks like, and `--help`/`-h` stops the scan.
+fn check_args(args: &[String], flags: &str) -> Result<ArgCheck, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -50,7 +51,7 @@ fn check_args(args: &[String]) -> Result<ArgCheck, String> {
         }
         // `Some(placeholder)` for a known flag: the placeholder, if any,
         // is the word after it.
-        let flag = FLAGS.lines().find_map(|line| {
+        let flag = flags.lines().find_map(|line| {
             let mut words = line.split_whitespace();
             (words.next() == Some(a.as_str())).then(|| words.next().filter(|w| w.starts_with('<')))
         });
@@ -68,33 +69,37 @@ fn check_args(args: &[String]) -> Result<ArgCheck, String> {
     Ok(ArgCheck::Run)
 }
 
-/// The `--help` text: [`FLAGS`] under a heading.
-fn flag_list() -> String {
+/// The `--help` text: `flags` under a heading.
+fn flag_list(flags: &str) -> String {
     let mut s = String::from("flags:\n");
-    for line in FLAGS.lines() {
+    for line in flags.lines() {
         s.push_str(&format!("  {line}\n"));
     }
     s
 }
 
-/// Validate the process arguments before anything runs: `--help` or `-h`
-/// prints the flag list and exits 0; an unknown flag, a stray argument or
-/// a flag missing its value prints `error: …` and the list to stderr and
-/// exits 2. Every figure, table and ablation binary calls this first
-/// (through `noc_bench::scenario_mode_ran`); `network_step` has its own
-/// parser.
-pub fn check_cli_args() {
+/// Print `error: {msg}` and the list of `flags` to stderr, and exit 2.
+pub fn usage_error(flags: &str, msg: &str) -> ! {
+    eprint!("error: {msg}\n{}", flag_list(flags));
+    std::process::exit(2);
+}
+
+/// Validate the process arguments against `flags` before anything runs:
+/// `--help` or `-h` prints the flag list and exits 0; an unknown flag, a
+/// stray argument or a flag missing its value prints `error: …` and the
+/// list to stderr and exits 2. Every figure, table and ablation binary
+/// calls this first with [`FLAGS`] (through
+/// `noc_bench::scenario_mode_ran`), and `noc-serve` with its own table;
+/// `network_step` has its own parser.
+pub fn check_cli_args(flags: &str) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match check_args(&args) {
+    match check_args(&args, flags) {
         Ok(ArgCheck::Run) => {}
         Ok(ArgCheck::Help) => {
-            print!("{}", flag_list());
+            print!("{}", flag_list(flags));
             std::process::exit(0);
         }
-        Err(e) => {
-            eprint!("error: {e}\n{}", flag_list());
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(flags, &e),
     }
 }
 
@@ -232,7 +237,8 @@ pub fn telemetry_from_cli() -> Result<Option<(String, TelemetryConfig)>, Scenari
     Ok(Some((path, cfg)))
 }
 
-fn arg_value(flag: &str) -> Option<String> {
+/// The argument after `flag`, if `flag` is on the command line.
+pub fn arg_value(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == flag)
@@ -343,44 +349,61 @@ mod tests {
             "--trace-events",
             "flit,circuit",
         ]);
-        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
-        assert_eq!(check_args(&[]), Ok(ArgCheck::Run));
+        assert_eq!(check_args(&a, FLAGS), Ok(ArgCheck::Run));
+        assert_eq!(check_args(&[], FLAGS), Ok(ArgCheck::Run));
     }
 
     #[test]
     fn a_value_may_start_with_dashes() {
         // The value is taken as given, not read as a flag.
         let a = args(&["--json", "--out.json", "--quick"]);
-        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
+        assert_eq!(check_args(&a, FLAGS), Ok(ArgCheck::Run));
         let a = args(&["--scenario", "--qiuck"]);
-        assert_eq!(check_args(&a), Ok(ArgCheck::Run));
+        assert_eq!(check_args(&a, FLAGS), Ok(ArgCheck::Run));
     }
 
     #[test]
     fn unknown_flags_stray_arguments_and_missing_values_are_rejected() {
-        let err = check_args(&args(&["--qiuck"])).unwrap_err();
+        let err = check_args(&args(&["--qiuck"]), FLAGS).unwrap_err();
         assert!(
             err.contains("unknown flag") && err.contains("--qiuck"),
             "{err}"
         );
-        let err = check_args(&args(&["--quick", "extra"])).unwrap_err();
+        let err = check_args(&args(&["--quick", "extra"]), FLAGS).unwrap_err();
         assert!(err.contains("unexpected argument"), "{err}");
-        let err = check_args(&args(&["--quick", "--json"])).unwrap_err();
+        let err = check_args(&args(&["--quick", "--json"]), FLAGS).unwrap_err();
         assert!(err.contains("--json needs a value"), "{err}");
-        assert!(check_args(&args(&["-x"])).is_err());
+        assert!(check_args(&args(&["-x"]), FLAGS).is_err());
     }
 
     #[test]
     fn help_stops_the_scan() {
-        assert_eq!(check_args(&args(&["--help"])), Ok(ArgCheck::Help));
+        assert_eq!(check_args(&args(&["--help"]), FLAGS), Ok(ArgCheck::Help));
         assert_eq!(
-            check_args(&args(&["--quick", "-h", "--bogus"])),
+            check_args(&args(&["--quick", "-h", "--bogus"]), FLAGS),
             Ok(ArgCheck::Help)
         );
         // A value that reads `--help` is still a value.
-        assert_eq!(check_args(&args(&["--json", "--help"])), Ok(ArgCheck::Run));
+        assert_eq!(
+            check_args(&args(&["--json", "--help"]), FLAGS),
+            Ok(ArgCheck::Run)
+        );
         // An error before the help flag wins.
-        assert!(check_args(&args(&["--bogus", "--help"])).is_err());
+        assert!(check_args(&args(&["--bogus", "--help"]), FLAGS).is_err());
+    }
+
+    #[test]
+    fn a_binary_checks_against_its_own_table() {
+        let table =
+            "--listen <socket>  serve\n--bench            measure\n--help             help\n";
+        let a = args(&["--listen", "/tmp/s", "--bench"]);
+        assert_eq!(check_args(&a, table), Ok(ArgCheck::Run));
+        let err = check_args(&args(&["--lisen", "/tmp/s"]), table).unwrap_err();
+        assert!(err.contains("unknown flag \"--lisen\""), "{err}");
+        // A shared flag is unknown to a table that does not list it.
+        assert!(check_args(&args(&["--json", "x"]), table).is_err());
+        let err = check_args(&args(&["--listen"]), table).unwrap_err();
+        assert!(err.contains("--listen needs a value <socket>"), "{err}");
     }
 
     #[test]

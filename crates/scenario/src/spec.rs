@@ -908,6 +908,13 @@ fn parse_phases(v: &Json, base: PhaseConfig) -> Result<PhaseConfig, ScenarioErro
         let n = val
             .as_u64()
             .ok_or_else(|| ScenarioError::Parse(format!("phase {k:?} must be an integer")))?;
+        // A zero-length measurement window offers nothing, and the run
+        // would report all-zero stats as if it had measured.
+        if n == 0 && matches!(k.as_str(), "measure_cycles" | "measure_packets") {
+            return Err(ScenarioError::Parse(format!(
+                "phase {k:?} must be at least 1: a zero window measures nothing"
+            )));
+        }
         match k.as_str() {
             "warmup_cycles" => ph.warmup_cycles = n,
             "warmup_packets" => ph.warmup_packets = n,
@@ -1162,6 +1169,30 @@ mod tests {
         assert_eq!(s.phases.drain_cycles, PhaseConfig::default().drain_cycles);
         assert_eq!(s.seed, 42);
         assert_eq!(s.slot_capacity, Some(64));
+    }
+
+    /// Parse a 4×4 TDM-VC4 TR spec with `phases` and return the error.
+    fn phases_error(phases: &str) -> String {
+        let text = format!(
+            r#"{{"backend": "HybridTdmVc4", "mesh": 4, "pattern": "TR",
+                "rate": 0.1, "phases": {phases}}}"#
+        );
+        match ScenarioSpec::parse(&text) {
+            Err(ScenarioError::Parse(e)) => e,
+            other => panic!("{phases}: expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_measure_packets_is_rejected() {
+        let e = phases_error(r#"{"measure_packets": 0}"#);
+        assert!(e.contains("measure_packets"), "{e}");
+    }
+
+    #[test]
+    fn zero_measure_cycles_is_rejected() {
+        let e = phases_error(r#"{"warmup_cycles": 100, "measure_cycles": 0}"#);
+        assert!(e.contains("measure_cycles"), "{e}");
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   cache layers (numbers for `results/network_step_speedup.txt`).
 //! * `noc-serve` — one-shot: read request lines (or bare scenario specs)
 //!   from stdin, run the batch, print frames to stdout.
+//!
+//! A flag outside [`FLAGS`] or a bad value exits 2 with the flag list;
+//! `--help` prints the list and exits 0.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -19,26 +22,31 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::time::{Duration, Instant};
 
+use noc_scenario::cli::{arg_value, check_cli_args, usage_error};
 use noc_scenario::{parse_pattern, quick_flag, BackendKind, Json, ScenarioSpec};
 use noc_serve::{
     bye_frame, error_frame, frame_kind, parse_request, Request, ScenarioService, ServeConfig,
 };
 use noc_traffic::PhaseConfig;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// Every `noc-serve` flag, in the format of `noc_scenario::cli::FLAGS`.
+const FLAGS: &str = "\
+--listen <socket>    serve JSON-lines requests on a unix socket
+--connect <socket>   send stdin's request lines to a server, print its frames
+--workers <n>        worker threads (default: one per core, at most 4)
+--cache-dir <dir>    keep the result and warm-up caches in <dir>
+--cache-max <n>      result-cache entries (default 256)
+--warm-max <n>       warm-up checkpoints kept (default 16)
+--bench              in-process A/B measurement of the cache layers
+--quick              smaller --bench batch (also -q)
+--help               print this list (also -h)
+";
 
 fn usize_flag(flag: &str, default: usize) -> usize {
-    arg_value(flag)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} needs an integer, got {v:?}"))
-        })
-        .unwrap_or(default)
+    arg_value(flag).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(FLAGS, &format!("{flag} needs an integer, got {v:?}")))
+    })
 }
 
 fn config_from_cli() -> ServeConfig {
@@ -55,6 +63,7 @@ fn config_from_cli() -> ServeConfig {
 }
 
 fn main() {
+    check_cli_args(FLAGS);
     if std::env::args().any(|a| a == "--bench") {
         bench(quick_flag());
         return;

@@ -1,30 +1,23 @@
 //! Dense per-node and per-packet state tables for the hot path.
 //!
-//! The simulator previously kept several small `FxHashMap`s keyed by
-//! [`NodeId`] (CS queues, share-failure counters, the connection
-//! registry) or by [`PacketId`] (NIC reassembly counts). Mesh sizes are
-//! bounded (≤ 65534 nodes, see [`Mesh::new`]) and the live key sets are
-//! tiny, so hashing is pure overhead: every lookup pays a hash plus a
-//! probe into a cache-cold control table.
+//! [`NodeTable`] maps a [`NodeId`] to per-destination state (CS queues,
+//! share-failure counters, connection runs, retry cool-downs, message
+//! frequencies) and [`RxTable`] maps a [`PacketId`] to a NIC's
+//! reassembly count. Each is one entry vector searched linearly. Meshes
+//! reach 65534 nodes (see [`Mesh::new`]), but the live key sets are tiny:
+//! a NIC reassembles a handful of packets at a time, and a node's tables
+//! hold a few destinations (DESIGN.md §12 lists measured sizes). A scan
+//! of a few contiguous entries costs no more than a hash and a probe
+//! into a separate index, and needs no index kept in step.
 //!
-//! [`NodeTable`] replaces the node-keyed maps with a sparse-set: a dense
-//! entry vector for iteration and a small open-addressed `u16` index,
-//! sized to the entries rather than to the mesh, for O(1) lookup.
-//! Iteration order is *insertion order* (mutated only by `remove`'s
-//! swap), a deterministic function of the simulation history — the
-//! property the bit-identity pins need. It comes from the dense vector
-//! alone; the index's layout never decides an order.
-//!
-//! [`RxTable`] replaces the reassembly `FxHashMap<PacketId, u8>` with a
-//! small open-addressed table (linear probing, tombstone deletes, lazy
-//! rehash) sized to in-flight packets.
+//! Iteration order is *insertion order*, changed only by removal's
+//! `swap_remove`: a deterministic function of the simulation history,
+//! the property the bit-identity pins need.
 //!
 //! [`Mesh::new`]: crate::topology::Topology::new
 
 use crate::flit::PacketId;
 use crate::geometry::NodeId;
-
-const IDX_NONE: u16 = u16::MAX;
 
 /// Multi-word bit set over a fixed universe of `len` elements.
 ///
@@ -136,49 +129,25 @@ pub(crate) fn ones_below(k: usize) -> u64 {
     }
 }
 
-/// Sparse-set map from [`NodeId`] to `T` over a universe of node ids
-/// fixed at construction (the mesh size). Iteration walks a dense entry
-/// vector; lookups go through an open-addressed index sized to the
-/// entries, so a table holding k entries costs O(k) memory however large
-/// the mesh.
+/// Map from [`NodeId`] to `T` over a universe of node ids fixed at
+/// construction (the mesh size): one entry vector searched linearly, so a
+/// table holding k entries costs O(k) memory however large the mesh.
 #[derive(Clone, Debug)]
 pub struct NodeTable<T> {
-    /// Positions into `entries` (`IDX_NONE` = empty slot): linear probing
-    /// from a Fibonacci hash of the key, power-of-two length (zero until
-    /// the first insert), at most half full, so every probe ends at an
-    /// empty slot. Deletion shifts displaced positions back instead of
-    /// leaving tombstones. The index only answers "where is key k"; no
-    /// iteration ever reads it.
-    idx: Box<[u16]>,
     entries: Vec<(NodeId, T)>,
     /// Keys are `NodeId`s below this (written to snapshots).
     universe: usize,
 }
 
-/// Smallest non-empty index length.
-const MIN_INDEX: usize = 8;
-
-/// Index length for `n` entries: at most half full, and growing exactly
-/// when `n` crosses a power of two, which is when the dense vector grows.
-fn index_len_for(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        (2 * n).next_power_of_two().max(MIN_INDEX)
-    }
-}
+/// Universes stay below this: node ids are packed into `u16` flit fields
+/// with `u16::MAX` reserved, the bound `Mesh::new` enforces.
+const UNIVERSE_LIMIT: usize = u16::MAX as usize;
 
 impl<T> NodeTable<T> {
     pub fn new(nodes: usize) -> Self {
-        Self::with_capacity(nodes, 0)
-    }
-
-    /// An empty table with room for `n` entries before it allocates.
-    fn with_capacity(nodes: usize, n: usize) -> Self {
-        assert!(nodes < IDX_NONE as usize, "mesh too large for NodeTable");
+        assert!(nodes < UNIVERSE_LIMIT, "mesh too large for NodeTable");
         NodeTable {
-            idx: vec![IDX_NONE; index_len_for(n)].into_boxed_slice(),
-            entries: Vec::with_capacity(n),
+            entries: Vec::new(),
             universe: nodes,
         }
     }
@@ -193,37 +162,10 @@ impl<T> NodeTable<T> {
         self.entries.is_empty()
     }
 
-    /// Home slot of `node` (the index must be non-empty).
-    #[inline]
-    fn home(&self, node: NodeId) -> usize {
-        // Fibonacci hashing keeps the *top* bits of the product, so keys
-        // differing by a power of two (a mesh column) still spread out.
-        let bits = self.idx.len().trailing_zeros();
-        ((node.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
-    }
-
-    /// Probe for `node`: `Ok(slot)` holding it, or `Err(slot)`, the empty
-    /// slot ending its probe sequence (the index must be non-empty).
-    #[inline]
-    fn probe(&self, node: NodeId) -> Result<usize, usize> {
-        let mask = self.idx.len() - 1;
-        let mut s = self.home(node);
-        loop {
-            match self.idx[s] {
-                IDX_NONE => return Err(s),
-                i if self.entries[i as usize].0 == node => return Ok(s),
-                _ => s = (s + 1) & mask,
-            }
-        }
-    }
-
-    /// Dense position of `node`'s entry.
+    /// Position of `node`'s entry.
     #[inline]
     fn position(&self, node: NodeId) -> Option<usize> {
-        if self.idx.is_empty() {
-            return None;
-        }
-        self.probe(node).ok().map(|s| self.idx[s] as usize)
+        self.entries.iter().position(|&(n, _)| n == node)
     }
 
     #[inline]
@@ -247,26 +189,8 @@ impl<T> NodeTable<T> {
             node.index() < self.universe,
             "NodeTable key outside the mesh"
         );
-        let pos = self.entries.len();
-        if 2 * (pos + 1) > self.idx.len() {
-            self.reindex(index_len_for(pos + 1));
-        }
-        let slot = self.probe(node).expect_err("key is absent");
-        self.idx[slot] = pos as u16;
         self.entries.push((node, value));
-        pos
-    }
-
-    /// Rebuild the index at length `len` (only when the entry count
-    /// reaches a new peak, so the steady state never allocates).
-    fn reindex(&mut self, len: usize) {
-        self.idx = vec![IDX_NONE; len].into_boxed_slice();
-        for pos in 0..self.entries.len() {
-            let slot = self
-                .probe(self.entries[pos].0)
-                .expect_err("keys are unique");
-            self.idx[slot] = pos as u16;
-        }
+        self.entries.len() - 1
     }
 
     /// Insert or overwrite; returns the previous value if any.
@@ -292,49 +216,11 @@ impl<T> NodeTable<T> {
         &mut self.entries[i].1
     }
 
-    /// Remove by swap: the last dense entry fills the hole, so the cost
-    /// is O(1) and the resulting order is still history-deterministic.
+    /// Remove by swap: the last entry fills the hole, so the resulting
+    /// order is still history-deterministic.
     pub fn remove(&mut self, node: NodeId) -> Option<T> {
-        if self.idx.is_empty() {
-            return None;
-        }
-        let slot = self.probe(node).ok()?;
-        let pos = self.idx[slot] as usize;
-        self.unlink(slot);
-        let (_, value) = self.entries.swap_remove(pos);
-        if let Some(&(moved, _)) = self.entries.get(pos) {
-            // The moved entry's slot still names its old (tail) position.
-            let (mask, tail) = (self.idx.len() - 1, self.entries.len() as u16);
-            let mut s = self.home(moved);
-            while self.idx[s] != tail {
-                s = (s + 1) & mask;
-            }
-            self.idx[s] = pos as u16;
-        }
-        Some(value)
-    }
-
-    /// Empty index slot `hole`, shifting later members of its probe run
-    /// back so every key stays reachable from its home slot (reads
-    /// `entries`, so it runs before the dense vector changes).
-    fn unlink(&mut self, mut hole: usize) {
-        let mask = self.idx.len() - 1;
-        let mut s = hole;
-        loop {
-            s = (s + 1) & mask;
-            let i = self.idx[s];
-            if i == IDX_NONE {
-                break;
-            }
-            // The key at `s` may fill the hole unless its home lies
-            // cyclically in (hole, s].
-            let home = self.home(self.entries[i as usize].0);
-            if (s.wrapping_sub(home) & mask) >= (s.wrapping_sub(hole) & mask) {
-                self.idx[hole] = i;
-                hole = s;
-            }
-        }
-        self.idx[hole] = IDX_NONE;
+        let i = self.position(node)?;
+        Some(self.entries.swap_remove(i).1)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
@@ -361,7 +247,6 @@ impl<T> NodeTable<T> {
     /// canonical order is required regardless of insertion history (e.g.
     /// freezing CS state for a slot-table resize).
     pub fn drain_sorted(&mut self) -> Vec<(NodeId, T)> {
-        self.idx.fill(IDX_NONE);
         let mut drained: Vec<_> = self.entries.drain(..).collect();
         drained.sort_unstable_by_key(|&(node, _)| node);
         drained
@@ -370,22 +255,22 @@ impl<T> NodeTable<T> {
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId, &mut T) -> bool) {
         let mut i = 0;
         while i < self.entries.len() {
-            let node = self.entries[i].0;
-            if keep(node, &mut self.entries[i].1) {
+            let (node, value) = &mut self.entries[i];
+            if keep(*node, value) {
                 i += 1;
             } else {
-                self.remove(node);
                 // swap_remove moved a new entry into `i`; revisit it.
+                self.entries.swap_remove(i);
             }
         }
     }
 
     /// Remove every entry whose value satisfies `done`, leaving the same
-    /// dense order as visiting the entries in their current order and
-    /// calling [`NodeTable::remove`] on each match — but without
-    /// collecting keys. ([`NodeTable::retain`] re-examines the slot each
-    /// removal swaps the tail into, so its final order can differ.)
-    /// `done` must give the same answer whenever it is asked.
+    /// order as visiting the entries in their current order and calling
+    /// [`NodeTable::remove`] on each match — but without collecting keys.
+    /// ([`NodeTable::retain`] re-examines the slot each removal swaps the
+    /// tail into, so its final order can differ.) `done` must give the
+    /// same answer whenever it is asked.
     pub fn remove_where(&mut self, mut done: impl FnMut(&T) -> bool) {
         // Ascending pass: a removal swaps the current tail into the hole.
         // That entry comes after every entry still ahead of the cursor in
@@ -398,237 +283,95 @@ impl<T> NodeTable<T> {
         let mut i = 0;
         while i < self.entries.len() {
             if done(&self.entries[i].1) {
-                self.remove(self.entries[i].0);
+                self.entries.swap_remove(i);
             }
             i += 1;
         }
         for i in (0..self.entries.len()).rev() {
             if done(&self.entries[i].1) {
-                self.remove(self.entries[i].0);
+                self.entries.swap_remove(i);
             }
         }
     }
 
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.idx.fill(IDX_NONE);
     }
 }
 
-/// Open-addressed `PacketId -> u8` counter table for NIC reassembly.
-///
-/// Linear probing with tombstone deletes; rehashed (dropping tombstones)
-/// when the occupied fraction passes 3/4. Capacity stays a power of two
-/// and starts tiny — in-flight packet counts per node are single digits
-/// in every operating regime.
-#[derive(Clone, Debug)]
+/// `PacketId -> u8` flit counts of the packets a NIC is reassembling: one
+/// entry vector searched linearly. A count is bumped in place as each
+/// flit arrives, and the tail flit swap-removes its packet's entry.
+#[derive(Clone, Debug, Default)]
 pub struct RxTable {
-    // state: 0 = empty, 1 = tombstone, 2 = live
-    state: Box<[u8]>,
-    keys: Box<[u64]>,
-    vals: Box<[u8]>,
-    live: usize,
-    used: usize,
-}
-
-const RX_EMPTY: u8 = 0;
-const RX_DEAD: u8 = 1;
-const RX_LIVE: u8 = 2;
-/// Transient marker used only inside [`RxTable::rehash`]'s in-place
-/// compaction: a live entry not yet moved to its post-compaction slot.
-const RX_MOVE: u8 = 3;
-
-impl Default for RxTable {
-    fn default() -> Self {
-        RxTable::new()
-    }
+    entries: Vec<(PacketId, u8)>,
 }
 
 impl RxTable {
     pub fn new() -> Self {
-        RxTable::with_capacity(16)
-    }
-
-    fn with_capacity(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two());
-        RxTable {
-            state: vec![RX_EMPTY; cap].into_boxed_slice(),
-            keys: vec![0u64; cap].into_boxed_slice(),
-            vals: vec![0u8; cap].into_boxed_slice(),
-            live: 0,
-            used: 0,
-        }
+        RxTable::default()
     }
 
     #[inline]
-    fn hash(key: u64, cap: usize) -> usize {
-        // Fibonacci multiplicative hash: packet ids are sequential per
-        // source (low bits) or protocol-tagged (high bits); the multiply
-        // mixes both into the masked index.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (cap - 1)
+    fn position(&self, key: PacketId) -> Option<usize> {
+        self.entries.iter().position(|&(k, _)| k == key)
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.entries.is_empty()
     }
 
     /// Sum of all counts (used by occupancy accounting).
     pub fn total(&self) -> usize {
-        self.state
-            .iter()
-            .zip(self.vals.iter())
-            .filter(|(s, _)| **s == RX_LIVE)
-            .map(|(_, v)| *v as usize)
-            .sum()
+        self.entries.iter().map(|&(_, c)| c as usize).sum()
     }
 
     pub fn get(&self, key: PacketId) -> Option<u8> {
-        let cap = self.state.len();
-        let mut i = Self::hash(key.0, cap);
-        loop {
-            match self.state[i] {
-                RX_EMPTY => return None,
-                RX_LIVE if self.keys[i] == key.0 => return Some(self.vals[i]),
-                _ => i = (i + 1) & (cap - 1),
-            }
-        }
+        self.position(key).map(|i| self.entries[i].1)
     }
 
     /// Increment the count for `key` (inserting at 0), returning the new
     /// count.
     pub fn bump(&mut self, key: PacketId) -> u8 {
-        if (self.used + 1) * 4 > self.state.len() * 3 {
-            self.rehash();
-        }
-        let cap = self.state.len();
-        let mut i = Self::hash(key.0, cap);
-        let mut first_dead = None;
-        loop {
-            match self.state[i] {
-                RX_LIVE if self.keys[i] == key.0 => {
-                    self.vals[i] += 1;
-                    return self.vals[i];
-                }
-                RX_DEAD => {
-                    if first_dead.is_none() {
-                        first_dead = Some(i);
-                    }
-                    i = (i + 1) & (cap - 1);
-                }
-                RX_EMPTY => {
-                    let slot = first_dead.unwrap_or(i);
-                    if self.state[slot] == RX_EMPTY {
-                        self.used += 1;
-                    }
-                    self.state[slot] = RX_LIVE;
-                    self.keys[slot] = key.0;
-                    self.vals[slot] = 1;
-                    self.live += 1;
-                    return 1;
-                }
-                _ => i = (i + 1) & (cap - 1),
+        match self.position(key) {
+            Some(i) => {
+                let count = &mut self.entries[i].1;
+                *count += 1;
+                *count
+            }
+            None => {
+                self.entries.push((key, 1));
+                1
             }
         }
     }
 
     pub fn remove(&mut self, key: PacketId) -> Option<u8> {
-        let cap = self.state.len();
-        let mut i = Self::hash(key.0, cap);
-        loop {
-            match self.state[i] {
-                RX_EMPTY => return None,
-                RX_LIVE if self.keys[i] == key.0 => {
-                    self.state[i] = RX_DEAD;
-                    self.live -= 1;
-                    return Some(self.vals[i]);
-                }
-                _ => i = (i + 1) & (cap - 1),
-            }
-        }
-    }
-
-    fn rehash(&mut self) {
-        if self.live * 2 >= self.state.len() {
-            // Genuine growth: double the capacity (cold path — only taken
-            // while the in-flight packet count exceeds every prior peak).
-            let new_cap = self.state.len() * 2;
-            let old_state =
-                std::mem::replace(&mut self.state, vec![RX_EMPTY; new_cap].into_boxed_slice());
-            let old_keys =
-                std::mem::replace(&mut self.keys, vec![0u64; new_cap].into_boxed_slice());
-            let old_vals = std::mem::replace(&mut self.vals, vec![0u8; new_cap].into_boxed_slice());
-            self.live = 0;
-            self.used = 0;
-            for i in 0..old_state.len() {
-                if old_state[i] == RX_LIVE {
-                    let mut j = Self::hash(old_keys[i], new_cap);
-                    while self.state[j] == RX_LIVE {
-                        j = (j + 1) & (new_cap - 1);
-                    }
-                    self.state[j] = RX_LIVE;
-                    self.keys[j] = old_keys[i];
-                    self.vals[j] = old_vals[i];
-                    self.live += 1;
-                    self.used += 1;
-                }
-            }
-            return;
-        }
-        // Tombstone compaction at unchanged capacity. This is the warm
-        // path — insert/remove churn accretes tombstones forever — so it
-        // must not allocate (the zero-allocation steady-state contract,
-        // DESIGN.md §17). Mark every live entry, clear tombstones, then
-        // reinsert by displacement: walking the probe sequence from each
-        // entry's home slot, swapping with any not-yet-moved entry found
-        // there.
-        let cap = self.state.len();
-        for s in self.state.iter_mut() {
-            *s = match *s {
-                RX_LIVE => RX_MOVE,
-                _ => RX_EMPTY,
-            };
-        }
-        for i in 0..cap {
-            if self.state[i] != RX_MOVE {
-                continue;
-            }
-            let mut key = self.keys[i];
-            let mut val = self.vals[i];
-            self.state[i] = RX_EMPTY;
-            loop {
-                let mut j = Self::hash(key, cap);
-                while self.state[j] == RX_LIVE {
-                    j = (j + 1) & (cap - 1);
-                }
-                let displaced = self.state[j] == RX_MOVE;
-                let (dk, dv) = (self.keys[j], self.vals[j]);
-                self.state[j] = RX_LIVE;
-                self.keys[j] = key;
-                self.vals[j] = val;
-                if !displaced {
-                    break;
-                }
-                key = dk;
-                val = dv;
-            }
-        }
-        self.used = self.live;
+        let i = self.position(key)?;
+        Some(self.entries.swap_remove(i).1)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot encodings. `BitSet` and `RxTable` are written verbatim (their
-// layouts are deterministic functions of history); `NodeTable` writes its
-// dense entry vector in insertion order and rebuilds the index arrays,
-// which reproduces the exact iteration order.
+// Snapshot encodings. `BitSet` is written verbatim; `NodeTable` writes its
+// universe then its entries, and `RxTable` its entries, in their current
+// order, which restores the exact iteration order.
 
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+
+/// True when `keys` repeats a key. Sorting keeps the check O(k log k) on
+/// a crafted blob.
+fn has_duplicates<K: Ord>(keys: impl Iterator<Item = K>) -> bool {
+    let mut keys: Vec<K> = keys.collect();
+    keys.sort_unstable();
+    keys.windows(2).any(|w| w[0] == w[1])
+}
 
 impl Snap for BitSet {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -651,51 +394,32 @@ impl<T: Snap> Snap for NodeTable<T> {
         self.entries.save(w);
     }
     fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
-        let nodes = r.usize()?;
-        if nodes >= IDX_NONE as usize {
+        let universe = r.usize()?;
+        if universe >= UNIVERSE_LIMIT {
             return Err(SnapshotError::Corrupt("NodeTable universe"));
         }
         let entries = Vec::<(NodeId, T)>::load(r)?;
-        let mut t = NodeTable::with_capacity(nodes, entries.len());
-        for (node, value) in entries {
-            if node.index() >= nodes || t.contains(node) {
-                return Err(SnapshotError::Corrupt("NodeTable entry"));
-            }
-            t.insert(node, value);
+        if entries.iter().any(|(n, _)| n.index() >= universe)
+            || has_duplicates(entries.iter().map(|&(n, _)| n))
+        {
+            return Err(SnapshotError::Corrupt("NodeTable entry"));
         }
-        Ok(t)
+        Ok(NodeTable { entries, universe })
     }
 }
 
 impl Snap for RxTable {
     fn save(&self, w: &mut SnapshotWriter) {
-        self.state.save(w);
-        self.keys.save(w);
-        self.vals.save(w);
-        w.usize(self.live);
-        w.usize(self.used);
+        self.entries.save(w);
     }
     fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
-        let state = Box::<[u8]>::load(r)?;
-        let keys = Box::<[u64]>::load(r)?;
-        let vals = Box::<[u8]>::load(r)?;
-        let live = r.usize()?;
-        let used = r.usize()?;
-        if !state.len().is_power_of_two()
-            || keys.len() != state.len()
-            || vals.len() != state.len()
-            || live > used
-            || used > state.len()
+        let entries = Vec::<(PacketId, u8)>::load(r)?;
+        if entries.iter().any(|&(_, count)| count == 0)
+            || has_duplicates(entries.iter().map(|&(id, _)| id))
         {
-            return Err(SnapshotError::Corrupt("RxTable shape"));
+            return Err(SnapshotError::Corrupt("RxTable entry"));
         }
-        Ok(RxTable {
-            state,
-            keys,
-            vals,
-            live,
-            used,
-        })
+        Ok(RxTable { entries })
     }
 }
 
@@ -850,8 +574,8 @@ mod tests {
     fn rx_table_bump_remove_and_growth() {
         let mut rx = RxTable::new();
         assert!(rx.is_empty());
-        // Interleave inserts/removes across enough keys to force rehash,
-        // including protocol-style high-bit ids.
+        // Interleave inserts and removes across many ids, including
+        // protocol-style high-bit ids.
         for round in 0u64..4 {
             for k in 0u64..40 {
                 let id = PacketId((round << 62) | k);
@@ -869,25 +593,31 @@ mod tests {
             }
             assert!(rx.is_empty());
         }
+        // Removal swaps the tail entry into the hole.
+        for id in [7u64, 3, 9, 5] {
+            rx.bump(PacketId(id));
+        }
+        rx.bump(PacketId(9));
+        assert_eq!(rx.remove(PacketId(3)), Some(1));
+        let order: Vec<_> = rx.entries.iter().map(|&(id, n)| (id.0, n)).collect();
+        assert_eq!(order, vec![(7, 1), (5, 1), (9, 2)]);
+        assert_eq!(rx.total(), 4);
     }
 
-    fn node_table_bytes<T: Snap>(t: &NodeTable<T>) -> Vec<u8> {
+    fn snap_bytes<T: Snap>(t: &T) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         t.save(&mut w);
         w.into_bytes()
     }
 
     #[test]
-    fn node_table_decoder_rejects_bad_keys_and_sizes_by_entries() {
+    fn node_table_decoder_rejects_bad_keys_and_universes() {
         let mut t: NodeTable<u8> = NodeTable::new(60_000);
         t.insert(NodeId(59_999), 1);
         t.insert(NodeId(3), 2);
-        let bytes = node_table_bytes(&t);
+        let bytes = snap_bytes(&t);
         let back = NodeTable::<u8>::load(&mut SnapshotReader::new(&bytes)).unwrap();
-        assert_eq!(node_table_bytes(&back), bytes);
-        // Two entries in a 60k-node universe: the index holds two keys,
-        // not the universe.
-        assert_eq!(back.idx.len(), MIN_INDEX);
+        assert_eq!(snap_bytes(&back), bytes);
         let encode = |universe: usize, keys: &[u32]| {
             let mut w = SnapshotWriter::new();
             w.usize(universe);
@@ -900,13 +630,32 @@ mod tests {
         for (what, bytes) in [
             ("key outside the universe", encode(16, &[3, 16])),
             ("duplicate key", encode(16, &[3, 5, 3])),
-            ("universe too large", encode(IDX_NONE as usize, &[])),
+            ("universe too large", encode(UNIVERSE_LIMIT, &[])),
         ] {
             assert!(
                 matches!(
                     NodeTable::<u8>::load(&mut SnapshotReader::new(&bytes)),
                     Err(SnapshotError::Corrupt(_))
                 ),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn rx_table_decoder_rejects_duplicates_and_zero_counts() {
+        let load = |entries: &[(u64, u8)]| {
+            let entries = entries.iter().map(|&(id, n)| (PacketId(id), n)).collect();
+            RxTable::load(&mut SnapshotReader::new(&snap_bytes(&RxTable { entries })))
+        };
+        let back = load(&[(1 << 62, 1), (4, 2)]).unwrap();
+        assert_eq!((back.get(PacketId(4)), back.total()), (Some(2), 3));
+        for (what, entries) in [
+            ("duplicate id", &[(4, 1), (9, 2), (4, 1)][..]),
+            ("zero count", &[(4, 1), (9, 0)]),
+        ] {
+            assert!(
+                matches!(load(entries), Err(SnapshotError::Corrupt(_))),
                 "{what}"
             );
         }
@@ -931,8 +680,7 @@ mod tests {
         }
 
         /// Keys from a few dozen ids, spread densely, along a mesh column
-        /// (stride 32) or by an odd stride, so small tables collide and
-        /// grow.
+        /// (stride 32) or by an odd stride.
         fn key() -> impl Strategy<Value = u32> {
             (0u32..40, 0usize..3).prop_map(|(k, i)| k * [1, 32, 7][i] % UNIVERSE as u32)
         }
@@ -1035,7 +783,7 @@ mod tests {
                             m.0.clear();
                         }
                         Op::Restore => {
-                            let bytes = node_table_bytes(&t);
+                            let bytes = snap_bytes(&t);
                             t = NodeTable::load(&mut SnapshotReader::new(&bytes)).unwrap();
                         }
                     }

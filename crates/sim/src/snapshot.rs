@@ -50,7 +50,8 @@ use crate::Cycle;
 /// v2: `TdmNode` gained the circuit-plan `pinned` table.
 /// v3: `SdmRouter` runs on `PsPipeline`: its state is the pipeline's,
 /// then the planes, circuits, circuit flits, acks and owed credits.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// v4: `RxTable` is written as its entry list (packet id, flit count).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

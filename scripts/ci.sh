@@ -13,6 +13,23 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== manifests: every [dependencies] entry is referenced by its package's src/ =="
+# An edge nothing uses still builds and links with the package; crates
+# only tests use belong in [dev-dependencies].
+UNUSED=0
+for MANIFEST in Cargo.toml crates/*/Cargo.toml; do
+    DIR="$(dirname "$MANIFEST")"
+    for DEP in $(awk '/^\[/ { in_deps = ($0 == "[dependencies]"); next }
+                      in_deps && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$MANIFEST"); do
+        if ! grep -rqw -- "${DEP//-/_}" "$DIR/src"; then
+            echo "$MANIFEST: $DEP is in [dependencies] but $DIR/src never names ${DEP//-/_}"
+            UNUSED=1
+        fi
+    done
+done
+[[ $UNUSED == 0 ]] || exit 1
+echo "every manifest dependency is referenced"
+
 echo "== cargo build --release =="
 cargo build --release --workspace "${OFFLINE[@]}"
 
@@ -35,8 +52,23 @@ for SRC in crates/bench/src/bin/*.rs; do
     [[ $CODE == 0 ]] || { echo "$BIN --help exited $CODE, want 0"; exit 1; }
     grep -q -- "--sweep-threads <n>" "$FLAG_TMP/out" || { echo "$BIN --help: no flag list"; exit 1; }
 done
+# noc-serve checks its own flag table: a misspelt mode flag must not
+# fall through to the stdin one-shot mode, and a bad value exits 2.
+SERVE="${CARGO_TARGET_DIR:-target}/release/noc-serve"
+for ARGS in "--lisen $FLAG_TMP/sock" "--workers x"; do
+    CODE=0
+    # shellcheck disable=SC2086
+    timeout 5 "$SERVE" $ARGS < /dev/null > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
+    [[ $CODE == 2 ]] || { echo "noc-serve $ARGS exited $CODE, want 2"; exit 1; }
+    grep -q -- "--listen <socket>" "$FLAG_TMP/err" || { echo "noc-serve $ARGS: no flag list"; exit 1; }
+done
+[[ ! -e "$FLAG_TMP/sock" ]] || { echo "noc-serve --lisen created a socket"; exit 1; }
+CODE=0
+timeout 5 "$SERVE" --help < /dev/null > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
+[[ $CODE == 0 ]] || { echo "noc-serve --help exited $CODE, want 0"; exit 1; }
+grep -q -- "--listen <socket>" "$FLAG_TMP/out" || { echo "noc-serve --help: no flag list"; exit 1; }
 rm -rf "$FLAG_TMP"
-echo "every experiment binary rejects unknown flags and answers --help"
+echo "every experiment binary and noc-serve reject unknown flags and answer --help"
 
 echo "== cargo test -q =="
 cargo test -q --workspace "${OFFLINE[@]}"
