@@ -26,7 +26,7 @@
 
 use noc_power::{EnergyBreakdown, EnergyModel};
 use noc_sim::telemetry::{chrome_trace_json, link_heatmap_csv};
-use noc_sim::{Fabric, TelemetryConfig, TelemetryReport};
+use noc_sim::{Fabric, TelemetryConfig, TelemetryReport, WindowSnapshot};
 use noc_traffic::{
     run_measurement_ctl, run_warmup_ctl, PhaseConfig, RunControl, RunResult, TrafficPattern,
 };
@@ -584,7 +584,7 @@ pub fn run_scenario_specs(specs: &[ScenarioSpec]) -> Result<(), ScenarioError> {
 /// several specs) and the link-utilization heatmap CSV next to it
 /// (`<stem>.heatmap.csv`). Returns the envelope `telemetry` block: one
 /// aggregate object per spec (`null` for backends without telemetry)
-/// plus the spec-order merge of every metrics registry.
+/// plus the element-wise sum of every spec's metrics windows.
 fn write_trace_files(
     trace_out: &str,
     reports: &[Option<TelemetryReport>],
@@ -602,7 +602,7 @@ fn write_trace_files(
             format!("{stem}-{i}{suffix}.{ext}")
         }
     };
-    let mut merged: Option<noc_sim::telemetry::MetricsRegistry> = None;
+    let mut merged: Option<(&[&str], Vec<WindowSnapshot>)> = None;
     for (i, report) in reports.iter().enumerate() {
         let Some(r) = report else { continue };
         let trace_path = path_for(i, "");
@@ -619,30 +619,43 @@ fn write_trace_files(
             r.events.len()
         );
         match &mut merged {
-            None => merged = Some(r.registry.clone()),
-            // Merge only layout-compatible registries; a mixed sweep
-            // keeps per-spec aggregates without a cross-spec merge.
-            Some(m) if m.names() == r.registry.names() => m.merge(&r.registry),
-            Some(_) => {}
+            None => merged = Some((r.metric_names, r.windows.clone())),
+            Some((_, windows)) => sum_windows(windows, &r.windows),
         }
     }
     let mut fields = vec![(
         "specs".to_string(),
         Value::Array(reports.iter().map(Serialize::to_value).collect()),
     )];
-    if let Some(m) = merged {
+    if let Some((names, windows)) = merged {
         fields.push((
             "merged_metrics".to_string(),
             Value::Object(vec![
                 (
                     "metric_names".to_string(),
-                    Value::Array(m.names().iter().map(|n| Value::Str(n.clone())).collect()),
+                    Value::Array(names.iter().map(|n| Value::Str(n.to_string())).collect()),
                 ),
-                ("windows".to_string(), m.windows.to_value()),
+                ("windows".to_string(), windows.to_value()),
             ]),
         ));
     }
     Ok(Value::Object(fields))
+}
+
+/// Add `other`'s windows into `sum` by index, value by value; windows
+/// past the end of `sum` are appended. Each window keeps the bounds of
+/// the first spec that closed it.
+fn sum_windows(sum: &mut Vec<WindowSnapshot>, other: &[WindowSnapshot]) {
+    for (i, w) in other.iter().enumerate() {
+        match sum.get_mut(i) {
+            Some(mine) => {
+                for (a, b) in mine.values.iter_mut().zip(&w.values) {
+                    *a += b;
+                }
+            }
+            None => sum.push(w.clone()),
+        }
+    }
 }
 
 /// The paper's three synthetic patterns (§IV).

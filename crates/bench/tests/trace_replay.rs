@@ -16,7 +16,6 @@ use noc_bench::{
     build_workload, result_envelope, run_sweep, run_synthetic_spec, BackendKind, PacketTrace,
     ScenarioSpec,
 };
-use noc_sim::DeliveredKind;
 use noc_traffic::{run_phases, PhaseConfig, TrafficPattern};
 use std::sync::Arc;
 
@@ -50,7 +49,6 @@ fn delivered_multiset(spec: &ScenarioSpec) -> Vec<(u64, u32, u32, bool)> {
     let mut out: Vec<(u64, u32, u32, bool)> = fabric
         .delivered_log()
         .iter()
-        .filter(|d| d.kind == DeliveredKind::Data)
         .map(|d| {
             (
                 d.id.0,

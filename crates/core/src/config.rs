@@ -46,18 +46,17 @@ impl SharingConfig {
 /// instead (§II-A: "allowing a message to be packet-switched if the
 /// established path corresponds to a time slot that requires stalling …
 /// switching decision is based on its impact on system performance").
+///
+/// The full circuit-switched delivery estimate is compared against the
+/// packet-switched one: circuit-switch when
+/// `cs_estimate ≤ max(ps_estimate × ps_factor, floor_periods × S)`.
+/// The floor keeps circuits in use at low load (where the paper's UR
+/// latency penalty comes from), while congestion raises the PS estimate
+/// and pushes everything onto circuits at saturation.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum WaitBudget {
-    /// Circuit-switch only when the estimated slot wait (including queued
-    /// CS messages ahead) is at most this many cycles.
-    Fixed(u64),
-    /// Compare the full circuit-switched delivery estimate against the
-    /// packet-switched one: circuit-switch when
-    /// `cs_estimate ≤ max(ps_estimate × ps_factor, floor_periods × S)`.
-    /// The floor keeps circuits in use at low load (where the paper's UR
-    /// latency penalty comes from), while congestion raises the PS estimate
-    /// and pushes everything onto circuits at saturation.
-    Adaptive { ps_factor: f64, floor_periods: f64 },
+pub struct WaitBudget {
+    pub ps_factor: f64,
+    pub floor_periods: f64,
 }
 
 /// Source-side circuit-switching policy (§II-A, §V-A2).
@@ -93,7 +92,7 @@ impl Default for CsPolicyConfig {
         CsPolicyConfig {
             setup_after_msgs: 4,
             freq_window: 512,
-            wait_budget: WaitBudget::Adaptive {
+            wait_budget: WaitBudget {
                 ps_factor: 2.0,
                 floor_periods: 1.0,
             },

@@ -266,18 +266,11 @@ impl TdmNode {
 
     /// The §II-A switching decision: is a circuit-switched delivery
     /// estimate acceptable compared to packet switching?
-    fn within_budget(&self, cs_est: u64, slot_wait_only: u64, dst: NodeId) -> bool {
-        match self.cfg.policy.wait_budget {
-            crate::config::WaitBudget::Fixed(w) => slot_wait_only <= w,
-            crate::config::WaitBudget::Adaptive {
-                ps_factor,
-                floor_periods,
-            } => {
-                let s = self.router.slots.active() as f64;
-                let budget = (self.ps_estimate(dst) as f64 * ps_factor).max(floor_periods * s);
-                cs_est as f64 <= budget
-            }
-        }
+    fn within_budget(&self, cs_est: u64, dst: NodeId) -> bool {
+        let b = self.cfg.policy.wait_budget;
+        let s = self.router.slots.active() as f64;
+        let budget = (self.ps_estimate(dst) as f64 * b.ps_factor).max(b.floor_periods * s);
+        cs_est as f64 <= budget
     }
 
     // --- switching decision (§II-A, §V-A2) --------------------------------
@@ -301,9 +294,7 @@ impl TdmNode {
             let cs_len = pkt.len_flits.saturating_sub(1).max(1);
             if cs_len <= conn.duration {
                 let cs_est = self.cs_estimate(now, dst, dst).expect("connection exists");
-                let slot_wait =
-                    cs_est.saturating_sub(2 * self.cfg.net.mesh.hops(self.id, dst) as u64 + 2);
-                if self.within_budget(cs_est, slot_wait, dst) {
+                if self.within_budget(cs_est, dst) {
                     self.queued_cs_flits += pkt.len_flits as usize;
                     self.cs_queues.entry_or_default(dst).push_back(QueuedCs {
                         packet: pkt,
@@ -351,9 +342,7 @@ impl TdmNode {
                     let cs_est = self
                         .cs_estimate(now, conn.dst, conn.dst)
                         .expect("connection exists");
-                    let slot_wait = cs_est
-                        .saturating_sub(2 * self.cfg.net.mesh.hops(self.id, conn.dst) as u64 + 2);
-                    if self.within_budget(cs_est, slot_wait, dst) {
+                    if self.within_budget(cs_est, dst) {
                         self.queued_cs_flits += pkt.len_flits as usize;
                         self.cs_queues
                             .entry_or_default(conn.dst)
@@ -1045,9 +1034,7 @@ impl NodeModel for TdmNode {
         if let Some(g) = &mut self.gating {
             // Feed the latency-based gating metric (§V-B4).
             for d in &sink[start..] {
-                if d.class == MsgClass::Data {
-                    g.record_latency(d.delivered.saturating_sub(d.created));
-                }
+                g.record_latency(d.delivered.saturating_sub(d.created));
             }
         }
     }
@@ -1179,14 +1166,14 @@ impl NodeModel for TdmNode {
         if let Some(g) = &mut self.gating {
             g.load_state(r)?;
         }
-        self.cs_queues = Snap::load(r)?;
+        self.cs_queues.load_state(r)?;
         self.share_queue = Snap::load(r)?;
         self.streaming = Snap::load(r)?;
-        self.share_fails = Snap::load(r)?;
+        self.share_fails.load_state(r)?;
         self.next_path_id = r.u64()?;
         self.cs_frozen = r.bool()?;
         self.slot_scan = r.u16()?;
-        self.pinned = Snap::load(r)?;
+        self.pinned.load_state(r)?;
         // The O(1) occupancy counters are derived state: recompute instead
         // of trusting the snapshot (they can then never disagree with the
         // queues they summarise).
@@ -1296,6 +1283,28 @@ mod tests {
         net
     }
 
+    /// Every per-destination table in a snapshot must span this node's
+    /// mesh. Restored from a blob written over a smaller mesh, the node
+    /// would panic at its first insert of a destination outside it.
+    #[test]
+    fn restore_rejects_tables_over_another_mesh() {
+        let small = TdmConfig {
+            net: NetworkConfig::with_mesh(Mesh::square(3)),
+            ..cfg4()
+        };
+        let centre = |c: &TdmConfig| TdmNode::new(c.net.mesh.id(Coord::new(1, 1)), c);
+        let mut w = SnapshotWriter::new();
+        centre(&small).save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        assert!(centre(&small)
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .is_ok());
+        assert_eq!(
+            centre(&cfg4()).load_state(&mut SnapshotReader::new(&bytes)),
+            Err(SnapshotError::Mismatch("NodeTable universe"))
+        );
+    }
+
     #[test]
     fn ineligible_messages_never_use_an_existing_circuit() {
         let cfg = cfg4();
@@ -1333,36 +1342,9 @@ mod tests {
     }
 
     #[test]
-    fn fixed_wait_budget_diverts_to_ps_when_slot_far() {
-        let mut cfg = cfg4();
-        // A budget of zero: only a message arriving exactly at its slot
-        // may circuit-switch; in practice everything goes packet-switched.
-        cfg.policy.wait_budget = WaitBudget::Fixed(0);
-        let m = cfg.net.mesh;
-        let (src, dst) = (m.id(Coord::new(0, 0)), m.id(Coord::new(3, 3)));
-        let mut net = warmed(cfg, src, dst);
-        net.begin_measurement();
-        let mut id = 0;
-        for i in 0..20u64 {
-            net.run(7 + (i * 3) % 11);
-            let now = net.now();
-            net.inject(src, data(id, src, dst, now));
-            id += 1;
-            assert!(net.drain(1_000));
-        }
-        net.end_measurement();
-        // Nearly everything packet-switched (a lucky exact-slot hit aside).
-        assert!(
-            net.stats().cs_packets_delivered <= 2,
-            "{} CS packets under a zero stall budget",
-            net.stats().cs_packets_delivered
-        );
-    }
-
-    #[test]
     fn backlog_requests_additional_slot_runs() {
         let mut cfg = cfg4();
-        cfg.policy.wait_budget = WaitBudget::Adaptive {
+        cfg.policy.wait_budget = WaitBudget {
             ps_factor: 4.0,
             floor_periods: 4.0,
         };

@@ -229,13 +229,13 @@ impl ConnRegistry {
     /// Inverse of [`ConnRegistry::save_state`]. Rejects pending path ids
     /// that are out of order or repeated.
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        self.conns = Snap::load(r)?;
+        self.conns.load_state(r)?;
         let pending: Vec<(u64, PendingSetup)> = Snap::load(r)?;
         if pending.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err(SnapshotError::Corrupt("pending setup order"));
         }
         self.pending = pending;
-        self.cooldown = Snap::load(r)?;
+        self.cooldown.load_state(r)?;
         Ok(())
     }
 }
@@ -308,7 +308,7 @@ impl FrequencyTracker {
 
     /// Inverse of [`FrequencyTracker::save_state`].
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        self.counts = Snap::load(r)?;
+        self.counts.load_state(r)?;
         self.next_decay = r.u64()?;
         Ok(())
     }

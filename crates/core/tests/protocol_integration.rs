@@ -227,7 +227,7 @@ fn resize_grows_under_pressure_and_shrinks_when_quiet() {
         freeze_cycles: 120,
         shrink_below: 0.10,
     });
-    c.policy.wait_budget = WaitBudget::Adaptive {
+    c.policy.wait_budget = WaitBudget {
         ps_factor: 2.0,
         floor_periods: 1.0,
     };

@@ -241,7 +241,7 @@ pub fn hetero_tdm_config(
     cfg.policy.setup_after_msgs = 3;
     // Slack-gated GPU messages tolerate a bounded stall (§V-A2); the
     // adaptive budget also lets congestion push traffic onto circuits.
-    cfg.policy.wait_budget = WaitBudget::Adaptive {
+    cfg.policy.wait_budget = WaitBudget {
         ps_factor: 2.0,
         floor_periods: 0.5,
     };

@@ -41,7 +41,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"NOCCKPT1";
 /// v4: the embedded snapshot moved to `SNAPSHOT_VERSION` 4 (NIC
 /// reassembly tables are written as their entry lists); bumping here too
 /// keys the warm-up cache away from v3 blobs.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// v5: the embedded snapshot moved to `SNAPSHOT_VERSION` 5 (`NetStats`
+/// and pending deliveries lost the per-class latency fields); bumping
+/// here too keys the warm-up cache away from v4 blobs.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// A warm-up checkpoint: everything needed to resume (or fork) a
 /// synthetic scenario run after its warm-up phase.

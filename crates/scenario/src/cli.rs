@@ -27,7 +27,7 @@ pub const FLAGS: &str = "\
 --trace-out <path>         arm tracing: a Chrome trace JSON and a link heatmap
 --trace-events <list>      traced kinds: all,flit,circuit,steal,share,gating,sleep
 --trace-sample <n>         keep 1 in <n> flit-lifecycle events
---metrics-window <cycles>  metrics snapshot period (0 = one whole-run window)
+--metrics-window <cycles>  metrics snapshot period (0 = no windows)
 --help                     print this list (also -h)
 ";
 
@@ -206,8 +206,8 @@ pub fn trace_sample_flag() -> Option<String> {
     arg_value("--trace-sample")
 }
 
-/// Optional `--metrics-window <cycles>` flag: snapshot the metrics
-/// registry every `cycles` simulated cycles (0 = one whole-run window).
+/// Optional `--metrics-window <cycles>` flag: close a row of network
+/// metrics every `cycles` simulated cycles (0 = no windows).
 pub fn metrics_window_flag() -> Option<String> {
     arg_value("--metrics-window")
 }

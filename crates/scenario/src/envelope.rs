@@ -15,7 +15,12 @@ use serde::{Serialize, Value};
 ///   aggregates and metric-window snapshots when a run was traced
 ///   (`--trace-out`). The first three fields are byte-compatible with
 ///   version 1, so v1 readers that index by name keep working.
-pub const SCHEMA_VERSION: u32 = 2;
+/// * **3** — `NetStats` (the `stats` of every point) drops its
+///   per-class latency split (`class_latency`) and its
+///   configuration-packet count. The data split copied the headline
+///   latency fields, and the configuration split and count read 0 on
+///   every backend.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Wrap measurement data in the shared result envelope.
 pub fn result_envelope<S: Serialize + ?Sized, T: Serialize + ?Sized>(

@@ -12,10 +12,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, DeliveredKind, DeliveredPacket, Direction, Flit,
-    MsgClass, NodeId, NodeModel, NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState,
-    RingSink, RxTable, SetupInfo, Snap, SnapshotError, SnapshotReader, SnapshotWriter, Switching,
-    TraceSink,
+    ConfigArena, ConfigKind, Credit, Cycle, DeliveredPacket, Direction, Flit, MsgClass, NodeId,
+    NodeModel, NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState, RingSink, RxTable,
+    SetupInfo, Snap, SnapshotError, SnapshotReader, SnapshotWriter, Switching, TraceSink,
 };
 use tdm_noc::registry::{ConnRegistry, FrequencyTracker, PendingSetup};
 
@@ -386,8 +385,6 @@ impl SdmNode {
                 id: flit.packet,
                 src: flit.src(),
                 dst: flit.dst(),
-                class: flit.class(),
-                kind: DeliveredKind::of_config(None),
                 switching: flit.switching(),
                 len_flits: flit.seq + 1,
                 created: flit.created,
@@ -540,8 +537,8 @@ impl NodeModel for SdmNode {
         self.credits = credits;
         self.registry.load_state(r)?;
         self.freq.load_state(r)?;
-        self.cs_queues = Snap::load(r)?;
-        self.cs_streams = Snap::load(r)?;
+        self.cs_queues.load_state(r)?;
+        self.cs_streams.load_state(r)?;
         self.rx = Snap::load(r)?;
         self.delivered = Snap::load(r)?;
         self.next_path_id = r.u64()?;
@@ -572,6 +569,27 @@ mod tests {
 
     fn data(id: u64, src: NodeId, dst: NodeId, now: Cycle) -> Packet {
         Packet::data(PacketId(id), src, dst, 5, now)
+    }
+
+    /// A snapshot's per-destination tables must span this node's mesh:
+    /// a blob written over a smaller mesh is refused.
+    #[test]
+    fn restore_rejects_tables_over_another_mesh() {
+        let small = SdmConfig {
+            net: NetworkConfig::with_mesh(Mesh::square(3)),
+            ..cfg()
+        };
+        let centre = |c: &SdmConfig| SdmNode::new(c.net.mesh.id(Coord::new(1, 1)), c);
+        let mut w = SnapshotWriter::new();
+        centre(&small).save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        assert!(centre(&small)
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .is_ok());
+        assert_eq!(
+            centre(&cfg()).load_state(&mut SnapshotReader::new(&bytes)),
+            Err(SnapshotError::Mismatch("NodeTable universe"))
+        );
     }
 
     #[test]

@@ -408,6 +408,21 @@ impl<T: Snap> Snap for NodeTable<T> {
     }
 }
 
+impl<T: Snap> NodeTable<T> {
+    /// Replace this table with one decoded from `r`. The table was built
+    /// over the node's mesh, so a decoded universe that differs is a
+    /// [`SnapshotError::Mismatch`]: kept, a smaller one would panic at
+    /// the next insert of a real destination.
+    pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
+        let table = Self::load(r)?;
+        if table.universe != self.universe {
+            return Err(SnapshotError::Mismatch("NodeTable universe"));
+        }
+        *self = table;
+        Ok(())
+    }
+}
+
 impl Snap for RxTable {
     fn save(&self, w: &mut SnapshotWriter) {
         self.entries.save(w);
@@ -639,6 +654,25 @@ mod tests {
                 ),
                 "{what}"
             );
+        }
+    }
+
+    #[test]
+    fn node_table_restore_requires_the_built_universe() {
+        let mut t: NodeTable<u8> = NodeTable::new(16);
+        t.insert(NodeId(3), 7);
+        let bytes = snap_bytes(&t);
+        let mut same: NodeTable<u8> = NodeTable::new(16);
+        same.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(same.get(NodeId(3)), Some(&7));
+        for universe in [9, 25] {
+            let mut other: NodeTable<u8> = NodeTable::new(universe);
+            assert_eq!(
+                other.load_state(&mut SnapshotReader::new(&bytes)),
+                Err(SnapshotError::Mismatch("NodeTable universe")),
+                "universe {universe}"
+            );
+            assert!(other.is_empty(), "a refused table is left as built");
         }
     }
 

@@ -140,8 +140,8 @@ pub trait Fabric {
         Vec::new()
     }
 
-    /// Registration-order metric names of the armed registry (empty when
-    /// telemetry is unarmed).
+    /// The metrics-window column names (empty when telemetry is
+    /// unarmed).
     fn telemetry_metric_names(&self) -> Vec<String> {
         Vec::new()
     }

@@ -59,7 +59,7 @@ pub use flit::{
 pub use geometry::{Coord, Direction, NodeId, Port};
 pub use network::{NetTelemetry, Network};
 pub use nic::Nic;
-pub use node::{DeliveredKind, DeliveredPacket, NodeModel, NodeOutputs, PacketNode, PowerState};
+pub use node::{DeliveredPacket, NodeModel, NodeOutputs, PacketNode, PowerState};
 pub use router::{
     GatingConfig, GatingMetric, HybridCtrl, NullCtrl, OutMeta, PacketRouter, PsOutput, PsPipeline,
     VcGatingController, VcState,
@@ -68,9 +68,7 @@ pub use snapshot::{
     FabricSnapshot, FaultEvent, RouteOverrides, Snap, SnapshotError, SnapshotReader,
     SnapshotWriter, SNAPSHOT_VERSION,
 };
-pub use stats::{
-    ClassLatency, EnergyEvents, LatencyHistogram, LeakageIntegrals, NetStats, PerClassLatency,
-};
+pub use stats::{EnergyEvents, LatencyHistogram, LeakageIntegrals, NetStats};
 pub use topology::{Mesh, TopoTables, Topology, TopologyKind, NO_NEIGHBOR};
 
 /// Simulation time, in router clock cycles.

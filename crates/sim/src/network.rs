@@ -44,10 +44,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use noc_telemetry::{
-    EventKind, MetricId, MetricsRegistry, TelemetryConfig, TelemetryReport, TraceSink,
-    WindowSnapshot,
-};
+use noc_telemetry::{EventKind, TelemetryConfig, TelemetryReport, TraceSink, WindowSnapshot};
 
 use crate::arena::ConfigArena;
 use crate::dense::BitSet;
@@ -66,7 +63,7 @@ use crate::Cycle;
 /// record the router-level event kinds during the stepping phase; this
 /// records the kinds only the harness can see — injections and
 /// activity-scheduler sleep/wake transitions — plus the per-link flit
-/// counters and the metrics registry.
+/// counters and the metrics windows.
 pub struct NetTelemetry {
     cfg: TelemetryConfig,
     /// Harness-originated events (inject, node sleep/wake).
@@ -75,46 +72,45 @@ pub struct NetTelemetry {
     asleep: Vec<bool>,
     /// Flits sent per outgoing link, `[node * 4 + direction]`.
     link_flits: Vec<u64>,
-    registry: MetricsRegistry,
-    m_link_flits: MetricId,
-    m_packets_delivered: MetricId,
-    m_flits_delivered: MetricId,
-    m_latency: MetricId,
-    m_active_nodes: MetricId,
-    m_buffered_flits: MetricId,
-    m_inflight_flits: MetricId,
+    /// Closed metrics windows, columns as [`WINDOW_METRICS`].
+    windows: Vec<WindowSnapshot>,
+    /// The window counters at the last boundary: the sum of
+    /// `link_flits`, then `NetStats`' delivered packets and flits.
+    base: [u64; 3],
+    /// The gauges read at the last full window boundary.
+    gauges: [u64; 3],
     /// Next metrics-window boundary (`Cycle::MAX` when windowing is off).
     next_window: Cycle,
     /// End of the last snapshotted window (guards the final flush).
     last_window_end: Cycle,
 }
 
+/// The metrics-window columns, in value order. The first four are window
+/// deltas of counters the harness already keeps: the per-link flit
+/// counters, and `NetStats`' measured data deliveries (`packet_latency`
+/// counts them too — the column name is part of the telemetry output,
+/// which envelope windows and `noc-serve` frames expose by name). The
+/// last three are gauges read at the window boundary.
+const WINDOW_METRICS: [&str; 7] = [
+    "link_flits",
+    "packets_delivered",
+    "flits_delivered",
+    "packet_latency",
+    "active_nodes",
+    "buffered_flits",
+    "inflight_flits",
+];
+
 impl NetTelemetry {
-    fn new(cfg: &TelemetryConfig, n: usize, now: Cycle) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let m_link_flits = registry.counter("link_flits");
-        let m_packets_delivered = registry.counter("packets_delivered");
-        let m_flits_delivered = registry.counter("flits_delivered");
-        // Counts measured data deliveries, as `packets_delivered` does; the
-        // column name is part of the telemetry output (envelope windows,
-        // `noc-serve` frames), which consumers read by name.
-        let m_latency = registry.counter("packet_latency");
-        let m_active_nodes = registry.gauge("active_nodes");
-        let m_buffered_flits = registry.gauge("buffered_flits");
-        let m_inflight_flits = registry.gauge("inflight_flits");
+    fn new(cfg: &TelemetryConfig, n: usize, now: Cycle, stats: &NetStats) -> Self {
         NetTelemetry {
             cfg: *cfg,
             sink: TraceSink::ring(cfg),
             asleep: vec![false; n],
             link_flits: vec![0; n * 4],
-            registry,
-            m_link_flits,
-            m_packets_delivered,
-            m_flits_delivered,
-            m_latency,
-            m_active_nodes,
-            m_buffered_flits,
-            m_inflight_flits,
+            windows: Vec::new(),
+            base: [0, stats.packets_delivered, stats.flits_delivered],
+            gauges: [0; 3],
             next_window: if cfg.window > 0 {
                 now + cfg.window
             } else {
@@ -122,6 +118,33 @@ impl NetTelemetry {
             },
             last_window_end: now,
         }
+    }
+
+    /// `begin_measurement` zeroes the `NetStats` counters: shift their base
+    /// by what they held, so an open window keeps what it counted before
+    /// the reset. The base may wrap below zero; deltas wrap back.
+    fn follow_reset(&mut self, stats: &NetStats) {
+        self.base[1] = self.base[1].wrapping_sub(stats.packets_delivered);
+        self.base[2] = self.base[2].wrapping_sub(stats.flits_delivered);
+    }
+
+    /// Close the window ending at `end`: counters as deltas since the
+    /// last boundary, gauges as last read.
+    fn close_window(&mut self, end: Cycle, stats: &NetStats) {
+        let now = [
+            self.link_flits.iter().sum(),
+            stats.packets_delivered,
+            stats.flits_delivered,
+        ];
+        let [links, packets, flits] = std::array::from_fn(|k| now[k].wrapping_sub(self.base[k]));
+        self.base = now;
+        let [active, buffered, inflight] = self.gauges;
+        self.windows.push(WindowSnapshot {
+            start: self.last_window_end,
+            end,
+            values: vec![links, packets, flits, packets, active, buffered, inflight],
+        });
+        self.last_window_end = end;
     }
 }
 
@@ -509,7 +532,6 @@ impl<N: NodeModel> Network<N> {
                     *inflight_flits += 1;
                     if let Some(t) = telemetry.as_deref_mut() {
                         t.link_flits[i * 4 + dir.index()] += 1;
-                        t.registry.add(t.m_link_flits, 1);
                     }
                 }
                 for (dir, credit) in out.credits.drain(..) {
@@ -602,26 +624,18 @@ impl<N: NodeModel> Network<N> {
         self.stats.node_cycles += n as u64;
         for d in &self.scratch_delivered {
             self.stats.record_delivery(d);
-            if self.collect_delivered && d.measured && d.class == MsgClass::Data {
+            if self.collect_delivered && d.measured {
                 self.delivered_log.push(*d);
             }
         }
         if let Some(t) = &mut self.telemetry {
-            for d in &self.scratch_delivered {
-                if d.measured && d.class == MsgClass::Data {
-                    t.registry.add(t.m_packets_delivered, 1);
-                    t.registry.add(t.m_flits_delivered, d.len_flits as u64);
-                    t.registry.add(t.m_latency, 1);
-                }
-            }
             if now + 1 >= t.next_window {
-                t.registry
-                    .set(t.m_active_nodes, self.active_mask.count_ones());
-                t.registry.set(t.m_buffered_flits, self.total_occ as u64);
-                t.registry
-                    .set(t.m_inflight_flits, self.inflight_flits as u64);
-                t.registry.snapshot_window(now + 1);
-                t.last_window_end = now + 1;
+                t.gauges = [
+                    self.active_mask.count_ones(),
+                    self.total_occ as u64,
+                    self.inflight_flits as u64,
+                ];
+                t.close_window(now + 1, &self.stats);
                 t.next_window += t.cfg.window;
             }
         }
@@ -639,6 +653,9 @@ impl<N: NodeModel> Network<N> {
     /// Start a measurement window: resets statistics and snapshots event
     /// counters so [`Network::end_measurement`] reports window deltas.
     pub fn begin_measurement(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.follow_reset(&self.stats);
+        }
         self.stats.begin_measurement(self.now);
         self.events_baseline = self.total_events();
     }
@@ -755,13 +772,18 @@ impl<N: NodeModel> Network<N> {
 
     /// Arm telemetry: install a fresh ring sink in every node (via
     /// [`NodeModel::set_trace_sink`]) and reset the harness-level event
-    /// sink, link counters and metrics registry. Telemetry only observes —
+    /// sink, link counters and metrics windows. Telemetry only observes —
     /// the simulated network evolves bit-identically traced or not.
     pub fn configure_telemetry(&mut self, cfg: &TelemetryConfig) {
         for node in &mut self.nodes {
             node.set_trace_sink(TraceSink::ring(cfg));
         }
-        self.telemetry = Some(Box::new(NetTelemetry::new(cfg, self.nodes.len(), self.now)));
+        self.telemetry = Some(Box::new(NetTelemetry::new(
+            cfg,
+            self.nodes.len(),
+            self.now,
+            &self.stats,
+        )));
     }
 
     /// Disarm telemetry and assemble the report: drain every node's ring
@@ -771,12 +793,14 @@ impl<N: NodeModel> Network<N> {
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
         let mut t = self.telemetry.take()?;
         if t.cfg.window > 0 && self.now > t.last_window_end {
-            t.registry.snapshot_window(self.now);
+            t.close_window(self.now, &self.stats);
         }
         let mut report = TelemetryReport {
             nodes: self.nodes.len() as u32,
             mesh_width: self.mesh.kx() as u32,
             link_flits: std::mem::take(&mut t.link_flits),
+            metric_names: &WINDOW_METRICS,
+            windows: std::mem::take(&mut t.windows),
             ..Default::default()
         };
         let mut rings: Vec<_> = self
@@ -790,7 +814,6 @@ impl<N: NodeModel> Network<N> {
             report.dropped += ring.dropped();
             report.events.extend(ring.events().copied());
         }
-        report.registry = t.registry;
         report.sort_events();
         Some(report)
     }
@@ -799,26 +822,25 @@ impl<N: NodeModel> Network<N> {
     /// (telemetry stays armed), so a live run's harness can poll this once
     /// per cycle and stream the new windows to subscribers as they close.
     pub fn telemetry_window_count(&self) -> usize {
-        self.telemetry
-            .as_deref()
-            .map_or(0, |t| t.registry.windows.len())
+        self.telemetry.as_deref().map_or(0, |t| t.windows.len())
     }
 
     /// Clone the closed metrics windows from index `from` on (empty when
     /// telemetry is unarmed or nothing new closed). Pair with
     /// [`Network::telemetry_metric_names`] to label the value columns.
     pub fn telemetry_windows_from(&self, from: usize) -> Vec<WindowSnapshot> {
-        self.telemetry.as_deref().map_or_else(Vec::new, |t| {
-            t.registry.windows.get(from..).unwrap_or(&[]).to_vec()
-        })
-    }
-
-    /// Registration-order metric names of the armed registry (empty when
-    /// telemetry is unarmed).
-    pub fn telemetry_metric_names(&self) -> Vec<String> {
         self.telemetry
             .as_deref()
-            .map_or_else(Vec::new, |t| t.registry.names().to_vec())
+            .map_or_else(Vec::new, |t| t.windows.get(from..).unwrap_or(&[]).to_vec())
+    }
+
+    /// The metrics-window column names (empty when telemetry is
+    /// unarmed).
+    pub fn telemetry_metric_names(&self) -> Vec<String> {
+        match self.telemetry {
+            Some(_) => WINDOW_METRICS.iter().map(|n| n.to_string()).collect(),
+            None => Vec::new(),
+        }
     }
 
     // --- Link faults (see `FaultState`) ---
@@ -1095,7 +1117,7 @@ impl<N: NodeModel> Network<N> {
     // --- Checkpoint / restore (see DESIGN.md §14) ---
 
     /// Serialise the harness and every node into a framed snapshot.
-    /// Fails while telemetry is armed (ring sinks and registry windows are
+    /// Fails while telemetry is armed (ring sinks and metrics windows are
     /// deliberately outside the snapshot seam — disarm via
     /// [`Network::take_telemetry`] first).
     pub fn checkpoint(&self) -> Result<FabricSnapshot, SnapshotError> {
@@ -1520,13 +1542,43 @@ mod tests {
         assert!(has(EventKind::Eject));
         assert!(has(EventKind::NodeSleep));
         assert!(report.events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        // Metrics: windows were snapshotted and the delivered counter is
-        // in the registry totals.
-        assert!(!report.registry.windows.is_empty());
-        let names = report.registry.names();
-        assert!(names.iter().any(|s| s == "packets_delivered"));
+        // Metrics: windows were snapshotted under the fixed column list.
+        assert!(!report.windows.is_empty());
+        assert_eq!(report.metric_names, WINDOW_METRICS);
         // A second run traces wake edges for nodes slept mid-run.
         assert!(report.recorded > 0);
+    }
+
+    /// Window counters are deltas of the harness's own counters, and a
+    /// window open across `begin_measurement` keeps what it counted before
+    /// the `NetStats` reset.
+    #[test]
+    fn metrics_windows_keep_counts_across_the_measurement_reset() {
+        let mut n = net(3);
+        n.configure_telemetry(&TelemetryConfig {
+            window: 1_000,
+            ..TelemetryConfig::default()
+        });
+        let src = n.mesh.id(Coord::new(0, 0));
+        let dst = n.mesh.id(Coord::new(2, 2));
+        n.inject(src, Packet::data(PacketId(1), src, dst, 5, 0));
+        assert!(n.drain(400));
+        n.begin_measurement();
+        let now = n.now();
+        n.inject(src, Packet::data(PacketId(2), src, dst, 3, now));
+        assert!(n.drain(400));
+        let stats = n.stats.clone();
+        let report = n.take_telemetry().expect("telemetry was armed");
+        let col = |name: &str| WINDOW_METRICS.iter().position(|m| *m == name).unwrap();
+        let [w] = &report.windows[..] else {
+            panic!("one partial window: {:?}", report.windows)
+        };
+        assert_eq!(stats.packets_delivered, 1);
+        assert_eq!(w.values[col("packets_delivered")], 2);
+        assert_eq!(w.values[col("flits_delivered")], 8);
+        assert_eq!(w.values[col("packet_latency")], 2);
+        assert_eq!(w.values[col("link_flits")], report.total_link_flits());
+        assert_eq!(report.total_link_flits(), 8 * 4, "8 flits over 4 hops");
     }
 
     /// Tracing must be a pure observer: delivered-packet streams and stats

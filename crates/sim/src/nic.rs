@@ -10,7 +10,7 @@ use crate::config::RouterConfig;
 use crate::dense::RxTable;
 use crate::flit::{Flit, Packet, PacketId, Switching};
 use crate::geometry::NodeId;
-use crate::node::{DeliveredKind, DeliveredPacket};
+use crate::node::DeliveredPacket;
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::Cycle;
 
@@ -82,11 +82,6 @@ impl Nic {
 
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The configuration-payload arena this NIC serialises against.
-    pub fn arena(&self) -> &Arc<ConfigArena> {
-        &self.arena
     }
 
     /// Adopt the network-wide payload arena (see
@@ -166,27 +161,22 @@ impl Nic {
         Some(flit)
     }
 
-    /// Accept an ejected flit; completes a packet when its tail arrives.
+    /// Accept an ejected data flit; completes a packet when its tail
+    /// arrives.
     pub fn accept_ejected(&mut self, now: Cycle, flit: Flit) {
+        debug_assert!(
+            flit.config.is_none(),
+            "configuration flits are consumed before the NIC"
+        );
         self.rx.bump(flit.packet);
         self.rx_flits += 1;
         if flit.kind().is_tail() {
             let done = self.rx.remove(flit.packet).expect("just inserted");
             self.rx_flits -= done as usize;
-            // Resolve the payload handle before releasing it: delivery ends
-            // the flit's lifetime, so this is where the arena slot is freed.
-            let payload = if flit.config.is_some() {
-                Some(self.arena.get(flit.config))
-            } else {
-                None
-            };
-            self.arena.free(flit.config);
             self.delivered.push(DeliveredPacket {
                 id: flit.packet,
                 src: flit.src(),
                 dst: flit.dst(),
-                class: flit.class(),
-                kind: DeliveredKind::of_config(payload),
                 switching: flit.switching(),
                 len_flits: flit.seq + 1,
                 created: flit.created,
@@ -374,52 +364,7 @@ mod tests {
         assert_eq!(d.delivered, 53);
         assert_eq!(d.created, 10);
         assert_eq!(d.switching, Switching::Circuit);
-        assert_eq!(d.class, MsgClass::Data);
         assert_eq!(n.occupancy(), 0);
-    }
-
-    #[test]
-    fn delivered_kind_classifies_config_messages() {
-        use crate::flit::{ConfigKind, SetupInfo};
-        use crate::node::DeliveredKind;
-        let info = SetupInfo {
-            src: NodeId(1),
-            dst: NodeId(0),
-            slot: 0,
-            duration: 4,
-            path_id: 3,
-        };
-        for (id, kind, want) in [
-            (1u64, ConfigKind::Setup(info), DeliveredKind::Setup),
-            (2, ConfigKind::Teardown(info), DeliveredKind::Teardown),
-            (
-                3,
-                ConfigKind::Ack {
-                    info,
-                    success: true,
-                },
-                DeliveredKind::Ack,
-            ),
-        ] {
-            let mut n = nic();
-            let p = Packet::config(PacketId(id), NodeId(1), NodeId(0), kind, 0);
-            let f = Flit::of_packet_in(n.arena(), &p, 0, Switching::Packet);
-            n.accept_ejected(9, f);
-            assert_eq!(n.arena().live(), 0, "payload freed on delivery");
-            let mut sink = Vec::new();
-            n.drain_delivered(&mut sink);
-            assert_eq!(sink[0].kind, want);
-        }
-        // Data packets classify as Data even though their tail carries no
-        // payload.
-        let mut n = nic();
-        let p = pkt(9, 2);
-        for s in 0..2 {
-            n.accept_ejected(5, Flit::of_packet(&p, s, Switching::Packet));
-        }
-        let mut sink = Vec::new();
-        n.drain_delivered(&mut sink);
-        assert_eq!(sink[0].kind, DeliveredKind::Data);
     }
 
     #[test]

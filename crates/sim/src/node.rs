@@ -4,11 +4,11 @@
 use noc_telemetry::{EventKind, RingSink, TraceSink};
 
 use crate::config::NetworkConfig;
-use crate::flit::{ConfigKind, Credit, Flit, MsgClass, Packet, PacketId, Switching};
+use crate::flit::{Credit, Flit, Packet, PacketId, Switching};
 use crate::geometry::{Direction, NodeId, Port};
 use crate::nic::Nic;
 use crate::router::{GatingConfig, PacketRouter, VcGatingController};
-use crate::snapshot::{RouteOverrides, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{RouteOverrides, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::EnergyEvents;
 use crate::Cycle;
 
@@ -48,42 +48,14 @@ pub struct PowerState {
     pub dlt_entries: u32,
 }
 
-/// What kind of packet completed: ordinary data, or one of the three
-/// path-configuration message types (§II-B). Finer-grained than
-/// [`MsgClass`], so per-class latency accounting can separate setup
-/// round-trips from teardowns and acks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeliveredKind {
-    #[default]
-    Data,
-    Setup,
-    Teardown,
-    Ack,
-}
-
-impl DeliveredKind {
-    /// Classify a delivered flit by its configuration payload (configuration
-    /// packets are single-flit, so the payload is always present on the
-    /// completing flit).
-    pub fn of_config(config: Option<ConfigKind>) -> DeliveredKind {
-        match config {
-            None => DeliveredKind::Data,
-            Some(ConfigKind::Setup(_)) => DeliveredKind::Setup,
-            Some(ConfigKind::Teardown(_)) => DeliveredKind::Teardown,
-            Some(ConfigKind::Ack { .. }) => DeliveredKind::Ack,
-        }
-    }
-}
-
-/// Summary of a packet that completed delivery.
+/// Summary of a data packet that completed delivery. Configuration
+/// packets never complete at a NIC: the routers and hybrid nodes consume
+/// them on arrival.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeliveredPacket {
     pub id: PacketId,
     pub src: NodeId,
     pub dst: NodeId,
-    pub class: MsgClass,
-    /// Data vs the specific configuration message type.
-    pub kind: DeliveredKind,
     /// How the packet actually traversed the network.
     pub switching: Switching,
     pub len_flits: u8,
@@ -92,32 +64,10 @@ pub struct DeliveredPacket {
     pub measured: bool,
 }
 
-impl Snap for DeliveredKind {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.u8(match self {
-            DeliveredKind::Data => 0,
-            DeliveredKind::Setup => 1,
-            DeliveredKind::Teardown => 2,
-            DeliveredKind::Ack => 3,
-        });
-    }
-    fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => DeliveredKind::Data,
-            1 => DeliveredKind::Setup,
-            2 => DeliveredKind::Teardown,
-            3 => DeliveredKind::Ack,
-            _ => return Err(SnapshotError::Corrupt("delivered kind")),
-        })
-    }
-}
-
 crate::impl_snap!(DeliveredPacket {
     id,
     src,
     dst,
-    class,
-    kind,
     switching,
     len_flits,
     created,
@@ -325,9 +275,7 @@ impl NodeModel for PacketNode {
         if let Some(g) = &mut self.gating {
             // Feed the latency-based gating metric (§V-B4).
             for d in &sink[start..] {
-                if d.class == MsgClass::Data {
-                    g.record_latency(d.delivered.saturating_sub(d.created));
-                }
+                g.record_latency(d.delivered.saturating_sub(d.created));
             }
         }
     }

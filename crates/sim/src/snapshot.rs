@@ -51,7 +51,10 @@ use crate::Cycle;
 /// v3: `SdmRouter` runs on `PsPipeline`: its state is the pipeline's,
 /// then the planes, circuits, circuit flits, acks and owed credits.
 /// v4: `RxTable` is written as its entry list (packet id, flit count).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// v5: `NetStats` drops its per-class latency split and its
+/// configuration-packet count, and `DeliveredPacket` its `class` and
+/// `kind`.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

@@ -1,8 +1,8 @@
 //! Statistics: energy event counters and network-level measurement.
 
-use crate::flit::{MsgClass, Switching};
+use crate::flit::Switching;
 use crate::impl_snap;
-use crate::node::{DeliveredKind, DeliveredPacket};
+use crate::node::DeliveredPacket;
 use crate::Cycle;
 use serde::{Deserialize, Serialize, Value};
 
@@ -147,9 +147,11 @@ pub struct LeakageIntegrals {
     pub router_cycles: u64,
 }
 
-/// A log-bucketed latency histogram: bucket `i` counts latencies in
-/// `[2^i, 2^(i+1))` cycles (bucket 0 covers 0–1). Cheap enough to update on
-/// every delivery, precise enough for the percentile figures papers report.
+/// A log-bucketed latency histogram that files each latency by its bit
+/// length: bucket 0 holds 0, and bucket `i ≥ 1` holds `[2^(i-1), 2^i)`
+/// cycles (bucket 31 also takes everything longer). Cheap enough to update
+/// on every delivery, precise enough for the percentile figures papers
+/// report.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     buckets: [u64; 32],
@@ -178,82 +180,10 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Some(if i == 31 {
-                    u64::MAX
-                } else {
-                    (1u64 << i).saturating_sub(0)
-                });
+                return Some(if i == 31 { u64::MAX } else { 1u64 << i });
             }
         }
         None
-    }
-
-    pub fn merge(&mut self, rhs: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(rhs.buckets.iter()) {
-            *a += b;
-        }
-        self.count += rhs.count;
-    }
-}
-
-/// Latency aggregates for one delivered-packet class.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassLatency {
-    pub count: u64,
-    pub latency_sum: u64,
-    pub latency_max: u64,
-    pub hist: LatencyHistogram,
-}
-
-impl ClassLatency {
-    pub fn record(&mut self, lat: u64) {
-        self.count += 1;
-        self.latency_sum += lat;
-        self.latency_max = self.latency_max.max(lat);
-        self.hist.record(lat);
-    }
-
-    pub fn avg(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.latency_sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// Latency split by [`DeliveredKind`]: measured data packets vs the three
-/// configuration message types. The `data` bucket mirrors the headline
-/// measured-data aggregates (`latency_sum`/`latency_max`/`latency_hist`);
-/// the configuration buckets record *every* delivery of their kind,
-/// measured or not, because configuration packets are never marked
-/// measured yet their latencies (setup round-trips especially) are what
-/// the split exists to expose.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PerClassLatency {
-    pub data: ClassLatency,
-    pub setup: ClassLatency,
-    pub teardown: ClassLatency,
-    pub ack: ClassLatency,
-}
-
-impl PerClassLatency {
-    pub fn class(&self, kind: DeliveredKind) -> &ClassLatency {
-        match kind {
-            DeliveredKind::Data => &self.data,
-            DeliveredKind::Setup => &self.setup,
-            DeliveredKind::Teardown => &self.teardown,
-            DeliveredKind::Ack => &self.ack,
-        }
-    }
-
-    fn class_mut(&mut self, kind: DeliveredKind) -> &mut ClassLatency {
-        match kind {
-            DeliveredKind::Data => &mut self.data,
-            DeliveredKind::Setup => &mut self.setup,
-            DeliveredKind::Teardown => &mut self.teardown,
-            DeliveredKind::Ack => &mut self.ack,
-        }
     }
 }
 
@@ -282,10 +212,6 @@ pub struct NetStats {
     pub cs_packets_delivered: u64,
     /// Latency distribution of measured data packets.
     pub latency_hist: LatencyHistogram,
-    /// Latency aggregates split by delivered kind (data/setup/teardown/ack).
-    pub class_latency: PerClassLatency,
-    /// Configuration packets delivered (measured window).
-    pub config_packets_delivered: u64,
     /// Energy events aggregated over all nodes (whole run, including
     /// warm-up: energy is reported for the measurement window by snapshot
     /// subtraction in the drivers).
@@ -340,11 +266,6 @@ impl Serialize for NetStats {
                 self.cs_packets_delivered.to_value(),
             ),
             ("latency_hist".into(), self.latency_hist.to_value()),
-            ("class_latency".into(), self.class_latency.to_value()),
-            (
-                "config_packets_delivered".into(),
-                self.config_packets_delivered.to_value(),
-            ),
             ("events".into(), self.events.to_value()),
             ("leakage".into(), self.leakage.to_value()),
             ("nodes_stepped".into(), self.nodes_stepped.to_value()),
@@ -382,23 +303,17 @@ impl NetStats {
         self.measured_cycles = now.saturating_sub(self.measurement_start);
     }
 
-    /// Record a delivered packet.
+    /// Record a delivered data packet; only measured ones count.
     pub fn record_delivery(&mut self, d: &DeliveredPacket) {
-        let lat = d.delivered.saturating_sub(d.created);
-        if d.class == MsgClass::Config {
-            self.config_packets_delivered += 1;
-            self.class_latency.class_mut(d.kind).record(lat);
-            return;
-        }
         if !d.measured {
             return;
         }
+        let lat = d.delivered.saturating_sub(d.created);
         self.packets_delivered += 1;
         self.flits_delivered += d.len_flits as u64;
         self.latency_sum += lat;
         self.latency_max = self.latency_max.max(lat);
         self.latency_hist.record(lat);
-        self.class_latency.data.record(lat);
         if d.switching == Switching::Circuit {
             self.cs_packets_delivered += 1;
         }
@@ -410,15 +325,6 @@ impl NetStats {
             f64::NAN
         } else {
             self.latency_sum as f64 / self.packets_delivered as f64
-        }
-    }
-
-    /// Accepted throughput in flits/node/cycle.
-    pub fn throughput(&self, nodes: usize) -> f64 {
-        if self.measured_cycles == 0 {
-            0.0
-        } else {
-            self.flits_delivered as f64 / (self.measured_cycles as f64 * nodes as f64)
         }
     }
 }
@@ -460,20 +366,6 @@ impl_snap!(LeakageIntegrals {
 
 impl_snap!(LatencyHistogram { buckets, count });
 
-impl_snap!(ClassLatency {
-    count,
-    latency_sum,
-    latency_max,
-    hist
-});
-
-impl_snap!(PerClassLatency {
-    data,
-    setup,
-    teardown,
-    ack
-});
-
 impl_snap!(NetStats {
     measured_cycles,
     measurement_start,
@@ -484,8 +376,6 @@ impl_snap!(NetStats {
     flits_delivered,
     cs_packets_delivered,
     latency_hist,
-    class_latency,
-    config_packets_delivered,
     events,
     leakage,
     nodes_stepped,
@@ -504,16 +394,11 @@ mod tests {
     use crate::flit::PacketId;
     use crate::geometry::NodeId;
 
-    fn delivered(lat: u64, measured: bool, class: MsgClass) -> DeliveredPacket {
+    fn delivered(lat: u64, measured: bool) -> DeliveredPacket {
         DeliveredPacket {
             id: PacketId(0),
             src: NodeId(0),
             dst: NodeId(1),
-            class,
-            kind: match class {
-                MsgClass::Data => DeliveredKind::Data,
-                MsgClass::Config => DeliveredKind::Setup,
-            },
             switching: Switching::Packet,
             len_flits: 5,
             created: 100,
@@ -526,26 +411,12 @@ mod tests {
     fn latency_accounting() {
         let mut s = NetStats::default();
         s.begin_measurement(0);
-        s.record_delivery(&delivered(10, true, MsgClass::Data));
-        s.record_delivery(&delivered(30, true, MsgClass::Data));
-        s.record_delivery(&delivered(1000, false, MsgClass::Data)); // warm-up: ignored
-        s.record_delivery(&delivered(5, true, MsgClass::Config)); // config: separate
+        s.record_delivery(&delivered(10, true));
+        s.record_delivery(&delivered(30, true));
+        s.record_delivery(&delivered(1000, false)); // warm-up: ignored
         assert_eq!(s.packets_delivered, 2);
         assert!((s.avg_latency() - 20.0).abs() < 1e-9);
         assert_eq!(s.latency_max, 30);
-        assert_eq!(s.config_packets_delivered, 1);
-    }
-
-    #[test]
-    fn throughput_accounting() {
-        let mut s = NetStats::default();
-        s.begin_measurement(1000);
-        s.record_delivery(&delivered(10, true, MsgClass::Data));
-        s.record_delivery(&delivered(10, true, MsgClass::Data));
-        s.end_measurement(1100);
-        assert_eq!(s.measured_cycles, 100);
-        // 10 flits over 100 cycles and 4 nodes.
-        assert!((s.throughput(4) - 10.0 / 400.0).abs() < 1e-12);
     }
 
     #[test]
@@ -585,23 +456,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_sums_counts() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        a.record(10);
-        b.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!(a.quantile(1.0).unwrap() >= 1000);
-    }
-
-    #[test]
     fn stats_populate_histogram() {
         let mut s = NetStats::default();
         s.begin_measurement(0);
-        s.record_delivery(&delivered(10, true, MsgClass::Data));
-        s.record_delivery(&delivered(100, true, MsgClass::Data));
+        s.record_delivery(&delivered(10, true));
+        s.record_delivery(&delivered(100, true));
         assert_eq!(s.latency_hist.count(), 2);
         assert!(s.latency_hist.quantile(1.0).unwrap() >= 100);
     }
@@ -623,32 +482,6 @@ mod tests {
         assert_eq!(window.buffer_writes, 5);
         assert_eq!(window.sa_ops, 3);
         assert_eq!(window.link_flits, 0);
-    }
-
-    #[test]
-    fn per_class_latency_split() {
-        let mut s = NetStats::default();
-        s.begin_measurement(0);
-        s.record_delivery(&delivered(10, true, MsgClass::Data));
-        s.record_delivery(&delivered(30, true, MsgClass::Data));
-        s.record_delivery(&delivered(500, false, MsgClass::Data)); // warm-up
-        let mut ack = delivered(7, false, MsgClass::Config);
-        ack.kind = DeliveredKind::Ack;
-        s.record_delivery(&ack);
-        s.record_delivery(&delivered(5, false, MsgClass::Config)); // setup
-
-        // The data bucket mirrors the headline measured-data aggregates.
-        assert_eq!(s.class_latency.data.count, s.packets_delivered);
-        assert_eq!(s.class_latency.data.latency_sum, s.latency_sum);
-        assert_eq!(s.class_latency.data.latency_max, s.latency_max);
-        assert_eq!(s.class_latency.data.hist.count(), s.latency_hist.count());
-        // Config kinds record even unmeasured deliveries.
-        assert_eq!(s.class_latency.setup.count, 1);
-        assert_eq!(s.class_latency.setup.latency_max, 5);
-        assert_eq!(s.class_latency.ack.count, 1);
-        assert_eq!(s.class_latency.teardown.count, 0);
-        assert!((s.class_latency.class(DeliveredKind::Ack).avg() - 7.0).abs() < 1e-12);
-        assert!(s.class_latency.teardown.avg().is_nan());
     }
 
     #[test]
@@ -705,23 +538,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_empty_into_populated_and_back() {
-        let mut populated = LatencyHistogram::default();
-        populated.record(10);
-        populated.record(100);
-        let before = populated.clone();
-        populated.merge(&LatencyHistogram::default());
-        assert_eq!(populated, before, "merging empty must be a no-op");
-        let mut empty = LatencyHistogram::default();
-        empty.merge(&before);
-        assert_eq!(empty, before, "merging into empty must copy");
-    }
-
-    #[test]
     fn empty_stats_are_safe() {
         let s = NetStats::default();
         assert!(s.avg_latency().is_nan());
-        assert_eq!(s.throughput(36), 0.0);
         assert_eq!(EnergyEvents::default().cs_flit_fraction(), 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //!   capacity ring buffer behind an enum whose `Disabled` arm is a
 //!   single branch, with an event-kind mask and 1-in-N sampling of the
 //!   high-rate flit-lifecycle kinds;
-//! * [`metrics`] — [`MetricsRegistry`], named counters and gauges with
-//!   per-window snapshots and a deterministic merge;
+//! * [`metrics`] — [`WindowSnapshot`], one row of network-level
+//!   counters and gauges per measurement window;
 //! * [`perfetto`] / [`heatmap`] — exporters: Chrome trace-event JSON
 //!   (loads in Perfetto; circuits render as async spans) and a per-link
 //!   utilization CSV.
@@ -26,7 +26,7 @@ pub mod sink;
 
 pub use event::{parse_event_mask, EventKind, TelemetryEvent, ALL_EVENTS, CATEGORIES};
 pub use heatmap::link_heatmap_csv;
-pub use metrics::{MetricId, MetricsRegistry, WindowSnapshot};
+pub use metrics::WindowSnapshot;
 pub use perfetto::chrome_trace_json;
 pub use report::{TelemetryReport, DIR_NAMES, PORT_NAMES};
 pub use sink::{RingSink, TelemetryConfig, TraceSink};

@@ -1,11 +1,11 @@
 //! The assembled output of a traced run: merged events, per-link flit
-//! counters and the metrics registry, with a compact serialisation for
+//! counters and the metrics windows, with a compact serialisation for
 //! the result-envelope `telemetry` block.
 
 use serde::{Serialize, Value};
 
 use crate::event::{TelemetryEvent, CATEGORIES};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::WindowSnapshot;
 
 /// Port-index names (matches `noc_sim::Port` discriminants).
 pub const PORT_NAMES: [&str; 5] = ["local", "north", "east", "south", "west"];
@@ -30,8 +30,10 @@ pub struct TelemetryReport {
     pub dropped: u64,
     /// Flits sent per outgoing link, `[node * 4 + direction]`.
     pub link_flits: Vec<u64>,
-    /// Network-level metrics and their window snapshots.
-    pub registry: MetricsRegistry,
+    /// Column names of `windows`, in value order.
+    pub metric_names: &'static [&'static str],
+    /// Network-level metrics, one row per closed window.
+    pub windows: Vec<WindowSnapshot>,
 }
 
 impl TelemetryReport {
@@ -89,14 +91,13 @@ impl Serialize for TelemetryReport {
             (
                 "metric_names".into(),
                 Value::Array(
-                    self.registry
-                        .names()
+                    self.metric_names
                         .iter()
-                        .map(|n| Value::Str(n.clone()))
+                        .map(|n| Value::Str(n.to_string()))
                         .collect(),
                 ),
             ),
-            ("windows".into(), self.registry.windows.to_value()),
+            ("windows".into(), self.windows.to_value()),
         ])
     }
 }

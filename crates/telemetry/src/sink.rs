@@ -8,10 +8,9 @@
 //! return immediately, so a disabled sink compiles to a load + compare +
 //! predictable branch — no allocation, no indirect call, no shared
 //! state. Sinks are *node-local* (one per router, owned by the node),
-//! so recording during the parallel node-stepping phase touches only
-//! that node's memory and the serial-vs-parallel bit-identity guarantee
-//! of the cycle kernel is preserved: telemetry never reads or writes
-//! simulated state, it only observes.
+//! so recording during the node-stepping phase touches only that node's
+//! memory and never depends on the order nodes are visited in:
+//! telemetry never reads or writes simulated state, it only observes.
 
 use crate::event::{EventKind, TelemetryEvent, ALL_EVENTS, SAMPLED_MASK};
 

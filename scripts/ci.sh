@@ -161,7 +161,7 @@ echo "sweep JSON identical across thread counts"
 echo "== tracing on/off bit-identity (envelope data block) =="
 cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
     --scenario "$SWEEP_TMP/sweep.json" --json "$SWEEP_TMP/traced_sweep.json" \
-    --trace-out "$SWEEP_TMP/sweeptrace.json" > /dev/null
+    --trace-out "$SWEEP_TMP/sweeptrace.json" --metrics-window 500 > /dev/null
 python3 - "$SWEEP_TMP" <<'PY'
 import json, sys
 tmp = sys.argv[1]
@@ -170,7 +170,15 @@ traced = json.load(open(f"{tmp}/traced_sweep.json"))
 assert plain["data"] == traced["data"], "tracing perturbed the measurements"
 assert "telemetry" not in plain, "untraced run must not add a telemetry block"
 assert "telemetry" in traced, "traced run missing its telemetry block"
-print("data blocks identical with tracing on vs off")
+# The merged windows are the element-wise sum of the specs' windows.
+specs = [s["windows"] for s in traced["telemetry"]["specs"] if s is not None]
+merged = traced["telemetry"]["merged_metrics"]["windows"]
+assert merged and len(merged) == max(map(len, specs)), "merged window count"
+for i, w in enumerate(merged):
+    parts = [s[i]["values"] for s in specs if i < len(s)]
+    assert w["values"] == [sum(col) for col in zip(*parts)], f"merged window {i}"
+print(f"data blocks identical with tracing on vs off; {len(merged)} merged "
+      "windows sum the specs' windows")
 PY
 
 echo "== 256-node torus smoke (packet + TDM + SDM, dateline VC classes) =="
@@ -269,7 +277,7 @@ cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
 cmp "$SWEEP_TMP/kilo1.json" "$SWEEP_TMP/kilo2.json"
 echo "1024-node smoke ok: JSON identical across thread counts"
 
-echo "== traced TDM hetero scenario (Perfetto trace + heatmap + envelope v2) =="
+echo "== traced TDM hetero scenario (Perfetto trace + heatmap + envelope v3) =="
 cat > "$SWEEP_TMP/traced.json" <<'JSON'
 [ {"backend": "HybridTdmVc4", "cpu": "AMMP", "gpu": "BLACKSCHOLES", "quick": true, "seed": 7} ]
 JSON
@@ -288,13 +296,22 @@ assert any(e["ph"] == "e" for e in evs), "no circuit span close"
 for cat in ("flit", "circuit"):
     assert cats[cat] > 0, f"no {cat} events in the trace"
 env = json.load(open(f"{tmp}/traced_out.json"))
-assert env["schema_version"] == 2, env["schema_version"]
+assert env["schema_version"] == 3, env["schema_version"]
 tel = env["telemetry"]["specs"][0]
 link = tel["link_flits"]
 rows = list(csv.DictReader(open(f"{tmp}/trace.heatmap.csv")))
 assert len(rows) == len(link), "heatmap rows vs envelope link count"
 assert sum(int(r["flits"]) for r in rows) == sum(link), "heatmap sum vs envelope"
 assert tel["windows"], "no metric windows despite --metrics-window"
+# Each window column sums to the counter it is a delta of.
+col = {name: i for i, name in enumerate(tel["metric_names"])}
+total = lambda name: sum(w["values"][col[name]] for w in tel["windows"])
+stats = env["data"][0]["stats"]
+assert total("link_flits") == sum(link), "window link_flits vs per-link counters"
+for name in ("packets_delivered", "flits_delivered"):
+    assert total(name) == stats[name], f"window {name} vs the mix's stats"
+assert all(w["values"][col["packet_latency"]] == w["values"][col["packets_delivered"]]
+           for w in tel["windows"]), "packet_latency counts deliveries"
 print(f"trace ok: {len(evs)} events, categories {dict(cats)}, "
       f"{len(tel['windows'])} metric windows")
 PY

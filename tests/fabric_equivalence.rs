@@ -149,10 +149,6 @@ fn assert_identical(kind: BackendKind, dynamic: &RunResult, concrete: &RunResult
         d.cs_packets_delivered, c.cs_packets_delivered,
         "{label}: cs_packets_delivered"
     );
-    assert_eq!(
-        d.config_packets_delivered, c.config_packets_delivered,
-        "{label}: config_packets_delivered"
-    );
     assert_eq!(d.latency_hist, c.latency_hist, "{label}: latency_hist");
     assert_eq!(d.events, c.events, "{label}: energy events");
     assert_eq!(d.leakage, c.leakage, "{label}: leakage integrals");

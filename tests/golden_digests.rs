@@ -3,11 +3,13 @@
 //! meant to be invisible (a refactor, a speed-up) proves it is.
 //!
 //! Each case runs twice. The traced run arms every telemetry event kind
-//! from the first warm-up cycle; its serialised `NetStats` and its event
-//! stream are hashed. The untraced run captures the warm-up checkpoint
+//! and 100-cycle metrics windows from the first warm-up cycle; its
+//! serialised `NetStats`, its event stream and its serialised telemetry
+//! report (metric names, windows, link counters, category counts) are
+//! hashed. The untraced run captures the warm-up checkpoint
 //! (checkpoints refuse armed telemetry) and its encoded blob is hashed,
 //! which pins the derived router state the stats and traces do not show.
-//! Hetero mixes have no checkpoint seam, so they pin stats and events only.
+//! Hetero mixes have no checkpoint seam, so they pin no checkpoint.
 //! Each case also checks that its measured window still exercises the
 //! path it is there to pin (stolen slots, gating, faults, sharing).
 //! The SHA-256 digests are compared against `tests/golden/kernel_digests.txt`.
@@ -123,7 +125,8 @@ fn vicinity_lines() -> Vec<String> {
     let report = net.telemetry_report().expect("traced");
     vec![
         format!("{name} stats {}", stats_digest(&r.stats)),
-        format!("{name} events {}", events_digest(report)),
+        format!("{name} events {}", events_digest(&report)),
+        format!("{name} telemetry {}", telemetry_digest(&report)),
     ]
 }
 
@@ -150,10 +153,19 @@ fn stats_digest(stats: &NetStats) -> String {
     )
 }
 
-/// The event stream in canonical order, one `cycle node kind port id` line
-/// per event, then the recorded and dropped totals.
-fn events_digest(mut report: TelemetryReport) -> String {
-    report.sort_events();
+/// The serialised report: what the envelope `telemetry` block carries.
+fn telemetry_digest(report: &TelemetryReport) -> String {
+    digest(
+        serde_json::to_string(report)
+            .expect("report serialises")
+            .as_bytes(),
+    )
+}
+
+/// The event stream in canonical order (reports arrive sorted), one
+/// `cycle node kind port id` line per event, then the recorded and
+/// dropped totals.
+fn events_digest(report: &TelemetryReport) -> String {
     let mut text = String::new();
     for e in &report.events {
         text.push_str(&format!(
@@ -165,10 +177,12 @@ fn events_digest(mut report: TelemetryReport) -> String {
     digest(text.as_bytes())
 }
 
-/// Every event kind, rings large enough that these runs drop nothing.
+/// Every event kind, rings large enough that these runs drop nothing,
+/// and a metrics window every 100 cycles.
 fn all_events() -> TelemetryConfig {
     TelemetryConfig {
         capacity: 16_384,
+        window: 100,
         ..TelemetryConfig::default()
     }
 }
@@ -191,8 +205,10 @@ fn case_lines(case: &Case) -> Vec<String> {
     if let TrafficSpec::Hetero { .. } = spec.traffic {
         let (mix, report) = noc_hetero::run_spec(&spec, Some(&tel)).expect("hetero case runs");
         check(&mix.stats);
+        let report = report.expect("traced");
         line("stats", stats_digest(&mix.stats));
-        line("events", events_digest(report.expect("traced")));
+        line("events", events_digest(&report));
+        line("telemetry", telemetry_digest(&report));
         return lines;
     }
     let (traced, report) = run_synthetic_spec(&spec, Some(&tel)).expect("traced case runs");
@@ -212,8 +228,10 @@ fn case_lines(case: &Case) -> Vec<String> {
         "{}: tracing changed the run",
         case.name
     );
+    let report = report.expect("traced");
     line("stats", stats_digest(&traced.result.stats));
-    line("events", events_digest(report.expect("traced")));
+    line("events", events_digest(&report));
+    line("telemetry", telemetry_digest(&report));
     line(
         "checkpoint",
         digest(&warm.expect("warm-up captured").encode()),
