@@ -10,16 +10,12 @@
 //! way the engine drives a fabric: the source ticked and the fabric
 //! stepped once per cycle.
 //!
-//! Flags:
-//!   --json-out PATH   write the schema-versioned result envelope
-//!   --reps N          timed repetitions per point (default 5; best +
-//!                     median are both reported)
-//!   --quick           2 reps and a shorter warm-up (CI smoke)
-//!   --only SUBSTR     run only the points whose name contains SUBSTR
-//!                     (A/B iteration on a single operating point)
+//! Flags: see [`FLAGS`] (`--help` prints them).
 
 use std::time::Instant;
 
+use noc_scenario::cli::{arg_value, check_cli_args, usage_error};
+use noc_scenario::quick_flag;
 use noc_sim::{Fabric, Mesh, Network, NetworkConfig, PacketNode};
 use noc_traffic::{SyntheticSource, TrafficPattern};
 use serde::Serialize;
@@ -56,55 +52,29 @@ struct Point {
     packets_delivered: u64,
 }
 
-struct Args {
-    json_out: Option<String>,
-    reps: u64,
-    quick: bool,
-    only: Option<String>,
-}
+/// Every `network_step` flag, in the format of `noc_scenario::cli::FLAGS`.
+const FLAGS: &str = "\
+--json-out <path>   write the schema-versioned result envelope
+--reps <n>          timed repetitions per point (default 5; best and median reported)
+--quick             2 reps and a shorter warm-up, the CI smoke (also -q)
+--only <substr>     run only the points whose name contains <substr>
+--help              print this list (also -h)
+";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        json_out: None,
-        reps: 5,
-        quick: false,
-        only: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json-out" => {
-                args.json_out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("error: --json-out needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--reps" => {
-                args.reps = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --reps needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            "--quick" => args.quick = true,
-            "--only" => {
-                args.only = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("error: --only needs a point-name substring");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                eprintln!(
-                    "usage: network_step [--json-out PATH] [--reps N] [--quick] [--only SUBSTR]"
-                );
-                std::process::exit(2);
-            }
-        }
+/// `--reps`: a positive integer, at most 2 under `--quick`.
+fn reps_flag(quick: bool) -> u64 {
+    let reps = arg_value("--reps").map_or(5, |v| match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage_error(
+            FLAGS,
+            &format!("--reps needs a positive integer, got {v:?}"),
+        ),
+    });
+    if quick {
+        reps.min(2)
+    } else {
+        reps
     }
-    if args.quick {
-        args.reps = args.reps.min(2);
-    }
-    args
 }
 
 /// Advance a fabric by `cycles` with source injection each cycle.
@@ -167,9 +137,12 @@ fn tdm_net(topo: Mesh) -> Box<dyn Fabric> {
 }
 
 fn main() {
-    let args = parse_args();
-    let warm_64 = if args.quick { 500 } else { 2_000 };
-    let warm_1024 = if args.quick { 300 } else { 1_000 };
+    check_cli_args(FLAGS);
+    let quick = quick_flag();
+    let reps = reps_flag(quick);
+    let only = arg_value("--only");
+    let warm_64 = if quick { 500 } else { 2_000 };
+    let warm_1024 = if quick { 300 } else { 1_000 };
     let m8 = Mesh::square(8);
     let m32 = Mesh::square(32);
     let t32 = Mesh::torus_square(32);
@@ -229,14 +202,10 @@ fn main() {
         "point", "best ns/cyc", "median ns/cyc", "delivered"
     );
     for case in cases {
-        if args
-            .only
-            .as_ref()
-            .is_some_and(|s| !case.0.contains(s.as_str()))
-        {
+        if only.as_ref().is_some_and(|s| !case.0.contains(s.as_str())) {
             continue;
         }
-        let p = measure(case, args.reps);
+        let p = measure(case, reps);
         println!(
             "{:<34} {:>14.1} {:>14.1} {:>12}",
             p.name, p.best_ns_per_cycle, p.median_ns_per_cycle, p.packets_delivered
@@ -248,12 +217,12 @@ fn main() {
         schema_version: 1,
         bench: "network_step",
         steps_per_rep: STEPS,
-        reps: args.reps,
+        reps,
         points,
     };
-    if let Some(path) = &args.json_out {
+    if let Some(path) = arg_value("--json-out") {
         let json = serde_json::to_string_pretty(&env).expect("serialize");
-        std::fs::write(path, json + "\n").expect("write json");
+        std::fs::write(&path, json + "\n").expect("write json");
         println!("wrote {path}");
     }
 }

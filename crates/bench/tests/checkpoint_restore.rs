@@ -13,8 +13,8 @@
 //!   re-encode to their own bytes and continue like the continuous run;
 //! * a snapshot whose allocator state does not fit the built fabric
 //!   (arbiter shape, NIC credit count) is an `Err` from `restore`, and
-//!   so is a pipeline whose stored counters, VC counts or VC allocations
-//!   disagree with its VC state;
+//!   so is a pipeline whose VC counts or VC allocations disagree with
+//!   its VC state;
 //! * fault drops never leak — after a faulted run fully drains, the
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
@@ -404,12 +404,12 @@ fn mutated_allocator_state_is_rejected_not_restored() {
             arbiter_vecs(&bytes[sa_in..sa_in + 8 + 5 * 16], 5, 4) == [0]
         })
         .collect();
-    // Each NIC: a `u64` VC count of 4 and the 4 credits, the two VC limit
-    // bytes, then the VC arbiter over 4 requesters.
-    let nic: Vec<usize> = (0..bytes.len() - 34)
+    // Each NIC: a `u64` VC count of 4 and the 4 credits, then the VC
+    // arbiter over 4 requesters.
+    let nic: Vec<usize> = (0..bytes.len() - 28)
         .filter(|&at| {
             let w = |o: usize| u64::from_le_bytes(bytes[at + o..at + o + 8].try_into().unwrap());
-            w(0) == 4 && bytes[at + 8..at + 14].iter().all(|&b| b <= 32) && w(14) == 4 && w(22) < 4
+            w(0) == 4 && bytes[at + 8..at + 12].iter().all(|&b| b <= 32) && w(12) == 4 && w(20) < 4
         })
         .collect();
     assert_eq!((va.len(), nic.len()), (16, 16), "one match per router");
@@ -448,10 +448,10 @@ fn mutated_allocator_state_is_rejected_not_restored() {
                     b.remove(nic + 8);
                 }),
             ),
-            ("NIC arbiter over 2 VCs", mutated(&|b| put(b, nic + 14, 2))),
+            ("NIC arbiter over 2 VCs", mutated(&|b| put(b, nic + 12, 2))),
             (
                 "NIC pointer past its VCs",
-                mutated(&|b| put(b, nic + 22, 4)),
+                mutated(&|b| put(b, nic + 20, 4)),
             ),
         ];
         for (what, b) in mutations {
@@ -468,8 +468,6 @@ struct PipelineBytes {
     out_alloc: Vec<(usize, Option<(u8, u8)>)>,
     /// The five downstream VC count bytes.
     downstream: usize,
-    /// The five stored `u32` counters (`buffered` … `gated_busy`).
-    counters: usize,
 }
 
 /// Decode a 4×4-VC `PsPipeline` record starting at `at` with the
@@ -518,22 +516,18 @@ fn pipeline_at(bytes: &[u8], at: usize) -> Option<PipelineBytes> {
     }) {
         return None;
     }
-    // Three `u64` utilisation samples and the `u32` `prev_busy`.
-    let counters = va + 3 * 88 + 3 * 8 + 4;
     Some(PipelineBytes {
         states,
         out_alloc,
         downstream,
-        counters,
     })
 }
 
 /// A restored pipeline must agree with itself: in 4×4 packet, TDM and
-/// SDM snapshots, a stored occupancy counter off by one, a downstream VC
-/// count past the port's VCs, an `Active` VC naming a downstream VC past
-/// the range, or an `out_alloc` entry naming an idle VC is an `Err` from
-/// `restore` — never a fabric that restores and then indexes past a
-/// port's slice when it steps.
+/// SDM snapshots, a downstream VC count past the port's VCs, an `Active`
+/// VC naming a downstream VC past the range, or an `out_alloc` entry
+/// naming an idle VC is an `Err` from `restore` — never a fabric that
+/// restores and then indexes past a port's slice when it steps.
 #[test]
 fn mutated_pipeline_state_is_rejected_not_restored() {
     for backend in [
@@ -575,18 +569,6 @@ fn mutated_pipeline_state_is_rejected_not_restored() {
         let mut active_seen = false;
         for (router, pl) in pipelines.iter().enumerate() {
             let mut mutations = vec![("downstream VC count 5", mutated(&|b| b[pl.downstream] = 5))];
-            for (k, name) in ["buffered", "waiting", "active", "busy_vcs", "gated_busy"]
-                .into_iter()
-                .enumerate()
-            {
-                let at = pl.counters + 4 * k;
-                let stored = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-                for v in [stored.wrapping_add(1), stored.wrapping_sub(1)] {
-                    let edit =
-                        move |b: &mut Vec<u8>| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
-                    mutations.push((name, mutated(&edit)));
-                }
-            }
             if let Some(&(at, _)) = pl
                 .states
                 .iter()

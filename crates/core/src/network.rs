@@ -502,6 +502,10 @@ impl Fabric for TdmNetwork {
                     self.net.nodes[f.src.index()].request_planned_circuit(now, f.dst, plan.pin);
                 }
             }
+            // The requests queued setups behind the harness's back: wake
+            // the sources (asleep after an earlier round's settle) and
+            // refresh the occupancy caches the settle loop reads.
+            self.net.wake_all();
             // Let the setup/ack handshakes (and any retries) settle.
             for _ in 0..50_000 {
                 let pending = self
@@ -749,6 +753,31 @@ mod tests {
         assert!(net.drain(500));
         net.end_measurement();
         assert_eq!(net.stats().cs_packets_delivered, 1);
+    }
+
+    /// A source's pending-setup budget (4) defers two of six planned
+    /// flows to a second request round, by which time the settle loop has
+    /// let the source fall asleep: the round must wake it, or its setups
+    /// sit in the NIC unseen while the loop spins out its cycle budget.
+    #[test]
+    fn circuit_plan_second_round_reaches_a_sleeping_source() {
+        use noc_sim::{CircuitPlan, PlannedFlow};
+        let mut net = TdmNetwork::new(TdmConfig::vc4(NetworkConfig::with_mesh(Mesh::square(6))));
+        let m = net.cfg.net.mesh;
+        let src = m.id(Coord::new(0, 0));
+        let flows: Vec<PlannedFlow> = [(5, 5), (5, 0), (0, 5), (3, 3), (2, 4), (4, 2)]
+            .into_iter()
+            .map(|(x, y)| PlannedFlow {
+                src,
+                dst: m.id(Coord::new(x, y)),
+            })
+            .collect();
+        let plan = CircuitPlan { flows, pin: true };
+        let established = net.install_circuit_plan(&plan).unwrap();
+        assert_eq!(established, 6, "every planned flow establishes");
+        assert!(net.now() < 1_000, "install took {} cycles", net.now());
+        let held: usize = net.net.nodes.iter().map(|n| n.occupancy()).sum();
+        assert_eq!(net.net.total_occupancy(), held);
     }
 
     #[test]

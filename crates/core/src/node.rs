@@ -968,7 +968,7 @@ impl NodeModel for TdmNode {
         // packet-switched flit.
         let cs_used = self.pump_cs(now);
         if !cs_used {
-            if let Some(f) = self.nic.next_flit(now) {
+            if let Some(f) = self.nic.next_flit(self.router.pipeline.active_vcs()) {
                 self.router.accept_flit(now, Port::Local, f);
             }
         }
@@ -1004,7 +1004,6 @@ impl NodeModel for TdmNode {
                     Port::Local.index() as u8,
                     n as u64,
                 );
-                self.nic.set_router_active_vcs(n);
                 for d in Direction::ALL {
                     if self.router.pipeline.out_exists(d.as_port()) {
                         out.vc_counts.push((d, n));

@@ -351,7 +351,8 @@ impl SlotTables {
     /// is written anyway so a restore into a differently-sized router is a
     /// detectable mismatch instead of silent corruption. The entries are
     /// written as one `Option<SlotEntry>` per (input port, slot), the
-    /// encoding of the per-slot layout these tables replaced.
+    /// encoding of the per-slot layout these tables replaced. The output
+    /// masks and valid counts are derived from the entries and not written.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.u16(self.capacity);
         w.u16(self.active);
@@ -361,15 +362,13 @@ impl SlotTables {
                 self.entry_at(p, s).save(w);
             }
         }
-        self.out_masks.save(w);
-        self.valid_counts.save(w);
     }
 
-    /// Inverse of [`SlotTables::save_state`]. The output masks and valid
-    /// counts are derived from the decoded entries, and a blob whose
-    /// stored copies disagree with them, whose entries claim one output
-    /// for two inputs in a slot, or whose entries for one path at a port
-    /// name different outputs or destinations is rejected as corrupt.
+    /// Inverse of [`SlotTables::save_state`]. The runs, output masks and
+    /// valid counts are rebuilt from the decoded entries, and a blob whose
+    /// entries claim one output for two inputs in a slot, or whose entries
+    /// for one path at a port name different outputs or destinations, is
+    /// rejected as corrupt.
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         if r.u16()? != self.capacity {
             return Err(SnapshotError::Mismatch("slot-table capacity"));
@@ -382,23 +381,12 @@ impl SlotTables {
         if entries.len() != self.outs.len() {
             return Err(SnapshotError::Corrupt("slot-table entry count"));
         }
-        let out_masks: Vec<u8> = Snap::load(r)?;
-        if out_masks.len() != self.out_masks.len() {
-            return Err(SnapshotError::Corrupt("slot-table mask count"));
-        }
-        let valid_counts: [u32; Port::COUNT] = Snap::load(r)?;
         let mut t = SlotTables::new(self.capacity, active, self.cap_fraction);
         for (p, row) in Port::ALL
             .into_iter()
             .zip(entries.chunks(t.capacity as usize))
         {
             t.load_port(p, row)?;
-        }
-        if t.out_masks != out_masks {
-            return Err(SnapshotError::Corrupt("slot-table output masks"));
-        }
-        if t.valid_counts != valid_counts {
-            return Err(SnapshotError::Corrupt("slot-table valid counts"));
         }
         *self = t;
         Ok(())
@@ -603,30 +591,17 @@ mod tests {
         }
     }
 
-    /// A hand-written 8-slot table blob: `entries` as (input, slot, entry),
-    /// with the output masks and valid counts derived from them and then
-    /// passed through `edit` (the hook that corrupts the stored copies).
-    fn blob(
-        active: u16,
-        entries: &[(Port, usize, SlotEntry)],
-        edit: impl FnOnce(&mut Vec<u8>, &mut [u32; Port::COUNT]),
-    ) -> Vec<u8> {
+    /// A hand-written 8-slot table blob: `entries` as (input, slot, entry).
+    fn blob(active: u16, entries: &[(Port, usize, SlotEntry)]) -> Vec<u8> {
         const CAP: usize = 8;
         let mut rows = vec![None; Port::COUNT * CAP];
-        let mut masks = vec![0u8; CAP];
-        let mut counts = [0u32; Port::COUNT];
         for &(p, s, e) in entries {
             rows[p.index() * CAP + s] = Some(e);
-            masks[s] |= 1 << e.out.index();
-            counts[p.index()] += 1;
         }
-        edit(&mut masks, &mut counts);
         let mut w = SnapshotWriter::new();
         w.u16(CAP as u16);
         w.u16(active);
         rows.into_boxed_slice().save(&mut w);
-        masks.save(&mut w);
-        counts.save(&mut w);
         w.into_bytes()
     }
 
@@ -657,38 +632,19 @@ mod tests {
     fn load_rejects_inconsistent_tables() {
         let w0 = (IN_1, 0, entry(OUT_4, 1));
         let w1 = (IN_1, 1, entry(OUT_4, 1));
-        let good = [w0, w1];
-        assert!(load(&blob(8, &good, |_, _| {})).is_ok());
-        let split = blob(8, &[w0, (IN_1, 3, entry(OUT_4, 1))], |_, _| {});
+        assert!(load(&blob(8, &[w0, w1])).is_ok());
+        let split = blob(8, &[w0, (IN_1, 3, entry(OUT_4, 1))]);
         let mut t = load(&split).expect("one path may hold two runs at a port");
         assert_eq!(saved(&t), split);
         assert_eq!(t.release_path(IN_1, 1), Some((OUT_4, 2)));
         let cases: Vec<(&str, Vec<u8>)> = vec![
             (
-                "mask missing a reservation",
-                blob(8, &good, |m, _| m[1] = 0),
-            ),
-            (
-                "mask with a phantom output",
-                blob(8, &good, |m, _| m[5] = 1),
-            ),
-            (
-                "count under-reports",
-                blob(8, &good, |_, c| c[IN_1.index()] = 1),
-            ),
-            (
-                "count over-reports",
-                blob(8, &good, |_, c| c[IN_2.index()] = 3),
-            ),
-            (
                 "two inputs claim one output",
-                blob(8, &[w0, (IN_2, 0, entry(OUT_4, 2))], |m, _| {
-                    m[0] = 1 << OUT_4.index()
-                }),
+                blob(8, &[w0, (IN_2, 0, entry(OUT_4, 2))]),
             ),
             (
                 "one path, two outputs",
-                blob(8, &[w0, (IN_1, 1, entry(OUT_3, 1))], |_, _| {}),
+                blob(8, &[w0, (IN_1, 1, entry(OUT_3, 1))]),
             ),
             (
                 "one path, two destinations",
@@ -705,16 +661,15 @@ mod tests {
                             },
                         ),
                     ],
-                    |_, _| {},
                 ),
             ),
             (
                 "one path, two runs, two outputs",
-                blob(8, &[w0, (IN_1, 3, entry(OUT_3, 1))], |_, _| {}),
+                blob(8, &[w0, (IN_1, 3, entry(OUT_3, 1))]),
             ),
             (
                 "entry beyond the active size",
-                blob(4, &[(IN_1, 6, entry(OUT_4, 1))], |_, _| {}),
+                blob(4, &[(IN_1, 6, entry(OUT_4, 1))]),
             ),
         ];
         for (what, bytes) in cases {
@@ -726,14 +681,10 @@ mod tests {
     }
 
     #[test]
-    fn under_reported_counts_cannot_underflow_a_release() {
-        // Decoded as stored, this blob would let `release_path` subtract
-        // two entries from a count of one.
-        let bytes = blob(
-            8,
-            &[(IN_1, 0, entry(OUT_4, 1)), (IN_1, 1, entry(OUT_4, 1))],
-            |_, c| c[IN_1.index()] = 1,
-        );
+    fn a_rejected_blob_leaves_the_tables_as_they_were() {
+        // The second input's entry claims the output the first holds in
+        // slot 0: rejected only after the first input's runs are rebuilt.
+        let bytes = blob(8, &[(IN_1, 0, entry(OUT_4, 1)), (IN_2, 0, entry(OUT_4, 2))]);
         let mut t = SlotTables::new(8, 8, 1.0);
         t.try_reserve(IN_2, 4, 2, OUT_3, 9, DST).unwrap();
         let before = saved(&t);

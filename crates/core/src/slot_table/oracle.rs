@@ -188,12 +188,11 @@ impl OracleSlotTables {
     /// Serialise the mutable table state (snapshot seam, DESIGN.md §14).
     /// `capacity` and the reservation cap are construction-time; `capacity`
     /// is written anyway so a restore into a differently-sized router is a
-    /// detectable mismatch instead of silent corruption.
+    /// detectable mismatch instead of silent corruption. The output masks
+    /// and valid counts are derived from the entries and not written.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.u16(self.capacity);
         w.u16(self.active);
         self.tables.save(w);
-        self.out_masks.save(w);
-        self.valid_counts.save(w);
     }
 }

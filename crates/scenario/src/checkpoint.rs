@@ -44,7 +44,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"NOCCKPT1";
 /// v5: the embedded snapshot moved to `SNAPSHOT_VERSION` 5 (`NetStats`
 /// and pending deliveries lost the per-class latency fields); bumping
 /// here too keys the warm-up cache away from v4 blobs.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// v6: the embedded snapshot moved to `SNAPSHOT_VERSION` 6 (derived
+/// caches and counters are no longer written); bumping here too keys the
+/// warm-up cache away from v5 blobs.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// A warm-up checkpoint: everything needed to resume (or fork) a
 /// synthetic scenario run after its warm-up phase.

@@ -6,7 +6,8 @@
 //! Each flag is looked up on its own by the accessors below, so
 //! [`check_cli_args`] runs first and rejects anything outside [`FLAGS`]:
 //! a misspelt flag would otherwise be ignored and start the full sweep.
-//! A binary with flags of its own (`noc-serve`) passes its own table.
+//! A binary with flags of its own (`noc-serve`, `network_step`) passes its
+//! own table.
 
 use crate::{ScenarioError, ScenarioSpec};
 use noc_sim::TelemetryConfig;
@@ -89,8 +90,8 @@ pub fn usage_error(flags: &str, msg: &str) -> ! {
 /// stray argument or a flag missing its value prints `error: …` and the
 /// list to stderr and exits 2. Every figure, table and ablation binary
 /// calls this first with [`FLAGS`] (through
-/// `noc_bench::scenario_mode_ran`), and `noc-serve` with its own table;
-/// `network_step` has its own parser.
+/// `noc_bench::scenario_mode_ran`), and `noc-serve` and `network_step`
+/// with their own tables.
 pub fn check_cli_args(flags: &str) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match check_args(&args, flags) {

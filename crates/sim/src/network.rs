@@ -77,8 +77,6 @@ pub struct NetTelemetry {
     /// The window counters at the last boundary: the sum of
     /// `link_flits`, then `NetStats`' delivered packets and flits.
     base: [u64; 3],
-    /// The gauges read at the last full window boundary.
-    gauges: [u64; 3],
     /// Next metrics-window boundary (`Cycle::MAX` when windowing is off).
     next_window: Cycle,
     /// End of the last snapshotted window (guards the final flush).
@@ -110,7 +108,6 @@ impl NetTelemetry {
             link_flits: vec![0; n * 4],
             windows: Vec::new(),
             base: [0, stats.packets_delivered, stats.flits_delivered],
-            gauges: [0; 3],
             next_window: if cfg.window > 0 {
                 now + cfg.window
             } else {
@@ -129,8 +126,8 @@ impl NetTelemetry {
     }
 
     /// Close the window ending at `end`: counters as deltas since the
-    /// last boundary, gauges as last read.
-    fn close_window(&mut self, end: Cycle, stats: &NetStats) {
+    /// last boundary, and the `gauges` read at `end`.
+    fn close_window(&mut self, end: Cycle, stats: &NetStats, gauges: [u64; 3]) {
         let now = [
             self.link_flits.iter().sum(),
             stats.packets_delivered,
@@ -138,7 +135,7 @@ impl NetTelemetry {
         ];
         let [links, packets, flits] = std::array::from_fn(|k| now[k].wrapping_sub(self.base[k]));
         self.base = now;
-        let [active, buffered, inflight] = self.gauges;
+        let [active, buffered, inflight] = gauges;
         self.windows.push(WindowSnapshot {
             start: self.last_window_end,
             end,
@@ -168,8 +165,6 @@ struct FaultState {
     next: usize,
     /// Down flags per *directed* link, `[node * 4 + direction]`.
     down: Box<[bool]>,
-    /// Number of set `down` flags (fast "any link down" check).
-    down_count: usize,
     /// Reroute table shared with every node while links are down.
     overrides: Option<Arc<RouteOverrides>>,
     /// Packet ids already purged (sorted; binary-searched so each lost
@@ -220,7 +215,8 @@ pub struct Network<N: NodeModel> {
     timer_at: Vec<Cycle>,
     /// Force-step every node every cycle (bit-identity testing).
     always_step: bool,
-    // --- O(1) occupancy & leakage bookkeeping ---
+    // --- O(1) occupancy & leakage bookkeeping (derived: never
+    // serialised, rebuilt by `rebuild_caches`) ---
     /// Cached per-node occupancy, refreshed whenever a node is stepped or
     /// injected into; `total_occ` is their sum.
     occ_cache: Vec<usize>,
@@ -628,16 +624,15 @@ impl<N: NodeModel> Network<N> {
                 self.delivered_log.push(*d);
             }
         }
-        if let Some(t) = &mut self.telemetry {
-            if now + 1 >= t.next_window {
-                t.gauges = [
-                    self.active_mask.count_ones(),
-                    self.total_occ as u64,
-                    self.inflight_flits as u64,
-                ];
-                t.close_window(now + 1, &self.stats);
-                t.next_window += t.cfg.window;
-            }
+        if self
+            .telemetry
+            .as_deref()
+            .is_some_and(|t| now + 1 >= t.next_window)
+        {
+            let gauges = self.window_gauges();
+            let t = self.telemetry.as_deref_mut().expect("checked above");
+            t.close_window(now + 1, &self.stats, gauges);
+            t.next_window += t.cfg.window;
         }
 
         self.now += 1;
@@ -747,27 +742,34 @@ impl<N: NodeModel> Network<N> {
         self.step_order = order;
     }
 
-    /// Mark every node active and re-derive the occupancy and power caches
-    /// from node state. Must be called after mutating nodes from outside
-    /// the harness (resize controllers, tests poking `nodes` directly), so
-    /// the scheduler never acts on stale cached state.
+    /// Mark every node active and re-derive the harness caches from node
+    /// state. Must be called after mutating nodes from outside the harness
+    /// (resize controllers, circuit-plan requests, tests poking `nodes`
+    /// directly), so the scheduler never acts on stale cached state.
     pub fn wake_all(&mut self) {
-        let n = self.nodes.len();
         self.active_mask.set_all();
+        self.rebuild_caches();
+    }
+
+    /// Re-derive the occupancy, in-flight and power caches by a scan of
+    /// the nodes and wires. The activity masks are left alone, so a
+    /// restore that calls this keeps `nodes_stepped` as captured.
+    fn rebuild_caches(&mut self) {
         self.total_occ = 0;
         self.leak_buffer = 0;
         self.leak_slot = 0;
         self.leak_dlt = 0;
-        for i in 0..n {
-            let occ = self.nodes[i].occupancy();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let occ = node.occupancy();
             self.occ_cache[i] = occ;
             self.total_occ += occ;
-            let ps = self.nodes[i].power_state();
+            let ps = node.power_state();
             self.power_cache[i] = ps;
             self.leak_buffer += ps.buffer_slots as u64;
             self.leak_slot += ps.slot_entries as u64;
             self.leak_dlt += ps.dlt_entries as u64;
         }
+        self.inflight_flits = self.flit_slots.iter().flatten().map(Vec::len).sum();
     }
 
     /// Arm telemetry: install a fresh ring sink in every node (via
@@ -793,7 +795,7 @@ impl<N: NodeModel> Network<N> {
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
         let mut t = self.telemetry.take()?;
         if t.cfg.window > 0 && self.now > t.last_window_end {
-            t.close_window(self.now, &self.stats);
+            t.close_window(self.now, &self.stats, self.window_gauges());
         }
         let mut report = TelemetryReport {
             nodes: self.nodes.len() as u32,
@@ -816,6 +818,16 @@ impl<N: NodeModel> Network<N> {
         }
         report.sort_events();
         Some(report)
+    }
+
+    /// The metrics-window gauges as they stand: active nodes, buffered
+    /// flits and flits on wires.
+    fn window_gauges(&self) -> [u64; 3] {
+        [
+            self.active_mask.count_ones(),
+            self.total_occ as u64,
+            self.inflight_flits as u64,
+        ]
     }
 
     /// Number of closed metrics windows recorded so far. Non-destructive
@@ -866,7 +878,6 @@ impl<N: NodeModel> Network<N> {
             timeline,
             next: 0,
             down: vec![false; n * 4].into_boxed_slice(),
-            down_count: 0,
             overrides: None,
             lost: Vec::new(),
             pending_lost: Vec::new(),
@@ -909,11 +920,6 @@ impl<N: NodeModel> Network<N> {
             for idx in [fwd, rev] {
                 if f.down[idx] == ev.up {
                     f.down[idx] = !ev.up;
-                    if ev.up {
-                        f.down_count -= 1;
-                    } else {
-                        f.down_count += 1;
-                    }
                     flipped = true;
                 }
             }
@@ -1074,7 +1080,7 @@ impl<N: NodeModel> Network<N> {
     fn rebuild_overrides(&mut self) {
         let n = self.nodes.len();
         let f = self.faults.as_deref_mut().expect("fault state present");
-        if f.down_count == 0 {
+        if !f.down.contains(&true) {
             f.overrides = None;
             for node in &mut self.nodes {
                 node.set_route_overrides(None);
@@ -1142,8 +1148,9 @@ impl<N: NodeModel> Network<N> {
     /// append their own state.
     ///
     /// Not serialised: scratch buffers (outboxes, step mask), the topology
-    /// tables (structural, rebuilt by the constructor),
-    /// the reroute table (recomputed from the down flags on load), and
+    /// tables (structural, rebuilt by the constructor), the reroute table
+    /// (recomputed from the down flags on load), the occupancy, in-flight
+    /// and power caches (rescanned on load by `rebuild_caches`), and
     /// telemetry (must be disarmed).
     pub fn save_into(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         if self.telemetry.is_some() {
@@ -1175,13 +1182,6 @@ impl<N: NodeModel> Network<N> {
         timers.sort_unstable();
         timers.save(w);
         self.timer_at.save(w);
-        self.occ_cache.save(w);
-        w.usize(self.total_occ);
-        w.usize(self.inflight_flits);
-        self.power_cache.save(w);
-        w.u64(self.leak_buffer);
-        w.u64(self.leak_slot);
-        w.u64(self.leak_dlt);
         self.arena.save_state(w);
         match self.faults.as_deref() {
             None => w.bool(false),
@@ -1191,7 +1191,6 @@ impl<N: NodeModel> Network<N> {
                 f.timeline.save(w);
                 w.usize(f.next);
                 f.down.save(w);
-                w.usize(f.down_count);
                 f.lost.save(w);
             }
         }
@@ -1252,25 +1251,14 @@ impl<N: NodeModel> Network<N> {
         }
         self.timers = timers.into_iter().map(Reverse).collect();
         self.timer_at = Vec::load(r)?;
-        self.occ_cache = Vec::load(r)?;
-        if self.timer_at.len() != n || self.occ_cache.len() != n {
+        if self.timer_at.len() != n {
             return Err(SnapshotError::Mismatch("per-node table length"));
         }
-        self.total_occ = r.usize()?;
-        self.inflight_flits = r.usize()?;
-        self.power_cache = Vec::load(r)?;
-        if self.power_cache.len() != n {
-            return Err(SnapshotError::Mismatch("per-node table length"));
-        }
-        self.leak_buffer = r.u64()?;
-        self.leak_slot = r.u64()?;
-        self.leak_dlt = r.u64()?;
         self.arena.load_state(r)?;
         self.faults = if r.bool()? {
             let timeline = Vec::load(r)?;
             let next = r.usize()?;
             let down = Box::<[bool]>::load(r)?;
-            let down_count = r.usize()?;
             let lost = Vec::load(r)?;
             if down.len() != n * 4 || next > timeline.len() {
                 return Err(SnapshotError::Mismatch("fault state shape"));
@@ -1279,7 +1267,6 @@ impl<N: NodeModel> Network<N> {
                 timeline,
                 next,
                 down,
-                down_count,
                 overrides: None,
                 lost,
                 pending_lost: Vec::new(),
@@ -1293,10 +1280,12 @@ impl<N: NodeModel> Network<N> {
         for node in &mut self.nodes {
             node.load_state(r)?;
         }
-        // Reinstall the reroute table from the restored down flags (or
-        // clear any stale one). Deliberately no `wake_all`: the restored
-        // activity masks and caches already match the checkpointed run, and
-        // waking everything would perturb `nodes_stepped`.
+        // Rescan the caches and reinstall the reroute table from the
+        // restored down flags (or clear any stale one). Deliberately no
+        // `wake_all`: the restored activity masks already match the
+        // checkpointed run, and waking everything would perturb
+        // `nodes_stepped`.
+        self.rebuild_caches();
         if self.faults.is_some() {
             self.rebuild_overrides();
         } else {
@@ -1579,6 +1568,37 @@ mod tests {
         assert_eq!(w.values[col("packet_latency")], 2);
         assert_eq!(w.values[col("link_flits")], report.total_link_flits());
         assert_eq!(report.total_link_flits(), 8 * 4, "8 flits over 4 hops");
+    }
+
+    /// The final partial window reads its gauges at the flush: a run that
+    /// closes one full window with flits in flight and then drains ends
+    /// on a window that holds none.
+    #[test]
+    fn final_partial_window_reads_the_gauges_at_the_flush() {
+        let mut n = net(3);
+        n.configure_telemetry(&TelemetryConfig {
+            window: 100,
+            ..TelemetryConfig::default()
+        });
+        let src = n.mesh.id(Coord::new(0, 0));
+        let dst = n.mesh.id(Coord::new(2, 2));
+        n.run(95);
+        n.inject(src, Packet::data(PacketId(1), src, dst, 5, 95));
+        n.run(5);
+        assert!(n.drain(90));
+        let report = n.take_telemetry().expect("telemetry was armed");
+        let col = |name: &str| WINDOW_METRICS.iter().position(|m| *m == name).unwrap();
+        let [full, last] = &report.windows[..] else {
+            panic!("one full and one partial window: {:?}", report.windows)
+        };
+        let held = |w: &WindowSnapshot| {
+            [
+                w.values[col("buffered_flits")],
+                w.values[col("inflight_flits")],
+            ]
+        };
+        assert_ne!(held(full), [0, 0], "the full window closed mid-flight");
+        assert_eq!(held(last), [0, 0], "the drained run's last window");
     }
 
     /// Tracing must be a pure observer: delivered-packet streams and stats

@@ -34,9 +34,6 @@ pub struct Nic {
     current: Option<Stream>,
     /// Credit view of the router's local input port VCs.
     credits: Vec<u8>,
-    /// Router's active VC count (VC power gating): new packets only start
-    /// on VCs below this.
-    router_active_vcs: u8,
     /// Upper bound on the VCs new streams may start in. On a torus,
     /// injected packets must begin in dateline class 0 (the lower VC
     /// half); node constructors set this from the topology.
@@ -48,11 +45,10 @@ pub struct Nic {
     /// via [`Nic::set_arena`] when the node joins a network.
     arena: Arc<ConfigArena>,
     delivered: Vec<DeliveredPacket>,
-    /// Flits injected into the router (for traffic accounting).
-    pub flits_injected: u64,
     // O(1) occupancy bookkeeping: flits across all queued packets and flits
     // held in partial reassembly, kept in sync by enqueue/next_flit and
-    // accept_ejected so `occupancy` never scans the source queue.
+    // accept_ejected so `occupancy` never scans the source queue. Derived:
+    // never serialised, rescanned by `load_state`.
     queued_flits: usize,
     rx_flits: usize,
 }
@@ -68,13 +64,11 @@ impl Nic {
             inject_queue: VecDeque::with_capacity(32),
             current: None,
             credits: vec![cfg.buf_depth; cfg.vcs_per_port as usize],
-            router_active_vcs: cfg.vcs_per_port,
             inject_vc_limit: cfg.vcs_per_port,
             vc_rr: RoundRobin::new(cfg.vcs_per_port as usize),
             rx: RxTable::new(),
             arena: Arc::new(ConfigArena::new()),
             delivered: Vec::with_capacity(8),
-            flits_injected: 0,
             queued_flits: 0,
             rx_flits: 0,
         }
@@ -111,10 +105,6 @@ impl Nic {
         *c += 1;
     }
 
-    pub fn set_router_active_vcs(&mut self, count: u8) {
-        self.router_active_vcs = count.min(self.credits.len() as u8);
-    }
-
     /// Restrict new streams to the first `limit` VCs (torus dateline
     /// class 0; see [`crate::router::PsPipeline`] for the class rules).
     pub fn set_inject_vc_limit(&mut self, limit: u8) {
@@ -123,15 +113,16 @@ impl Nic {
 
     /// Produce the next packet-switched flit to inject this cycle, if
     /// bandwidth and credits allow. At most one flit per cycle (the local
-    /// port is one flit wide).
-    pub fn next_flit(&mut self, _now: Cycle) -> Option<Flit> {
+    /// port is one flit wide). A new packet only starts on a VC below
+    /// `active_vcs`, the router's active VC count (VC power gating).
+    pub fn next_flit(&mut self, active_vcs: u8) -> Option<Flit> {
         if self.current.is_none() {
             if self.inject_queue.is_empty() {
                 return None;
             }
             let mut vc_mask = 0u64;
             debug_assert!(self.credits.len() <= 64, "NIC VC mask packs VCs into a u64");
-            let sel = self.router_active_vcs.min(self.inject_vc_limit);
+            let sel = active_vcs.min(self.inject_vc_limit);
             for v in 0..sel as usize {
                 if self.credits[v] > 0 {
                     vc_mask |= 1 << v;
@@ -157,7 +148,6 @@ impl Nic {
         if s.next == s.packet.len_flits {
             self.current = None;
         }
-        self.flits_injected += 1;
         Some(flit)
     }
 
@@ -199,7 +189,7 @@ impl Nic {
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.queued_flits,
-            self.inject_queue.iter().map(|p| p.len_flits as usize).sum(),
+            self.scan_queued_flits(),
             "queued-flit counter drifted"
         );
         debug_assert_eq!(self.rx_flits, self.rx.total(), "rx-flit counter drifted");
@@ -211,25 +201,27 @@ impl Nic {
         self.queued_flits + streaming + self.rx_flits
     }
 
+    /// Flits across all queued packets, by a scan of the source queue:
+    /// what `queued_flits` tracks.
+    fn scan_queued_flits(&self) -> usize {
+        self.inject_queue.iter().map(|p| p.len_flits as usize).sum()
+    }
+
     /// Length of the source queue in packets (saturation detection).
     pub fn queue_len(&self) -> usize {
         self.inject_queue.len() + usize::from(self.current.is_some())
     }
 
-    /// Serialise all mutable NIC state (everything except the identity
-    /// and configuration set at construction).
+    /// Serialise all mutable NIC state: everything except the identity
+    /// and configuration set at construction, and the flit counts a scan
+    /// of the queue and reassembly table derives.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         self.inject_queue.save(w);
         self.current.save(w);
         self.credits.save(w);
-        w.u8(self.router_active_vcs);
-        w.u8(self.inject_vc_limit);
         self.vc_rr.save(w);
         self.rx.save(w);
         self.delivered.save(w);
-        w.u64(self.flits_injected);
-        w.usize(self.queued_flits);
-        w.usize(self.rx_flits);
     }
 
     /// Inverse of [`Nic::save_state`], into a freshly constructed NIC of
@@ -242,16 +234,13 @@ impl Nic {
             return Err(SnapshotError::Mismatch("NIC VC count"));
         }
         self.credits = credits;
-        self.router_active_vcs = r.u8()?;
-        self.inject_vc_limit = r.u8()?;
         let vc_rr: RoundRobin = Snap::load(r)?;
         vc_rr.check_restored(&self.vc_rr)?;
         self.vc_rr = vc_rr;
         self.rx = Snap::load(r)?;
         self.delivered = Snap::load(r)?;
-        self.flits_injected = r.u64()?;
-        self.queued_flits = r.usize()?;
-        self.rx_flits = r.usize()?;
+        self.queued_flits = self.scan_queued_flits();
+        self.rx_flits = self.rx.total();
         Ok(())
     }
 
@@ -283,6 +272,9 @@ mod tests {
         Nic::new(NodeId(0), &RouterConfig::default())
     }
 
+    /// Every VC of the default router is active.
+    const ALL_VCS: u8 = 4;
+
     fn pkt(id: u64, len: u8) -> Packet {
         Packet::data(PacketId(id), NodeId(0), NodeId(5), len, 0)
     }
@@ -292,7 +284,7 @@ mod tests {
         let mut n = nic();
         n.enqueue(pkt(1, 5));
         let mut seqs = Vec::new();
-        while let Some(f) = n.next_flit(0) {
+        while let Some(f) = n.next_flit(ALL_VCS) {
             seqs.push(f.seq);
             if seqs.len() > 10 {
                 break;
@@ -300,7 +292,6 @@ mod tests {
         }
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         assert_eq!(n.occupancy(), 0);
-        assert_eq!(n.flits_injected, 5);
     }
 
     #[test]
@@ -309,13 +300,13 @@ mod tests {
         n.enqueue(pkt(1, 5));
         // Only the head is credit-funded if we pre-drain VC credits.
         // Stream starts on some VC v; exhaust it after 2 flits.
-        let f0 = n.next_flit(0).unwrap();
+        let f0 = n.next_flit(ALL_VCS).unwrap();
         let vc = f0.vc;
-        let _f1 = n.next_flit(0).unwrap();
+        let _f1 = n.next_flit(ALL_VCS).unwrap();
         n.credits[vc as usize] = 0;
-        assert!(n.next_flit(0).is_none(), "must stall without credits");
+        assert!(n.next_flit(ALL_VCS).is_none(), "must stall without credits");
         n.credit(vc);
-        assert!(n.next_flit(0).is_some());
+        assert!(n.next_flit(ALL_VCS).is_some());
     }
 
     #[test]
@@ -324,7 +315,7 @@ mod tests {
         n.enqueue(pkt(1, 3));
         n.enqueue(pkt(2, 3));
         let mut ids = Vec::new();
-        while let Some(f) = n.next_flit(0) {
+        while let Some(f) = n.next_flit(ALL_VCS) {
             ids.push((f.packet, f.seq));
         }
         assert_eq!(
@@ -343,9 +334,8 @@ mod tests {
     #[test]
     fn gated_vcs_not_used_for_new_packets() {
         let mut n = nic();
-        n.set_router_active_vcs(1);
         n.enqueue(pkt(1, 1));
-        let f = n.next_flit(0).unwrap();
+        let f = n.next_flit(1).unwrap();
         assert_eq!(f.vc, 0);
     }
 
@@ -384,7 +374,7 @@ mod tests {
             }),
             0,
         ));
-        let f = n.next_flit(0).unwrap();
+        let f = n.next_flit(ALL_VCS).unwrap();
         assert_eq!(f.packet, PacketId(2));
         assert_eq!(f.class(), MsgClass::Config);
     }

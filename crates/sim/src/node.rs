@@ -75,12 +75,6 @@ crate::impl_snap!(DeliveredPacket {
     measured
 });
 
-crate::impl_snap!(PowerState {
-    buffer_slots,
-    slot_entries,
-    dlt_entries
-});
-
 /// A tile model pluggable into the network harness. Implemented by
 /// [`PacketNode`] here, the TDM hybrid node in `tdm-noc`, and the SDM node
 /// in `noc-sdm`.
@@ -242,7 +236,7 @@ impl NodeModel for PacketNode {
             self.nic.credit(vc);
         }
         // Inject at most one flit per cycle into the local port.
-        if let Some(f) = self.nic.next_flit(now) {
+        if let Some(f) = self.nic.next_flit(self.router.pipeline.active_vcs()) {
             self.router.accept_flit(now, Port::Local, f);
         }
         self.router.step(now, out);
@@ -251,7 +245,6 @@ impl NodeModel for PacketNode {
         }
         if let Some(g) = &mut self.gating {
             if let Some(n) = g.on_cycle(now, &mut self.router.pipeline) {
-                self.nic.set_router_active_vcs(n);
                 let id = self.nic.id().0;
                 self.router.pipeline.trace.record(
                     now,

@@ -107,8 +107,8 @@ impl VcGatingController {
     }
 
     /// Evaluate the policy at `now`. Returns the new active VC count when a
-    /// transition happened (the caller advertises it to neighbours and the
-    /// local NIC).
+    /// transition happened (the caller advertises it to neighbours; the
+    /// local NIC reads it from the pipeline).
     pub fn on_cycle(&mut self, now: Cycle, pipeline: &mut PsPipeline) -> Option<u8> {
         if now < self.next_eval {
             return None;

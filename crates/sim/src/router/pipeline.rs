@@ -126,8 +126,6 @@ fn port_dim(p: usize) -> u8 {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Counters {
     buffered: u32,
-    waiting: u32,
-    active: u32,
     busy_vcs: u32,
     gated_busy: u32,
     rc_mask: u64,
@@ -190,24 +188,20 @@ pub struct PsPipeline {
     active_vc_samples: u64,
     last_sample: Cycle,
     prev_busy: u32,
-    // O(1) occupancy bookkeeping so the per-cycle hot path can skip whole
-    // pipeline stages instead of scanning every VC. Invariants (the
-    // derivation is `scan_counters`; debug builds check it every step and
-    // `load_state` checks the stored copies): `buffered` = Σ fifo lengths,
-    // `waiting` / `active` = VCs in the matching state, `busy_vcs` = VCs
-    // with flits or non-idle state, `gated_busy` = busy VCs at index ≥
-    // `active_vcs`.
+    // Derived O(1) bookkeeping so the per-cycle hot path can skip whole
+    // pipeline stages instead of scanning every VC. The derivation is
+    // `scan_counters`: debug builds check it every step, and
+    // `rebuild_derived` reapplies it after restore, fault purges and
+    // gating changes, so none of these is serialised. `buffered` = Σ fifo
+    // lengths, `busy_vcs` = VCs with flits or non-idle state,
+    // `gated_busy` = busy VCs at index ≥ `active_vcs`.
     buffered: u32,
-    waiting: u32,
-    active: u32,
     busy_vcs: u32,
     gated_busy: u32,
     // Stage-candidate masks over the flat VC index (the same u64 geometry
     // as the VA/SA request words): `rc_mask` = Idle VCs holding flits,
     // `wait_mask` = Waiting VCs, `act_mask` = Active VCs. The stage loops
-    // walk only the set bits instead of scanning every VC. Derived state:
-    // never serialised, rebuilt from `scan_counters` after restore and
-    // fault purges.
+    // walk only the set bits instead of scanning every VC.
     rc_mask: u64,
     wait_mask: u64,
     act_mask: u64,
@@ -284,8 +278,6 @@ impl PsPipeline {
             last_sample: 0,
             prev_busy: 0,
             buffered: 0,
-            waiting: 0,
-            active: 0,
             busy_vcs: 0,
             gated_busy: 0,
             rc_mask: 0,
@@ -305,14 +297,8 @@ impl PsPipeline {
             match vc.state {
                 VcState::Idle if !self.buf.is_empty(i) => c.rc_mask |= bit,
                 VcState::Idle => {}
-                VcState::Waiting { .. } => {
-                    c.waiting += 1;
-                    c.wait_mask |= bit;
-                }
-                VcState::Active { .. } => {
-                    c.active += 1;
-                    c.act_mask |= bit;
-                }
+                VcState::Waiting { .. } => c.wait_mask |= bit,
+                VcState::Active { .. } => c.act_mask |= bit,
             }
             if self.vc_busy(i) {
                 c.busy_vcs += 1;
@@ -324,10 +310,12 @@ impl PsPipeline {
         c
     }
 
-    /// Recompute the stage-candidate masks from the authoritative per-VC
-    /// state (cold paths only: snapshot restore, fault purge).
-    fn rebuild_stage_masks(&mut self) {
+    /// Recompute the counters and stage-candidate masks from the
+    /// authoritative rings and VC states (cold paths only: snapshot
+    /// restore, fault purge, gating change).
+    fn rebuild_derived(&mut self) {
         let c = self.scan_counters();
+        (self.buffered, self.busy_vcs, self.gated_busy) = (c.buffered, c.busy_vcs, c.gated_busy);
         (self.rc_mask, self.wait_mask, self.act_mask) = (c.rc_mask, c.wait_mask, c.act_mask);
     }
 
@@ -430,20 +418,15 @@ impl PsPipeline {
     }
 
     /// Set the local active VC count (power gating). VCs above the count
-    /// stop receiving new allocations (the NIC and upstream routers are
-    /// notified by the node) but continue to operate until empty, so a
-    /// packet granted just before the transition is never stranded.
+    /// stop receiving new allocations (the NIC reads the count when it
+    /// starts a packet; the node advertises it upstream) but continue to
+    /// operate until empty, so a packet granted just before the transition
+    /// is never stranded.
     pub fn set_active_vcs(&mut self, count: u8) {
         self.active_vcs = count.clamp(1, self.cfg.vcs_per_port);
         // Re-derive the gated-straggler count against the new threshold
         // (rare: only when the gating controller retunes).
-        let vcs = self.cfg.vcs_per_port as usize;
-        self.gated_busy = 0;
-        for i in 0..self.ctl.len() {
-            if ((i % vcs) as u8) >= self.active_vcs && self.vc_busy(i) {
-                self.gated_busy += 1;
-            }
-        }
+        self.rebuild_derived();
     }
 
     /// Advance the pipeline one cycle. `ctrl` supplies the hybrid switching
@@ -470,11 +453,10 @@ impl PsPipeline {
     }
 
     /// The incremental counters and masks as they stand.
+    #[cfg(any(test, debug_assertions))]
     fn counters(&self) -> Counters {
         Counters {
             buffered: self.buffered,
-            waiting: self.waiting,
-            active: self.active,
             busy_vcs: self.busy_vcs,
             gated_busy: self.gated_busy,
             rc_mask: self.rc_mask,
@@ -526,7 +508,6 @@ impl PsPipeline {
             self.ctl[i].state = VcState::Waiting { out: out_port };
             self.ctl[i].stage_cycle = now;
             self.vc_owner[i] = owner;
-            self.waiting += 1;
             self.rc_mask &= !(1u64 << i);
             self.wait_mask |= 1u64 << i;
         }
@@ -654,8 +635,6 @@ impl PsPipeline {
                     out_vc: v as u8,
                 };
                 ctl.stage_cycle = now;
-                self.waiting -= 1;
-                self.active += 1;
                 self.wait_mask &= !(1u64 << w);
                 self.act_mask |= 1u64 << w;
                 self.out_alloc[o * vcs + v] = Some((p as u8, vc as u8));
@@ -777,7 +756,6 @@ impl PsPipeline {
         let now_idle = self.buf.is_empty(i) && self.ctl[i].state == VcState::Idle;
         self.buffered -= 1;
         if is_tail {
-            self.active -= 1;
             self.act_mask &= !(1u64 << i);
             if !self.buf.is_empty(i) {
                 // The next packet's head is already queued behind the tail:
@@ -986,7 +964,6 @@ impl PsPipeline {
         let mut removed_total = 0usize;
         for i in 0..self.ctl.len() {
             let (p, v) = (i / vcs, (i % vcs) as u8);
-            let was_busy = self.vc_busy(i);
             let removed = self.buf.retain(i, |f| {
                 if f.packet == pid {
                     arena.free(f.config);
@@ -996,7 +973,6 @@ impl PsPipeline {
                 }
             });
             if removed > 0 {
-                self.buffered -= removed as u32;
                 match Port::from_index(p).direction() {
                     Some(d) => credits.extend((0..removed).map(|_| (d, Credit { vc: v }))),
                     None => self.local_credits.extend((0..removed).map(|_| v)),
@@ -1005,21 +981,10 @@ impl PsPipeline {
             }
             let ctl = &mut self.ctl[i];
             if ctl.state != VcState::Idle && self.vc_owner[i] == pid {
-                match ctl.state {
-                    VcState::Waiting { .. } => self.waiting -= 1,
-                    VcState::Active { out, out_vc } => {
-                        self.active -= 1;
-                        self.out_alloc[out.index() * vcs + out_vc as usize] = None;
-                    }
-                    VcState::Idle => unreachable!(),
+                if let VcState::Active { out, out_vc } = ctl.state {
+                    self.out_alloc[out.index() * vcs + out_vc as usize] = None;
                 }
                 ctl.state = VcState::Idle;
-            }
-            if was_busy && !self.vc_busy(i) {
-                self.busy_vcs -= 1;
-                if v >= self.active_vcs {
-                    self.gated_busy -= 1;
-                }
             }
         }
         let before = self.ejected.len();
@@ -1032,14 +997,15 @@ impl PsPipeline {
             }
         });
         removed_total += before - self.ejected.len();
-        self.rebuild_stage_masks();
+        self.rebuild_derived();
         removed_total
     }
 
     /// Serialise the pipeline's mutable state (everything except the
     /// identity/configuration fields fixed at construction, the telemetry
-    /// sink — disarmed around checkpoints — and the reroute table, which
-    /// the harness reinstalls from its own fault state).
+    /// sink — disarmed around checkpoints — the reroute table, which the
+    /// harness reinstalls from its own fault state, and the counters and
+    /// masks `rebuild_derived` rescans).
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         // Byte-compatible with the pre-ring `Vec<VcBuf>` encoding: a u64
         // count, then per VC the ring in FIFO order (u64 length + flits),
@@ -1067,11 +1033,6 @@ impl PsPipeline {
         w.u64(self.active_vc_samples);
         w.u64(self.last_sample);
         w.u32(self.prev_busy);
-        w.u32(self.buffered);
-        w.u32(self.waiting);
-        w.u32(self.active);
-        w.u32(self.busy_vcs);
-        w.u32(self.gated_busy);
     }
 
     /// Inverse of [`PsPipeline::save_state`], into a freshly constructed
@@ -1111,18 +1072,8 @@ impl PsPipeline {
         self.active_vc_samples = r.u64()?;
         self.last_sample = r.u64()?;
         self.prev_busy = r.u32()?;
-        self.buffered = r.u32()?;
-        self.waiting = r.u32()?;
-        self.active = r.u32()?;
-        self.busy_vcs = r.u32()?;
-        self.gated_busy = r.u32()?;
         self.check_vc_tables()?;
-        self.rebuild_stage_masks();
-        if self.counters() != self.scan_counters() {
-            return Err(SnapshotError::Corrupt(
-                "pipeline counters disagree with its VC state",
-            ));
-        }
+        self.rebuild_derived();
         Ok(())
     }
 

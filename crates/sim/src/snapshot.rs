@@ -27,16 +27,20 @@
 //!
 //! # What is serialized vs reconstructed
 //!
-//! Configuration (mesh shape, router config, TDM/SDM config) is *not* in
-//! the snapshot: a snapshot is restored into a freshly built fabric of the
-//! same configuration, and [`crate::network::Network::restore`] verifies
-//! the shape matches. Some derived caches are serialised verbatim anyway
-//! (occupancy caches, power caches, in-flight counters). A stored copy can
-//! disagree with the state it was derived from — a corrupt or hand-edited
-//! blob — so a decoder that can cheaply re-derive a cache checks the
-//! stored copy and returns [`SnapshotError::Corrupt`] on a difference:
-//! the router pipeline's occupancy counters and VC allocations, and the
-//! slot tables' per-slot output masks, are checked this way.
+//! A snapshot stores state, once. Configuration (mesh shape, router
+//! config, TDM/SDM config) is *not* in it: a snapshot is restored into a
+//! freshly built fabric of the same configuration, and
+//! [`crate::network::Network::restore`] verifies the shape matches.
+//! Nor is anything a scan of the stored state derives — the harness's
+//! occupancy, in-flight and power caches, the NIC's flit counts, the
+//! router pipeline's occupancy counters and stage masks, the slot
+//! tables' per-slot output masks and valid counts: each decoder rebuilds
+//! them with the scan that defines them, so no stored copy can disagree
+//! with its source. What decoders check is structure: geometry and
+//! lengths against the built fabric ([`SnapshotError::Mismatch`]), and
+//! state that must agree with other stored state, such as a pipeline's
+//! VC allocations or two inputs holding one output in a slot
+//! ([`SnapshotError::Corrupt`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -54,7 +58,13 @@ use crate::Cycle;
 /// v5: `NetStats` drops its per-class latency split and its
 /// configuration-packet count, and `DeliveredPacket` its `class` and
 /// `kind`.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// v6: derived state is no longer written: the harness's occupancy,
+/// in-flight, power and leakage caches and its down-link count, the
+/// NIC's flit counts, its VC limit and its copy of the router's active
+/// VC count, the pipeline's occupancy counters, and the slot tables'
+/// output masks and valid counts. The NIC's `flits_injected` and the
+/// pipeline's `waiting`/`active` counters are gone.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

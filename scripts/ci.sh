@@ -34,13 +34,15 @@ echo "== cargo build --release =="
 cargo build --release --workspace "${OFFLINE[@]}"
 
 echo "== experiment binaries: unknown flag exits 2, --help exits 0, neither simulates =="
-# Every figure, table and ablation binary checks its command line before
-# it runs anything (network_step has its own parser). The timeout catches
-# a binary that starts a sweep instead.
+# Every bench binary checks its command line before it runs anything:
+# the figure, table and ablation binaries against the shared flag table,
+# network_step against its own. The timeout catches a binary that starts
+# a sweep instead.
 FLAG_TMP="$(mktemp -d)"
 for SRC in crates/bench/src/bin/*.rs; do
     BIN="$(basename "$SRC" .rs)"
-    [[ "$BIN" == network_step ]] && continue
+    LISTED="--sweep-threads <n>"
+    [[ "$BIN" == network_step ]] && LISTED="--json-out <path>"
     EXE="${CARGO_TARGET_DIR:-target}/release/$BIN"
     CODE=0
     timeout 5 "$EXE" --qiuck > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
@@ -50,7 +52,7 @@ for SRC in crates/bench/src/bin/*.rs; do
     CODE=0
     timeout 5 "$EXE" --help > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
     [[ $CODE == 0 ]] || { echo "$BIN --help exited $CODE, want 0"; exit 1; }
-    grep -q -- "--sweep-threads <n>" "$FLAG_TMP/out" || { echo "$BIN --help: no flag list"; exit 1; }
+    grep -q -- "$LISTED" "$FLAG_TMP/out" || { echo "$BIN --help: no flag list"; exit 1; }
 done
 # noc-serve checks its own flag table: a misspelt mode flag must not
 # fall through to the stdin one-shot mode, and a bad value exits 2.
