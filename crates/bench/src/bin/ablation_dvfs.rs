@@ -16,7 +16,7 @@ use noc_power::DvfsPoint;
 use noc_traffic::TrafficPattern;
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

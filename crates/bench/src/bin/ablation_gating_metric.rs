@@ -17,7 +17,7 @@ use noc_sim::{GatingConfig, Mesh, Network, NetworkConfig, PacketNode};
 use noc_traffic::{run_phases, SyntheticSource, TrafficPattern};
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

@@ -23,7 +23,7 @@ use noc_traffic::TrafficPattern;
 const PLAN_TOP: u32 = 32;
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(true) {
         return;
     }
     let quick = quick_flag();

@@ -18,7 +18,7 @@ use noc_traffic::run_phases;
 use tdm_noc::{SharingConfig, TdmNetwork};
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

@@ -10,7 +10,7 @@ use noc_traffic::{run_phases, SyntheticSource, TrafficPattern};
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

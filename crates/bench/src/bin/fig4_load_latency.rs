@@ -13,7 +13,7 @@ use noc_bench::{
 };
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(true) {
         return;
     }
     let quick = quick_flag();

@@ -16,7 +16,7 @@ use noc_bench::{
 const KINDS: [BackendKind; 2] = [BackendKind::PacketVc4, BackendKind::HybridTdmVct];
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

@@ -21,7 +21,7 @@ struct MixRow {
 }
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

@@ -16,7 +16,7 @@ use noc_scenario::ScenarioSpec;
 const KINDS: [BackendKind; 2] = [BackendKind::PacketVct, BackendKind::HybridTdmHopVct];
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

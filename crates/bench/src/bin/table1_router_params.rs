@@ -7,7 +7,7 @@ use noc_sim::NetworkConfig;
 use tdm_noc::TdmConfig;
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let net = NetworkConfig::default();

@@ -5,7 +5,7 @@ use noc_bench::{format_table, scenario_mode_ran};
 use noc_hetero::{Floorplan, SystemConfig};
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let c = SystemConfig::default();

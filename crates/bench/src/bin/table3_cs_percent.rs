@@ -18,7 +18,7 @@ const PAPER: [(&str, f64, f64); 7] = [
 ];
 
 fn main() {
-    if scenario_mode_ran() {
+    if scenario_mode_ran(false) {
         return;
     }
     let quick = quick_flag();

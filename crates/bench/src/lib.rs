@@ -26,7 +26,7 @@
 
 use noc_power::{EnergyBreakdown, EnergyModel};
 use noc_sim::telemetry::{chrome_trace_json, link_heatmap_csv};
-use noc_sim::{Fabric, TelemetryConfig, TelemetryReport, WindowSnapshot};
+use noc_sim::{TelemetryConfig, TelemetryReport, WindowSnapshot};
 use noc_traffic::{
     run_measurement_ctl, run_warmup_ctl, PhaseConfig, RunControl, RunResult, TrafficPattern,
 };
@@ -92,7 +92,7 @@ pub fn run_synthetic_spec(
             }
             Ok((point, report))
         }
-        (ServeRun::Cancelled { .. }, _) => unreachable!("FreeRun never cancels"),
+        (ServeRun::Cancelled, _) => unreachable!("FreeRun never cancels"),
     }
 }
 
@@ -169,11 +169,9 @@ pub enum ServeRun {
         /// asked for one.
         warm: Option<Checkpoint>,
     },
-    /// The control hook cancelled the run. The fabric was given a bounded
-    /// drain before being dropped; `arena_live` reports config-payload
-    /// allocations still live afterwards (0 = clean cancellation, no
-    /// leaks).
-    Cancelled { arena_live: usize },
+    /// The control hook cancelled the run; its fabric was dropped where
+    /// it stopped.
+    Cancelled,
 }
 
 /// The worker-side engine entry point of `noc-serve`: [`run_synthetic_spec`]
@@ -207,16 +205,6 @@ fn run_point(
     trace_warmup: bool,
     ctl: &mut dyn RunControl,
 ) -> Result<(ServeRun, Option<TelemetryReport>), ScenarioError> {
-    fn cancelled(fabric: &mut dyn Fabric) -> (ServeRun, Option<TelemetryReport>) {
-        // Flush in-flight flits so a cancelled run releases its arena
-        // payloads; the bound keeps a wedged fabric from spinning forever.
-        let _ = fabric.drain(100_000);
-        let run = ServeRun::Cancelled {
-            arena_live: fabric.arena_live(),
-        };
-        (run, None)
-    }
-
     let mut source = build_workload(spec)?.ok_or_else(|| {
         ScenarioError::Parse(
             "run_synthetic_spec needs a synthetic or trace scenario (hetero \
@@ -266,7 +254,7 @@ fn run_point(
             }
             let Some(warmup_ticks) = run_warmup_ctl(fabric.as_mut(), &mut source, spec.phases, ctl)
             else {
-                return Ok(cancelled(fabric.as_mut()));
+                return Ok((ServeRun::Cancelled, None));
             };
             if capture {
                 let snapshot = fabric
@@ -288,7 +276,7 @@ fn run_point(
     }
     let Some(mut result) = run_measurement_ctl(fabric.as_mut(), &mut source, spec.phases, ctl)
     else {
-        return Ok(cancelled(fabric.as_mut()));
+        return Ok((ServeRun::Cancelled, None));
     };
     write_trace_export(spec, &mut source)?;
     let report = telemetry.and_then(|_| fabric.telemetry_report());
@@ -466,9 +454,18 @@ pub fn sweep_mixes(specs: &[ScenarioSpec]) -> Vec<MixResult> {
 /// its built-in figure. Scenario errors are fatal (exit code 2). Every
 /// figure, table and ablation binary calls this first, so it first checks
 /// the command line ([`noc_scenario::check_cli_args`]): `--help` exits 0
-/// with the flag list, an unknown flag exits 2 before anything runs.
-pub fn scenario_mode_ran() -> bool {
-    noc_scenario::check_cli_args(noc_scenario::cli::FLAGS);
+/// with the flag list, an unknown flag exits 2 before anything runs, and
+/// so does `--json` without `--scenario` unless `builtin_json` says the
+/// built-in figure writes an envelope.
+pub fn scenario_mode_ran(builtin_json: bool) -> bool {
+    use noc_scenario::cli::{usage_error, FLAGS};
+    noc_scenario::check_cli_args(FLAGS);
+    if !builtin_json && json_flag().is_some() && scenario_flag().is_none() {
+        usage_error(
+            FLAGS,
+            "--json needs --scenario: this binary's built-in run writes no result envelope",
+        );
+    }
     let specs = match scenario_specs_from_cli() {
         Ok(None) => return false,
         Ok(Some(specs)) => specs,

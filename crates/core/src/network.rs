@@ -530,10 +530,6 @@ impl Fabric for TdmNetwork {
         }
         Ok(done)
     }
-
-    fn arena_live(&self) -> usize {
-        self.net.arena().live()
-    }
 }
 
 #[cfg(test)]

@@ -18,12 +18,11 @@
 //! * **aggressive VC power gating** (§III-B) via the shared controller.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use noc_sim::routing::xy_route;
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, DeliveredPacket, Direction, EventKind, Flit, MsgClass,
-    Nic, NodeId, NodeModel, NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState, RingSink,
+    ConfigKind, Credit, Cycle, DeliveredPacket, Direction, EventKind, Flit, MsgClass, Nic, NodeId,
+    NodeModel, NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState, RingSink,
     RouteOverrides, SetupInfo, Snap, SnapshotError, SnapshotReader, SnapshotWriter, Switching,
     TraceSink, VcGatingController,
 };
@@ -125,9 +124,6 @@ pub struct TdmNode {
     pub dlt: Dlt,
     freq: FrequencyTracker,
     gating: Option<VcGatingController>,
-    /// Configuration-payload arena shared by this node's NIC and router
-    /// (and, once attached, by the whole network).
-    arena: Arc<ConfigArena>,
     /// CS messages waiting per connection endpoint.
     cs_queues: NodeTable<VecDeque<QueuedCs>>,
     share_queue: VecDeque<ShareMsg>,
@@ -167,10 +163,6 @@ impl TdmNode {
         router.time_slot_stealing = cfg.time_slot_stealing;
         router.hitchhiker = cfg.sharing.hitchhiker;
         let n = cfg.net.mesh.len();
-        // One arena per node by default, shared between its NIC and router
-        // so standalone nodes round-trip payloads; `attach_arena` swaps in
-        // the network-wide arena.
-        let arena = router.arena().clone();
         let mut nic = Nic::new(id, &cfg.net.router);
         if cfg.net.mesh.is_torus() {
             assert!(
@@ -179,7 +171,6 @@ impl TdmNode {
             );
             nic.set_inject_vc_limit(cfg.net.router.vcs_per_port / 2);
         }
-        nic.set_arena(arena.clone());
         TdmNode {
             id,
             cfg: *cfg,
@@ -189,7 +180,6 @@ impl TdmNode {
             dlt: Dlt::new(cfg.sharing.dlt_entries),
             freq: FrequencyTracker::new(cfg.policy.freq_window, n),
             gating: cfg.gating.map(VcGatingController::new),
-            arena,
             cs_queues: NodeTable::new(n),
             share_queue: VecDeque::with_capacity(8),
             streaming: None,
@@ -953,7 +943,7 @@ impl NodeModel for TdmNode {
                             flit.src(),
                             td,
                             self.cfg.net.ps_packet_flits,
-                            flit.created,
+                            flit.created(),
                         );
                         p.measured = flit.measured();
                         self.nic.enqueue(p);
@@ -980,12 +970,8 @@ impl NodeModel for TdmNode {
             let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
             for flit in ejected.drain(..) {
                 if flit.class() == MsgClass::Config {
-                    if flit.config.is_some() {
-                        let kind = self.arena.get(flit.config);
-                        self.arena.free(flit.config);
-                        if let ConfigKind::Ack { info, success } = kind {
-                            self.handle_ack(now, info, success);
-                        }
+                    if let Some(ConfigKind::Ack { info, success }) = flit.config() {
+                        self.handle_ack(now, info, success);
                     }
                     continue;
                 }
@@ -1011,12 +997,6 @@ impl NodeModel for TdmNode {
                 }
             }
         }
-    }
-
-    fn attach_arena(&mut self, arena: &Arc<ConfigArena>) {
-        self.arena = arena.clone();
-        self.nic.set_arena(arena.clone());
-        self.router.set_arena(arena.clone());
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -1194,14 +1174,8 @@ impl NodeModel for TdmNode {
         self.router.pipeline.set_route_overrides(overrides);
     }
 
-    fn abort_packet(
-        &mut self,
-        pid: PacketId,
-        arena: &ConfigArena,
-        credits: &mut Vec<(Direction, Credit)>,
-    ) -> usize {
-        let mut dropped =
-            self.nic.abort_packet(pid) + self.router.purge_packet(pid, arena, credits);
+    fn abort_packet(&mut self, pid: PacketId, credits: &mut Vec<(Direction, Credit)>) -> usize {
+        let mut dropped = self.nic.abort_packet(pid) + self.router.purge_packet(pid, credits);
         // A burst mid-stream for the lost packet: drop the unsent tail
         // (already-sent flits were purged from wires by the harness).
         if self.streaming.as_ref().is_some_and(|s| s.origin.id == pid) {
@@ -1503,11 +1477,9 @@ mod tests {
             node.step(now, &mut out);
             if !out.flits.is_empty() {
                 for (_, f) in out.flits.drain(..) {
-                    if f.config.is_some() {
-                        if let ConfigKind::Teardown(i) = node.router.arena().get(f.config) {
-                            assert_eq!(i.path_id, 42);
-                            saw_teardown = true;
-                        }
+                    if let Some(ConfigKind::Teardown(i)) = f.config() {
+                        assert_eq!(i.path_id, 42);
+                        saw_teardown = true;
                     }
                 }
             }

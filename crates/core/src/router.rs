@@ -38,13 +38,11 @@
 //!   and a circuit head's per-hop DLT `Confirm` is built only when the
 //!   node hitchhikes (without sharing the node would drop it unread).
 
-use std::sync::Arc;
-
 use noc_sim::routing::{west_first_route, xy_route};
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, Direction, EventKind, Flit, HybridCtrl, Mesh, MsgClass,
-    NodeId, NodeOutputs, Packet, PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap,
-    SnapshotError, SnapshotReader, SnapshotWriter, Switching,
+    ConfigKind, Credit, Cycle, Direction, EventKind, Flit, HybridCtrl, Mesh, NodeId, NodeOutputs,
+    Packet, PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap, SnapshotError,
+    SnapshotReader, SnapshotWriter, Switching,
 };
 
 use crate::slot_table::SlotTables;
@@ -184,10 +182,6 @@ pub struct TdmRouter {
     /// (a consumed flit never reaches the buffer-read stage where credits
     /// are normally returned). Drained into the wires each cycle.
     pending_credits: Vec<(Port, u8)>,
-    /// Configuration-payload arena the router reads `setup`/`teardown`
-    /// payloads from and re-interns advanced-slot forwards into. Private
-    /// by default; the owning network swaps in its shared arena.
-    arena: Arc<ConfigArena>,
     next_protocol_id: u64,
 }
 
@@ -213,23 +207,12 @@ impl TdmRouter {
             time_slot_stealing: true,
             hitchhiker: true,
             pending_credits: Vec::with_capacity(8),
-            arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
         }
     }
 
     pub fn id(&self) -> NodeId {
         self.pipeline.id
-    }
-
-    /// The configuration-payload arena this router reads from.
-    pub fn arena(&self) -> &Arc<ConfigArena> {
-        &self.arena
-    }
-
-    /// Attach the network-wide shared arena (replaces the private one).
-    pub fn set_arena(&mut self, arena: Arc<ConfigArena>) {
-        self.arena = arena;
     }
 
     fn protocol_packet_id(&mut self) -> PacketId {
@@ -274,14 +257,9 @@ impl TdmRouter {
             self.latch(port, flit, out);
             return;
         }
-        if flit.class() == MsgClass::Config && flit.kind().is_head() {
-            match self.arena.get(flit.config) {
-                ConfigKind::Setup(_) | ConfigKind::Teardown(_) => {
-                    self.process_config(now, port, flit);
-                    return;
-                }
-                _ => {}
-            }
+        if let Some(kind @ (ConfigKind::Setup(_) | ConfigKind::Teardown(_))) = flit.config() {
+            self.process_config(now, port, flit, kind);
+            return;
         }
         self.pipeline.accept_flit(now, port, flit);
     }
@@ -348,8 +326,7 @@ impl TdmRouter {
 
     /// Process `setup`/`teardown` on arrival (the reservation check of
     /// §II-B happens when the message enters the router).
-    fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit) {
-        let kind = self.arena.get(flit.config);
+    fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit, kind: ConfigKind) {
         match kind {
             ConfigKind::Setup(info) => {
                 let out = if info.dst == self.id() {
@@ -383,18 +360,14 @@ impl TdmRouter {
                         if out == Port::Local {
                             // Reached the destination: ack success.
                             self.pipeline.events.config_flits_delivered += 1;
-                            self.arena.free(flit.config);
                             self.consume_config_credit(in_port, flit.vc);
                             self.emit_ack(now, info, true);
                         } else {
                             // Forward with the slot id advanced by 2 — the
-                            // circuit pipeline is two-stage (§II-B). The
-                            // stale payload is freed and the advanced one
-                            // re-interned.
+                            // circuit pipeline is two-stage (§II-B).
                             let mut fwd = info;
                             fwd.slot = (info.slot + 2) % self.slots.active();
-                            self.arena.free(flit.config);
-                            flit.config = self.arena.alloc(ConfigKind::Setup(fwd));
+                            flit.set_config(ConfigKind::Setup(fwd));
                             flit.set_forced_out(Some(out));
                             self.pipeline.accept_flit(now, in_port, flit);
                         }
@@ -405,7 +378,6 @@ impl TdmRouter {
                         // teardown the source sends on receiving the ack.
                         self.pipeline.events.setup_failures += 1;
                         self.pipeline.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
                         self.consume_config_credit(in_port, flit.vc);
                         self.emit_ack(now, info, false);
                     }
@@ -426,11 +398,9 @@ impl TdmRouter {
                             .push(DltObservation::Remove { dst: info.dst });
                         if out == Port::Local {
                             self.pipeline.events.config_flits_delivered += 1;
-                            self.arena.free(flit.config);
                             self.consume_config_credit(in_port, flit.vc);
                         } else {
-                            // The teardown payload is hop-invariant: the
-                            // interned handle travels on unchanged.
+                            // The teardown payload is hop-invariant.
                             flit.set_forced_out(Some(out));
                             self.pipeline.accept_flit(now, in_port, flit);
                         }
@@ -438,7 +408,6 @@ impl TdmRouter {
                     None => {
                         // Reached the node where the setup failed (§II-B).
                         self.pipeline.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
                         self.consume_config_credit(in_port, flit.vc);
                     }
                 }
@@ -584,13 +553,8 @@ impl TdmRouter {
     /// circuit flits not yet consumed by the node. CS flits are never
     /// buffered, so they carry no credit to refund. Returns the flits
     /// discarded.
-    pub fn purge_packet(
-        &mut self,
-        pid: PacketId,
-        arena: &ConfigArena,
-        credits: &mut Vec<(Direction, Credit)>,
-    ) -> usize {
-        let mut dropped = self.pipeline.purge_packet(pid, arena, credits);
+    pub fn purge_packet(&mut self, pid: PacketId, credits: &mut Vec<(Direction, Credit)>) -> usize {
+        let mut dropped = self.pipeline.purge_packet(pid, credits);
         for (p, l) in self.cs_latch.iter_mut().enumerate() {
             if l.as_ref().is_some_and(|(f, _)| f.packet == pid) {
                 *l = None;
@@ -606,8 +570,7 @@ impl TdmRouter {
     /// Serialise the router's mutable state (snapshot seam, DESIGN.md §14).
     /// `time_slot_stealing` and `hitchhiker` are configuration, the trace
     /// sink is telemetry (checkpoints are refused while telemetry is
-    /// armed), the arena is serialised once at network level, and
-    /// `latched` is derived from the latches on load.
+    /// armed), and `latched` is derived from the latches on load.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         self.pipeline.save_state(w);
         self.slots.save_state(w);
@@ -637,7 +600,7 @@ impl TdmRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::{Coord, SetupInfo};
+    use noc_sim::{Coord, MsgClass, SetupInfo};
 
     fn mesh() -> Mesh {
         Mesh::square(4)
@@ -647,14 +610,7 @@ mod tests {
         TdmRouter::new(m.id(c), m, RouterConfig::default(), 16, 16, 0.9)
     }
 
-    fn setup_flit(
-        arena: &ConfigArena,
-        src: NodeId,
-        dst: NodeId,
-        slot: u16,
-        duration: u8,
-        path_id: u64,
-    ) -> Flit {
+    fn setup_flit(src: NodeId, dst: NodeId, slot: u16, duration: u8, path_id: u64) -> Flit {
         let info = SetupInfo {
             src,
             dst,
@@ -669,7 +625,7 @@ mod tests {
             ConfigKind::Setup(info),
             0,
         );
-        Flit::of_packet_in(arena, &p, 0, Switching::Packet)
+        Flit::of_packet(&p, 0, Switching::Packet)
     }
 
     fn cs_flit(packet: u64, src: NodeId, dst: NodeId, seq: u8, len: u8) -> Flit {
@@ -683,7 +639,7 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1)); // node 5
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 42));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 42));
         // Reservation made at West for slots 6..10 toward East.
         assert_eq!(r.slots.lookup(Port::West, 6), Some(Port::East));
         assert_eq!(r.slots.lookup(Port::West, 9), Some(Port::East));
@@ -696,8 +652,8 @@ mod tests {
         assert_eq!(out.flits.len(), 1);
         let (dir, f) = &out.flits[0];
         assert_eq!(*dir, noc_sim::Direction::East);
-        match r.arena().get(f.config) {
-            ConfigKind::Setup(i) => assert_eq!(i.slot, 8),
+        match f.config() {
+            Some(ConfigKind::Setup(i)) => assert_eq!(i.slot, 8),
             other => panic!("unexpected payload {other:?}"),
         }
         // DLT observation recorded.
@@ -713,7 +669,7 @@ mod tests {
         let dst = m.id(Coord::new(1, 1));
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 4, 4, 7));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 4, 4, 7));
         // Reserved to Local.
         assert_eq!(r.slots.lookup(Port::West, 4), Some(Port::Local));
         assert_eq!(r.protocol_out.len(), 1);
@@ -734,11 +690,11 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src1 = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src1, dst, 6, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src1, dst, 6, 4, 1));
         // Second setup from the south wants the same East output at an
         // overlapping slot → Figure 1's setup3 failure.
         let src2 = m.id(Coord::new(1, 3));
-        r.accept_flit(1, Port::South, setup_flit(r.arena(), src2, dst, 7, 4, 2));
+        r.accept_flit(1, Port::South, setup_flit(src2, dst, 7, 4, 2));
         assert_eq!(r.pipeline.events.setup_failures, 1);
         let ack = r
             .protocol_out
@@ -762,7 +718,7 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 1));
         // A CS flit arrives at cycle 6 (≡ slot 6 mod 16).
         let f = cs_flit(50, src, dst, 0, 4);
         r.accept_flit(6, Port::West, f);
@@ -787,7 +743,7 @@ mod tests {
         let dst = m.id(Coord::new(1, 1));
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 4, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 4, 4, 1));
         r.accept_flit(4, Port::West, cs_flit(51, src, dst, 0, 4));
         let mut out = NodeOutputs::default();
         r.step(4, &mut out);
@@ -814,7 +770,7 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 9));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 9));
         assert!(r.slots.lookup(Port::West, 6).is_some());
         // Flush the forwarded setup flit out of the pipeline first.
         {
@@ -832,7 +788,7 @@ mod tests {
             path_id: 9,
         };
         let p = Packet::config(PacketId(2000), src, dst, ConfigKind::Teardown(info), 10);
-        let f = Flit::of_packet_in(r.arena(), &p, 0, Switching::Packet);
+        let f = Flit::of_packet(&p, 0, Switching::Packet);
         r.accept_flit(10, Port::West, f);
         assert!(r.slots.lookup(Port::West, 6).is_none());
         // Forwarded along the reserved output (East).
@@ -842,8 +798,8 @@ mod tests {
         }
         assert_eq!(out.flits.len(), 1);
         assert!(matches!(
-            r.arena().get(out.flits[0].1.config),
-            ConfigKind::Teardown(i) if i.path_id == 9
+            out.flits[0].1.config(),
+            Some(ConfigKind::Teardown(i)) if i.path_id == 9
         ));
         assert!(r
             .dlt_observations
@@ -865,7 +821,7 @@ mod tests {
             path_id: 77,
         };
         let p = Packet::config(PacketId(3000), src, dst, ConfigKind::Teardown(info), 0);
-        let f = Flit::of_packet_in(r.arena(), &p, 0, Switching::Packet);
+        let f = Flit::of_packet(&p, 0, Switching::Packet);
         r.accept_flit(0, Port::West, f);
         let mut out = NodeOutputs::default();
         for now in 0..4 {
@@ -884,9 +840,9 @@ mod tests {
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
         // Reserve ALL slots West→East so every cycle is reserved.
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 0, 8, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 8, 6, 2)); // 14 of 16 (cap 0.9)
-                                                                                // A PS flit from the south also heading East.
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 0, 8, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 8, 6, 2)); // 14 of 16 (cap 0.9)
+                                                                     // A PS flit from the south also heading East.
         let ps = {
             let p = Packet::data(PacketId(60), m.id(Coord::new(1, 3)), dst, 1, 0);
             let mut f = Flit::of_packet(&p, 0, Switching::Packet);
@@ -941,7 +897,7 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 1));
 
         // Free slot: hitchhike succeeds and the flit leaves East.
         let mine = cs_flit(70, r.id(), dst, 0, 4);
@@ -972,7 +928,7 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let dst = m.id(Coord::new(3, 1));
         // The node's own setup passes through its router via the local port.
-        r.accept_flit(0, Port::Local, setup_flit(r.arena(), r.id(), dst, 2, 4, 5));
+        r.accept_flit(0, Port::Local, setup_flit(r.id(), dst, 2, 4, 5));
         assert_eq!(r.slots.lookup(Port::Local, 2), Some(Port::East));
         assert!(r.inject_cs_local(2, cs_flit(80, r.id(), dst, 0, 4)));
         // Unreserved slot: no injection.
@@ -985,54 +941,10 @@ mod tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 1));
         r.reset_slots(16);
         assert!(r.slots.lookup(Port::West, 6).is_none());
         assert_eq!(r.pipeline.events.slot_table_resizes, 1);
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use noc_sim::{Coord, SetupInfo};
-
-    fn mesh() -> Mesh {
-        Mesh::square(4)
-    }
-
-    fn router_at(m: Mesh, c: Coord) -> TdmRouter {
-        TdmRouter::new(m.id(c), m, RouterConfig::default(), 16, 16, 0.9)
-    }
-
-    fn setup_flit(
-        arena: &ConfigArena,
-        src: NodeId,
-        dst: NodeId,
-        slot: u16,
-        duration: u8,
-        path_id: u64,
-    ) -> Flit {
-        let info = SetupInfo {
-            src,
-            dst,
-            slot,
-            duration,
-            path_id,
-        };
-        let p = Packet::config(
-            PacketId(5000 + path_id),
-            src,
-            dst,
-            ConfigKind::Setup(info),
-            0,
-        );
-        Flit::of_packet_in(arena, &p, 0, Switching::Packet)
-    }
-
-    fn cs_flit(packet: u64, src: NodeId, dst: NodeId, seq: u8, len: u8) -> Flit {
-        let p = Packet::data(PacketId(packet), src, dst, len, 0);
-        Flit::of_packet(&p, seq, Switching::Circuit)
     }
 
     #[test]
@@ -1043,7 +955,7 @@ mod more_tests {
         let dst = m.id(Coord::new(1, 1));
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
-        let mut f = setup_flit(r.arena(), src, dst, 4, 4, 7);
+        let mut f = setup_flit(src, dst, 4, 4, 7);
         f.vc = 2;
         r.accept_flit(0, Port::West, f);
         let mut out = NodeOutputs::default();
@@ -1064,9 +976,9 @@ mod more_tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let dst = m.id(Coord::new(3, 1));
         // Fill the local table so the local setup fails (cap 0.9 × 16 = 14).
-        r.accept_flit(0, Port::Local, setup_flit(r.arena(), r.id(), dst, 0, 8, 1));
-        r.accept_flit(0, Port::Local, setup_flit(r.arena(), r.id(), dst, 8, 6, 2));
-        let mut f = setup_flit(r.arena(), r.id(), dst, 14, 2, 3);
+        r.accept_flit(0, Port::Local, setup_flit(r.id(), dst, 0, 8, 1));
+        r.accept_flit(0, Port::Local, setup_flit(r.id(), dst, 8, 6, 2));
+        let mut f = setup_flit(r.id(), dst, 14, 2, 3);
         f.vc = 1;
         r.accept_flit(0, Port::Local, f); // CapReached → consumed
         assert!(r.pipeline.local_credits.contains(&1), "NIC credit missing");
@@ -1083,16 +995,8 @@ mod more_tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let (west, north) = (m.id(Coord::new(0, 1)), m.id(Coord::new(1, 0)));
         let (east_end, south_end) = (m.id(Coord::new(3, 1)), m.id(Coord::new(1, 3)));
-        r.accept_flit(
-            0,
-            Port::West,
-            setup_flit(r.arena(), west, east_end, 6, 2, 1),
-        );
-        r.accept_flit(
-            0,
-            Port::North,
-            setup_flit(r.arena(), north, south_end, 6, 2, 2),
-        );
+        r.accept_flit(0, Port::West, setup_flit(west, east_end, 6, 2, 1));
+        r.accept_flit(0, Port::North, setup_flit(north, south_end, 6, 2, 2));
         // Flush the forwarded setups so only the latches hold flits.
         let mut out = NodeOutputs::default();
         for now in 0..4 {
@@ -1145,8 +1049,7 @@ mod more_tests {
         let m = mesh();
         let mut r = two_latched(m);
         let mut credits = Vec::new();
-        let arena = r.arena().clone();
-        assert_eq!(r.purge_packet(PacketId(50), &arena, &mut credits), 1);
+        assert_eq!(r.purge_packet(PacketId(50), &mut credits), 1);
         assert_eq!(r.latched, 1 << Port::North.index());
         assert_eq!(r.occupancy(), 1);
         let mut out = NodeOutputs::default();
@@ -1161,7 +1064,7 @@ mod more_tests {
         let mut r = router_at(m, Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 1));
+        r.accept_flit(0, Port::West, setup_flit(src, dst, 6, 4, 1));
         // Stage a PS flit at West heading North (different output), ready
         // for SA by cycle 6.
         let ps = {

@@ -47,7 +47,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"NOCCKPT1";
 /// v6: the embedded snapshot moved to `SNAPSHOT_VERSION` 6 (derived
 /// caches and counters are no longer written); bumping here too keys the
 /// warm-up cache away from v5 blobs.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// v7: the embedded snapshot moved to `SNAPSHOT_VERSION` 7 (configuration
+/// payloads ride in their flits; no payload arena); bumping here too
+/// keys the warm-up cache away from v6 blobs.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// A warm-up checkpoint: everything needed to resume (or fork) a
 /// synthetic scenario run after its warm-up phase.

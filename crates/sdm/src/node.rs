@@ -9,12 +9,11 @@
 //! Figure 4 comparison isolates the switching mechanism, not the policy.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, DeliveredPacket, Direction, Flit, MsgClass, NodeId,
-    NodeModel, NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState, RingSink, RxTable,
-    SetupInfo, Snap, SnapshotError, SnapshotReader, SnapshotWriter, Switching, TraceSink,
+    ConfigKind, Credit, Cycle, DeliveredPacket, Direction, Flit, MsgClass, NodeId, NodeModel,
+    NodeOutputs, NodeTable, Packet, PacketId, Port, PowerState, RingSink, RxTable, SetupInfo, Snap,
+    SnapshotError, SnapshotReader, SnapshotWriter, Switching, TraceSink,
 };
 use tdm_noc::registry::{ConnRegistry, FrequencyTracker, PendingSetup};
 
@@ -62,9 +61,6 @@ pub struct SdmNode {
     inject_vc_limit: u8,
     pub registry: ConnRegistry,
     freq: FrequencyTracker,
-    /// Shared configuration-payload arena (the router's until the network
-    /// attaches its own).
-    arena: Arc<ConfigArena>,
     cs_queues: NodeTable<VecDeque<Packet>>,
     cs_streams: NodeTable<CsStream>,
     rx: RxTable,
@@ -90,7 +86,6 @@ impl SdmNode {
         let vcs = cfg.net.router.vcs_per_port as usize;
         let n = cfg.net.mesh.len();
         let router = SdmRouter::new(id, cfg.net.mesh, cfg.net.router, cfg.planes);
-        let arena = router.arena().clone();
         SdmNode {
             id,
             cfg: *cfg,
@@ -105,7 +100,6 @@ impl SdmNode {
             },
             registry: ConnRegistry::new(n),
             freq: FrequencyTracker::new(cfg.freq_window, n),
-            arena,
             cs_queues: NodeTable::new(n),
             cs_streams: NodeTable::new(n),
             rx: RxTable::new(),
@@ -351,7 +345,7 @@ impl SdmNode {
             if now < s.next_allowed || self.credits[vc] == 0 {
                 continue;
             }
-            let mut flit = Flit::of_packet_in(&self.arena, &s.packet, s.next, Switching::Packet);
+            let mut flit = Flit::of_packet(&s.packet, s.next, Switching::Packet);
             flit.vc = vc as u8;
             self.credits[vc] -= 1;
             self.owned_flits -= 1;
@@ -367,13 +361,8 @@ impl SdmNode {
 
     fn accept_ejected(&mut self, now: Cycle, flit: Flit) {
         if flit.class() == MsgClass::Config {
-            // The handle's lifetime ends at the consumer.
-            if flit.config.is_some() {
-                let kind = self.arena.get(flit.config);
-                self.arena.free(flit.config);
-                if let ConfigKind::Ack { info, success } = kind {
-                    self.handle_ack(now, info, success);
-                }
+            if let Some(ConfigKind::Ack { info, success }) = flit.config() {
+                self.handle_ack(now, info, success);
             }
             return;
         }
@@ -387,7 +376,7 @@ impl SdmNode {
                 dst: flit.dst(),
                 switching: flit.switching(),
                 len_flits: flit.seq + 1,
-                created: flit.created,
+                created: flit.created(),
                 delivered: now,
                 measured: flit.measured(),
             });
@@ -449,11 +438,6 @@ impl NodeModel for SdmNode {
             self.accept_ejected(now, flit);
         }
         self.router.pipeline.ejected = ejected;
-    }
-
-    fn attach_arena(&mut self, arena: &Arc<ConfigArena>) {
-        self.arena = arena.clone();
-        self.router.set_arena(arena.clone());
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {

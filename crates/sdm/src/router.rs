@@ -14,13 +14,11 @@
 //! buffering entirely. Plane 0 is never circuit-reserved, keeping the
 //! packet-switched network alive.
 
-use std::sync::Arc;
-
 use noc_sim::routing::xy_route;
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, EventKind, Flit, HybridCtrl, Mesh, MsgClass, NodeId,
-    NodeOutputs, Packet, PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap, SnapshotError,
-    SnapshotReader, SnapshotWriter, Switching,
+    ConfigKind, Credit, Cycle, EventKind, Flit, HybridCtrl, Mesh, NodeId, NodeOutputs, Packet,
+    PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap, SnapshotError, SnapshotReader,
+    SnapshotWriter, Switching,
 };
 
 /// A circuit reservation at one router.
@@ -84,9 +82,6 @@ pub struct SdmRouter {
     pub protocol_out: Vec<Packet>,
     /// Credits owed upstream for configuration flits consumed on arrival.
     pending_credits: Vec<(Port, u8)>,
-    /// Configuration-payload slab the `ConfigRef`s of in-flight flits
-    /// resolve against; swapped for the network-wide arena on attach.
-    arena: Arc<ConfigArena>,
     next_protocol_id: u64,
 }
 
@@ -108,7 +103,6 @@ impl SdmRouter {
             cs_ejected: Vec::with_capacity(8),
             protocol_out: Vec::with_capacity(8),
             pending_credits: Vec::with_capacity(8),
-            arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
         }
     }
@@ -119,16 +113,6 @@ impl SdmRouter {
 
     pub fn planes(&self) -> u8 {
         self.planes_n
-    }
-
-    /// The configuration-payload arena this router resolves against.
-    pub fn arena(&self) -> &Arc<ConfigArena> {
-        &self.arena
-    }
-
-    /// Adopt the network-wide payload arena.
-    pub fn set_arena(&mut self, arena: Arc<ConfigArena>) {
-        self.arena = arena;
     }
 
     /// The circuit table entry at (`port`, `plane`).
@@ -156,14 +140,9 @@ impl SdmRouter {
             self.cs_incoming.push((flit, entry.out));
             return;
         }
-        if flit.class() == MsgClass::Config && flit.kind().is_head() && flit.config.is_some() {
-            match self.arena.get(flit.config) {
-                ConfigKind::Setup(_) | ConfigKind::Teardown(_) => {
-                    self.process_config(now, port, flit);
-                    return;
-                }
-                _ => {}
-            }
+        if let Some(kind @ (ConfigKind::Setup(_) | ConfigKind::Teardown(_))) = flit.config() {
+            self.process_config(now, port, flit, kind);
+            return;
         }
         self.pipeline.accept_flit(now, port, flit);
     }
@@ -188,8 +167,7 @@ impl SdmRouter {
         }
     }
 
-    fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit) {
-        let kind = self.arena.get(flit.config);
+    fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit, kind: ConfigKind) {
         match kind {
             ConfigKind::Setup(info) => {
                 let plane = info.slot as usize;
@@ -218,21 +196,19 @@ impl SdmRouter {
                     );
                     if out == Port::Local {
                         self.pipeline.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
                         self.consume_config_credit(in_port, flit.vc);
                         self.emit_ack(now, info, true);
                     } else {
                         self.planes[out.index()][plane].circuit = true;
                         // The plane id is hop-invariant, so the forwarded
-                        // flit keeps its arena handle unchanged. It takes
-                        // the buffer slot its upstream credit paid for.
+                        // flit keeps its payload unchanged. It takes the
+                        // buffer slot its upstream credit paid for.
                         flit.set_forced_out(Some(out));
                         self.pipeline.accept_flit(now, in_port, flit);
                     }
                 } else {
                     self.pipeline.events.setup_failures += 1;
                     self.pipeline.events.config_flits_delivered += 1;
-                    self.arena.free(flit.config);
                     self.consume_config_credit(in_port, flit.vc);
                     self.emit_ack(now, info, false);
                 }
@@ -256,7 +232,6 @@ impl SdmRouter {
                         );
                         if e.out == Port::Local {
                             self.pipeline.events.config_flits_delivered += 1;
-                            self.arena.free(flit.config);
                             self.consume_config_credit(in_port, flit.vc);
                         } else {
                             self.planes[e.out.index()][plane].circuit = false;
@@ -267,7 +242,6 @@ impl SdmRouter {
                     }
                     None => {
                         self.pipeline.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
                         self.consume_config_credit(in_port, flit.vc);
                     }
                 }
@@ -380,8 +354,8 @@ impl SdmRouter {
     }
 
     /// Serialise all mutable router state: the pipeline's, then each
-    /// port's planes and circuits. Construction-derived fields (geometry, the
-    /// arena, the trace sink) are skipped — restore targets a freshly
+    /// port's planes and circuits. Construction-derived fields (geometry,
+    /// the trace sink) are skipped — restore targets a freshly
     /// built router of the same configuration.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         self.pipeline.save_state(w);
@@ -430,7 +404,7 @@ mod tests {
         SdmRouter::new(m.id(c), m, RouterConfig::default(), 4)
     }
 
-    fn setup(arena: &ConfigArena, src: NodeId, dst: NodeId, plane: u16, pid: u64) -> Flit {
+    fn setup(src: NodeId, dst: NodeId, plane: u16, pid: u64) -> Flit {
         let info = SetupInfo {
             src,
             dst,
@@ -439,7 +413,7 @@ mod tests {
             path_id: pid,
         };
         let p = Packet::config(PacketId(900 + pid), src, dst, ConfigKind::Setup(info), 0);
-        Flit::of_packet_in(arena, &p, 0, Switching::Packet)
+        Flit::of_packet(&p, 0, Switching::Packet)
     }
 
     #[test]
@@ -448,14 +422,14 @@ mod tests {
         let mut r = router(Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup(r.arena(), src, dst, 1, 1));
+        r.accept_flit(0, Port::West, setup(src, dst, 1, 1));
         assert!(r.circuit_at(Port::West, 1).is_some());
         // Same plane from another input toward the same output: conflict.
         let src2 = m.id(Coord::new(1, 0));
-        r.accept_flit(1, Port::North, setup(r.arena(), src2, dst, 1, 2));
+        r.accept_flit(1, Port::North, setup(src2, dst, 1, 2));
         assert_eq!(r.pipeline.events.setup_failures, 1);
         // A different plane works.
-        r.accept_flit(2, Port::North, setup(r.arena(), src2, dst, 2, 3));
+        r.accept_flit(2, Port::North, setup(src2, dst, 2, 3));
         assert!(r.circuit_at(Port::North, 2).is_some());
     }
 
@@ -465,7 +439,7 @@ mod tests {
         let mut r = router(Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup(r.arena(), src, dst, 0, 1));
+        r.accept_flit(0, Port::West, setup(src, dst, 0, 1));
         assert_eq!(r.pipeline.events.setup_failures, 1);
         assert!(r.circuit_at(Port::West, 0).is_none());
     }
@@ -563,7 +537,7 @@ mod tests {
         let mut r = router(Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup(r.arena(), src, dst, 2, 1));
+        r.accept_flit(0, Port::West, setup(src, dst, 2, 1));
         let pkt = Packet::data(PacketId(20), src, dst, 4, 0);
         let mut f = Flit::of_packet(&pkt, 0, Switching::Circuit);
         f.vc = 2; // plane id
@@ -584,7 +558,7 @@ mod tests {
         let mut r = router(Coord::new(1, 1));
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
-        r.accept_flit(0, Port::West, setup(r.arena(), src, dst, 1, 1));
+        r.accept_flit(0, Port::West, setup(src, dst, 1, 1));
         let info = SetupInfo {
             src,
             dst,
@@ -593,14 +567,10 @@ mod tests {
             path_id: 1,
         };
         let p = Packet::config(PacketId(999), src, dst, ConfigKind::Teardown(info), 5);
-        r.accept_flit(
-            5,
-            Port::West,
-            Flit::of_packet_in(r.arena(), &p, 0, Switching::Packet),
-        );
+        r.accept_flit(5, Port::West, Flit::of_packet(&p, 0, Switching::Packet));
         assert!(r.circuit_at(Port::West, 1).is_none());
         // Plane reusable by another circuit.
-        r.accept_flit(6, Port::West, setup(r.arena(), src, dst, 1, 2));
+        r.accept_flit(6, Port::West, setup(src, dst, 1, 2));
         assert!(r.circuit_at(Port::West, 1).is_some());
     }
 
@@ -612,7 +582,7 @@ mod tests {
         let dst = m.id(Coord::new(3, 1));
         // Claim all CS planes at the local port.
         for (plane, pid) in [(1u16, 1u64), (2, 2), (3, 3)] {
-            r.accept_flit(0, Port::Local, setup(r.arena(), r.id(), dst, plane, pid));
+            r.accept_flit(0, Port::Local, setup(r.id(), dst, plane, pid));
         }
         assert_eq!(r.free_local_plane(0), None);
     }

@@ -17,10 +17,10 @@
 //!
 //! Response frames (`"kind"`): `result` (with `cache`/`warm` provenance
 //! and the full result `envelope`), `window` (a live telemetry metrics
-//! window), `cancelled` (with the post-drain `arena_live` leak count),
-//! `error`, `stats`, `bye`. Result envelopes are spliced into the frame
-//! as the exact cached bytes — a cache hit is byte-identical to the frame
-//! the original run produced.
+//! window), `cancelled` (the id and kind only), `error`, `stats`, `bye`.
+//! Result envelopes are spliced into the frame as the exact cached bytes
+//! — a cache hit is byte-identical to the frame the original run
+//! produced.
 
 use noc_scenario::{Json, ScenarioSpec};
 use serde::Value;
@@ -159,11 +159,8 @@ pub fn window_line(id: &str, body: &str) -> String {
     )
 }
 
-pub fn cancelled_frame(id: &str, arena_live: usize) -> String {
-    format!(
-        "{{\"id\":{},\"kind\":\"cancelled\",\"arena_live\":{arena_live}}}",
-        quote(id)
-    )
+pub fn cancelled_frame(id: &str) -> String {
+    format!("{{\"id\":{},\"kind\":\"cancelled\"}}", quote(id))
 }
 
 pub fn error_frame(id: Option<&str>, msg: &str) -> String {
@@ -251,7 +248,7 @@ mod tests {
         for line in [
             result_frame("a\"b", "hit", "none", "{\"schema_version\":2}"),
             window_line("x", "{\"start\":0,\"end\":10,\"metrics\":{}}"),
-            cancelled_frame("x", 0),
+            cancelled_frame("x"),
             error_frame(Some("x"), "boom \"quoted\""),
             error_frame(None, "parse error"),
             bye_frame(),
@@ -263,7 +260,7 @@ mod tests {
             assert!(frame_kind(&line).is_some());
         }
         assert_eq!(
-            frame_kind(&cancelled_frame("x", 3)).as_deref(),
+            frame_kind(&cancelled_frame("x")).as_deref(),
             Some("cancelled")
         );
     }

@@ -275,7 +275,7 @@ impl ScenarioService {
             drop(s);
             self.stats.lock().expect("stats lock").cancelled += 1;
             for sub in job.cancel_subs {
-                let _ = sub.out.send(cancelled_frame(&sub.id, 0));
+                let _ = sub.out.send(cancelled_frame(&sub.id));
             }
             self.idle.notify_all();
         }
@@ -384,7 +384,7 @@ impl ScenarioService {
             // cancel that lands before the run starts, else run to done.
             TrafficSpec::Hetero { .. } => {
                 if cancel.load(AtomicOrdering::Relaxed) {
-                    Settled::Cancelled { arena_live: 0 }
+                    Settled::Cancelled
                 } else {
                     match run_spec(&spec) {
                         Ok(outcome) => Settled::Done {
@@ -428,7 +428,7 @@ impl ScenarioService {
         let mut st = self.stats.lock().expect("stats lock");
         match &settled {
             Settled::Done { .. } => st.completed += 1,
-            Settled::Cancelled { .. } => st.cancelled += 1,
+            Settled::Cancelled => st.cancelled += 1,
             Settled::Error(_) => st.errors += 1,
         }
         drop(st);
@@ -438,18 +438,14 @@ impl ScenarioService {
                 (Settled::Done { .. }, Some((env, warm))) => {
                     result_frame(&sub.id, sub.label, warm, env)
                 }
-                (Settled::Cancelled { arena_live }, _) => cancelled_frame(&sub.id, *arena_live),
+                (Settled::Cancelled, _) => cancelled_frame(&sub.id),
                 (Settled::Error(e), _) => error_frame(Some(&sub.id), e),
                 (Settled::Done { .. }, None) => unreachable!("done runs are published"),
             };
             let _ = sub.out.send(frame);
         }
         for sub in &job.cancel_subs {
-            let arena_live = match &settled {
-                Settled::Cancelled { arena_live } => *arena_live,
-                _ => 0,
-            };
-            let _ = sub.out.send(cancelled_frame(&sub.id, arena_live));
+            let _ = sub.out.send(cancelled_frame(&sub.id));
         }
         self.idle.notify_all();
     }
@@ -515,7 +511,7 @@ impl ScenarioService {
                     warm: warm_label,
                 }
             }
-            Ok(ServeRun::Cancelled { arena_live }) => Settled::Cancelled { arena_live },
+            Ok(ServeRun::Cancelled) => Settled::Cancelled,
             Err(e) => Settled::Error(e.to_string()),
         }
     }
@@ -573,9 +569,7 @@ enum Settled {
         /// Warm-up cache provenance: `"hit"` / `"miss"` / `"none"`.
         warm: &'static str,
     },
-    Cancelled {
-        arena_live: usize,
-    },
+    Cancelled,
     Error(String),
 }
 

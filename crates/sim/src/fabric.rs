@@ -218,9 +218,10 @@ pub trait Fabric {
         ))
     }
 
-    /// Live allocations in the fabric's flit arena — a leak diagnostic:
-    /// after a full drain this must be zero even when faults dropped
-    /// flits mid-flight. Default 0 for fabrics without an arena.
+    /// Always 0: configuration payloads ride in their flits, so no
+    /// fabric holds anything that could leak. Kept because the
+    /// benchmark's `TimedFabric` wrapper (`benchmark/src/trace.rs`)
+    /// forwards it; it goes with that wrapper (ROADMAP 2(c)).
     fn arena_live(&self) -> usize {
         0
     }
@@ -314,10 +315,6 @@ impl<N: NodeModel> Fabric for Network<N> {
     fn set_faults(&mut self, timeline: Vec<FaultEvent>) -> Result<(), SnapshotError> {
         Network::set_faults(self, timeline);
         Ok(())
-    }
-
-    fn arena_live(&self) -> usize {
-        self.arena().live()
     }
 }
 

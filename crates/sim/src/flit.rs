@@ -13,11 +13,11 @@
 //!
 //! [`Flit`] is plain-old-data: 32 bytes, `Copy`, no pointers. Pipeline
 //! stages, wire ring buffers, NIC queues and CS latches move flits by
-//! memcpy; the only heap-adjacent datum — a configuration payload on the
-//! head flit of a `setup`/`teardown`/`ack` — lives in the network's
-//! [`ConfigArena`] and is carried as a 4-byte [`ConfigRef`] handle.
+//! memcpy. A configuration message is one flit and carries its whole
+//! `setup`/`teardown`/`ack` payload in it: the path id takes the 8 bytes
+//! a data flit uses for its creation cycle, and the slot, duration and
+//! message tag take 4 more (DESIGN.md §12 has the byte table).
 
-use crate::arena::{ConfigArena, ConfigRef};
 use crate::geometry::{NodeId, Port};
 use crate::Cycle;
 
@@ -197,26 +197,34 @@ const SWITCH_BIT: u8 = 1 << 3; // set = Circuit
 const MEASURED_BIT: u8 = 1 << 4;
 const FORCED_SHIFT: u32 = 5; // bits 5-7: forced port + 1, 0 = none
 
+// Bit layout of `Flit::tag`, 0 on a flit without a payload.
+const MSG_MASK: u8 = 0b0000_0011; // 0 setup, 1 teardown, 2 ack; 3 names no message
+const SUCCESS_BIT: u8 = 1 << 2; // an ack's outcome
+const PAYLOAD_BIT: u8 = 1 << 7; // set = the flit carries a configuration payload
+
 /// A flow-control unit travelling on a link.
 ///
-/// 32 bytes, `Copy`, niche-free: the former `Option<Arc<ConfigKind>>` /
-/// `Option<NodeId>` / `Option<Port>` fields are packed into a
-/// [`ConfigRef`] handle, a `u16` with a `NO_NODE` sentinel, and three
-/// bits of the flags byte. The packed fields are private; accessors
-/// present the same `Option`-shaped API the routers always used.
+/// 32 bytes, `Copy`, niche-free: the `Option<NodeId>` / `Option<Port>`
+/// fields are packed into a `u16` with a `NO_NODE` sentinel and three
+/// bits of the flags byte, and a configuration payload shares the flit
+/// with the fields a data flit uses (see [`Flit::config`]). The packed
+/// fields are private; accessors present the `Option`-shaped API the
+/// routers use.
 #[derive(Clone, Copy, Debug)]
 pub struct Flit {
     pub packet: PacketId,
-    /// Creation cycle of the parent packet (for latency accounting).
-    pub created: Cycle,
-    /// Configuration payload handle (head flit of configuration packets
-    /// only; [`ConfigRef::NONE`] otherwise). The payload itself lives in
-    /// the network's [`ConfigArena`].
-    pub config: ConfigRef,
+    /// Creation cycle of the parent packet on a data flit; the path id on
+    /// a configuration flit.
+    word: u64,
+    /// Payload slot (TDM) or plane (SDM); 0 without a payload.
+    slot: u16,
     src: u16,
     dst: u16,
     /// Vicinity hop-off destination, `NO_NODE` when absent.
     true_dst: u16,
+    /// An ack's circuit destination, `NO_NODE` on every other flit (a
+    /// setup's or teardown's circuit is the flit's own `src`/`dst`).
+    circuit_dst: u16,
     pub seq: u8,
     /// Virtual channel the flit currently occupies (packet-switched only;
     /// circuit-switched flits are never buffered).
@@ -225,6 +233,10 @@ pub struct Flit {
     pub hops: u8,
     /// Packed kind / class / switching / measured / forced-out.
     flags: u8,
+    /// Payload duration; 0 without a payload.
+    duration: u8,
+    /// Packed payload presence / message / ack outcome.
+    tag: u8,
 }
 
 const _: () = assert!(
@@ -245,7 +257,9 @@ fn node16(n: NodeId) -> u16 {
 }
 
 impl Flit {
-    fn build(packet: &Packet, seq: u8, switching: Switching, config: ConfigRef) -> Flit {
+    /// Build the `seq`-th flit of `packet`. The head flit of a
+    /// configuration packet carries its payload.
+    pub fn of_packet(packet: &Packet, seq: u8, switching: Switching) -> Flit {
         debug_assert!(seq < packet.len_flits);
         let kind = FlitKind::for_seq(seq, packet.len_flits);
         let mut flags = kind as u8;
@@ -258,44 +272,27 @@ impl Flit {
         if packet.measured {
             flags |= MEASURED_BIT;
         }
-        Flit {
+        let mut flit = Flit {
             packet: packet.id,
-            created: packet.created,
-            config,
+            word: packet.created,
+            slot: 0,
             src: node16(packet.src),
             dst: node16(packet.dst),
             true_dst: NO_NODE,
+            circuit_dst: NO_NODE,
             seq,
             vc: 0,
             hops: 0,
             flags,
-        }
-    }
-
-    /// Build the `seq`-th flit of a *data* packet. Configuration packets
-    /// carry an arena payload and must use [`Flit::of_packet_in`].
-    pub fn of_packet(packet: &Packet, seq: u8, switching: Switching) -> Flit {
-        debug_assert!(
-            packet.config.is_none(),
-            "configuration packets must be serialised via of_packet_in"
-        );
-        Flit::build(packet, seq, switching, ConfigRef::NONE)
-    }
-
-    /// Build the `seq`-th flit of `packet`, interning a configuration
-    /// payload (head flits only) into `arena`.
-    pub fn of_packet_in(
-        arena: &ConfigArena,
-        packet: &Packet,
-        seq: u8,
-        switching: Switching,
-    ) -> Flit {
-        let kind = FlitKind::for_seq(seq, packet.len_flits);
-        let config = match &packet.config {
-            Some(k) if kind.is_head() => arena.alloc(*k),
-            _ => ConfigRef::NONE,
+            duration: 0,
+            tag: 0,
         };
-        Flit::build(packet, seq, switching, config)
+        if let Some(k) = packet.config {
+            if kind.is_head() {
+                flit.set_config(k);
+            }
+        }
+        flit
     }
 
     #[inline]
@@ -311,6 +308,69 @@ impl Flit {
     #[inline]
     pub fn set_dst(&mut self, dst: NodeId) {
         self.dst = node16(dst);
+    }
+
+    /// Creation cycle of the parent packet, for latency accounting. Read
+    /// on data flits only: a configuration flit holds its path id here.
+    #[inline]
+    pub fn created(&self) -> Cycle {
+        debug_assert!(self.tag == 0, "a configuration flit has no creation cycle");
+        self.word
+    }
+
+    /// The configuration payload on the head flit of a `setup`,
+    /// `teardown` or `ack`; `None` on every other flit. A setup's or
+    /// teardown's circuit runs from the flit's `src` to its `dst`; an ack
+    /// travels back to the circuit's source, so its `dst` is the
+    /// circuit's `src`.
+    #[inline]
+    pub fn config(&self) -> Option<ConfigKind> {
+        if self.tag == 0 {
+            return None;
+        }
+        let info = SetupInfo {
+            src: self.src(),
+            dst: self.dst(),
+            slot: self.slot,
+            duration: self.duration,
+            path_id: self.word,
+        };
+        Some(match self.tag & MSG_MASK {
+            0 => ConfigKind::Setup(info),
+            1 => ConfigKind::Teardown(info),
+            _ => ConfigKind::Ack {
+                info: SetupInfo {
+                    src: self.dst(),
+                    dst: NodeId(self.circuit_dst as u32),
+                    ..info
+                },
+                success: self.tag & SUCCESS_BIT != 0,
+            },
+        })
+    }
+
+    /// Write `kind` as this flit's payload (a forwarded TDM setup
+    /// advances its slot this way). The payload's circuit must match the
+    /// flit's endpoints as [`Flit::config`] reads them.
+    pub fn set_config(&mut self, kind: ConfigKind) {
+        let (info, msg, circuit_dst) = match kind {
+            ConfigKind::Setup(i) => (i, 0, NO_NODE),
+            ConfigKind::Teardown(i) => (i, 1, NO_NODE),
+            ConfigKind::Ack { info, success } => {
+                let msg = if success { 2 | SUCCESS_BIT } else { 2 };
+                (info, msg, node16(info.dst))
+            }
+        };
+        self.word = info.path_id;
+        self.slot = info.slot;
+        self.duration = info.duration;
+        self.tag = PAYLOAD_BIT | msg;
+        self.circuit_dst = circuit_dst;
+        debug_assert_eq!(
+            self.config(),
+            Some(kind),
+            "payload and flit endpoints disagree"
+        );
     }
 
     #[inline]
@@ -509,18 +569,63 @@ impl_snap!(Packet {
     cs_eligible
 });
 
-impl_snap!(Flit {
-    packet,
-    created,
-    config,
-    src,
-    dst,
-    true_dst,
-    seq,
-    vc,
-    hops,
-    flags
-});
+impl Snap for Flit {
+    fn save(&self, w: &mut SnapshotWriter) {
+        w.u64(self.packet.0);
+        w.u64(self.word);
+        w.u16(self.slot);
+        w.u16(self.src);
+        w.u16(self.dst);
+        w.u16(self.true_dst);
+        w.u16(self.circuit_dst);
+        w.u8(self.seq);
+        w.u8(self.vc);
+        w.u8(self.hops);
+        w.u8(self.flags);
+        w.u8(self.duration);
+        w.u8(self.tag);
+    }
+
+    /// Refuses payload bits that name no message: a payload on a data or
+    /// non-head flit, a message tag of 3, stray tag bits, an outcome or
+    /// circuit destination on anything but an ack, or slot and duration
+    /// bits on a flit without a payload.
+    fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
+        let f = Flit {
+            packet: PacketId(r.u64()?),
+            word: r.u64()?,
+            slot: r.u16()?,
+            src: r.u16()?,
+            dst: r.u16()?,
+            true_dst: r.u16()?,
+            circuit_dst: r.u16()?,
+            seq: r.u8()?,
+            vc: r.u8()?,
+            hops: r.u8()?,
+            flags: r.u8()?,
+            duration: r.u8()?,
+            tag: r.u8()?,
+        };
+        if (f.flags >> FORCED_SHIFT) as usize > Port::COUNT {
+            return Err(SnapshotError::Corrupt("flit forced-out port"));
+        }
+        let msg = f.tag & MSG_MASK;
+        let ok = if f.tag == 0 {
+            f.slot == 0 && f.duration == 0 && f.circuit_dst == NO_NODE
+        } else {
+            f.tag & !(MSG_MASK | SUCCESS_BIT) == PAYLOAD_BIT
+                && msg != 3
+                && (msg == 2 || f.tag & SUCCESS_BIT == 0)
+                && (msg == 2) == (f.circuit_dst != NO_NODE)
+                && f.class() == MsgClass::Config
+                && f.kind().is_head()
+        };
+        if !ok {
+            return Err(SnapshotError::Corrupt("flit payload"));
+        }
+        Ok(f)
+    }
+}
 
 impl Snap for Credit {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -554,32 +659,99 @@ mod tests {
         assert!(flits[4].kind().is_tail());
         assert!(flits
             .iter()
-            .all(|f| f.packet == PacketId(7) && f.created == 100));
-        assert!(flits.iter().all(|f| f.config.is_none()));
+            .all(|f| f.packet == PacketId(7) && f.created() == 100));
+        assert!(flits.iter().all(|f| f.config().is_none()));
+    }
+
+    fn snap_round_trip(f: &Flit) -> Result<Flit, SnapshotError> {
+        let mut w = SnapshotWriter::new();
+        f.save(&mut w);
+        Flit::load(&mut SnapshotReader::new(&w.into_bytes()))
+    }
+
+    /// Every message kind survives `of_packet`, `config()` and a snapshot
+    /// round trip at the edges of each payload field.
+    #[test]
+    fn config_payload_round_trips_through_flit_and_snapshot() {
+        let (a, b, big) = (NodeId(3), NodeId(65_533), (65_533 << 32) | 0xFFFF_FFFF);
+        for (slot, duration, path_id) in [(0, 4, 0), (u16::MAX, 5, big), (0, 5, big)] {
+            let info = SetupInfo {
+                src: a,
+                dst: b,
+                slot,
+                duration,
+                path_id,
+            };
+            // An ack travels from wherever the setup ended back to the
+            // circuit's source.
+            let ack = |success| ConfigKind::Ack { info, success };
+            for (src, dst, kind) in [
+                (a, b, ConfigKind::Setup(info)),
+                (a, b, ConfigKind::Teardown(info)),
+                (NodeId(7), a, ack(false)),
+                (NodeId(7), a, ack(true)),
+            ] {
+                let p = Packet::config(PacketId(u64::MAX), src, dst, kind, 123);
+                let f = Flit::of_packet(&p, 0, Switching::Packet);
+                assert_eq!(
+                    (f.kind(), f.class()),
+                    (FlitKind::HeadTail, MsgClass::Config)
+                );
+                for f in [f, snap_round_trip(&f).expect("a valid payload decodes")] {
+                    assert_eq!((f.config(), f.src(), f.dst()), (Some(kind), src, dst));
+                }
+            }
+        }
     }
 
     #[test]
-    fn config_payload_on_head_only() {
-        let arena = ConfigArena::new();
+    fn decoder_refuses_payload_bits_that_name_no_message() {
+        let data = Flit::of_packet(
+            &Packet::data(PacketId(1), NodeId(0), NodeId(5), 5, 9),
+            0,
+            Switching::Packet,
+        );
         let info = SetupInfo {
             src: NodeId(0),
-            dst: NodeId(3),
+            dst: NodeId(5),
             slot: 2,
             duration: 4,
-            path_id: 1,
+            path_id: 11,
         };
         let p = Packet::config(
-            PacketId(1),
+            PacketId(2),
             NodeId(0),
-            NodeId(3),
+            NodeId(5),
             ConfigKind::Setup(info),
-            0,
+            9,
         );
-        let f = Flit::of_packet_in(&arena, &p, 0, Switching::Packet);
-        assert!(f.config.is_some());
-        assert_eq!(arena.get(f.config).info().slot, 2);
-        assert!(!f.measured());
-        assert_eq!(f.class(), MsgClass::Config);
+        let setup = Flit::of_packet(&p, 0, Switching::Packet);
+        assert!(snap_round_trip(&data).is_ok() && snap_round_trip(&setup).is_ok());
+        type Edit = fn(&mut Flit);
+        let edits: [(Flit, Edit); 8] = [
+            // Payload bits on a data flit.
+            (data, |f| f.tag = PAYLOAD_BIT),
+            (data, |f| f.slot = 1),
+            (data, |f| f.circuit_dst = 0),
+            // A message tag of 3, an outcome or circuit destination on a
+            // setup, stray tag bits, a payload on a body flit.
+            (setup, |f| f.tag = PAYLOAD_BIT | 3),
+            (setup, |f| f.tag |= SUCCESS_BIT),
+            (setup, |f| f.circuit_dst = 0),
+            (setup, |f| f.tag |= 1 << 5),
+            (setup, |f| f.flags = (f.flags & !KIND_MASK) | 1),
+        ];
+        let refused = |mut f: Flit, edit: Edit| {
+            edit(&mut f);
+            snap_round_trip(&f).unwrap_err()
+        };
+        for (f, edit) in edits {
+            assert_eq!(refused(f, edit), SnapshotError::Corrupt("flit payload"));
+        }
+        assert_eq!(
+            refused(data, |f| f.flags |= 0b111 << FORCED_SHIFT),
+            SnapshotError::Corrupt("flit forced-out port")
+        );
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! simulation produces identical results, which the property tests rely on.
 
 pub mod arbiter;
-pub mod arena;
 pub mod config;
 pub mod dense;
 pub mod fabric;
@@ -49,7 +48,6 @@ pub use noc_telemetry::{
     WindowSnapshot,
 };
 
-pub use arena::{ConfigArena, ConfigRef};
 pub use config::{NetworkConfig, RouterConfig};
 pub use dense::{BitSet, NodeTable, RxTable};
 pub use fabric::{CircuitPlan, Fabric, PlannedFlow};

@@ -33,12 +33,11 @@
 //! Phase 2 is order-independent as a property of the model: the paper's
 //! routers all act in the same cycle, and a router reads only its own
 //! state and the signals delivered to it in phase 1. Any visit order
-//! therefore yields the same results (configuration-payload handle
-//! numbers aside, which are pure names — see `arena.rs`);
-//! `exhaustive_order.rs` pins this over every permutation of a 2×2
-//! fabric. Nodes are visited in ascending order, and phase 3 fixes the
-//! order in which signals land on the wires, so a run is a function of
-//! its inputs.
+//! therefore yields the same results, checkpoint bytes included;
+//! `exhaustive_order.rs` (here and in tdm-noc) pins this over every
+//! permutation of a 2×2 fabric. Nodes are visited in ascending order,
+//! and phase 3 fixes the order in which signals land on the wires, so a
+//! run is a function of its inputs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -46,7 +45,6 @@ use std::sync::Arc;
 
 use noc_telemetry::{EventKind, TelemetryConfig, TelemetryReport, TraceSink, WindowSnapshot};
 
-use crate::arena::ConfigArena;
 use crate::dense::BitSet;
 use crate::flit::{Credit, Flit, MsgClass, Packet, PacketId, Switching};
 use crate::geometry::{Direction, NodeId};
@@ -154,10 +152,9 @@ impl NetTelemetry {
 /// upstream buffer budgets — the network could then never drain after a
 /// revive). Flits caught mid-flight on a killed wire, and flits emitted
 /// onto a dead link later, are dropped with full accounting: their
-/// packet is globally purged (buffers, VC state, partial reassembly),
-/// upstream buffer slots are refunded as credits, and interned
-/// configuration payloads are released, so `ConfigArena::live()` returns
-/// to zero once traffic drains.
+/// packet is globally purged (buffers, VC state, partial reassembly) and
+/// upstream buffer slots are refunded as credits, so the network still
+/// drains to zero occupancy.
 struct FaultState {
     /// The scheduled timeline, sorted by cycle; `next` indexes the first
     /// event not yet applied.
@@ -233,9 +230,6 @@ pub struct Network<N: NodeModel> {
     /// Telemetry state, present only while a trace is armed
     /// (see [`Network::configure_telemetry`]).
     telemetry: Option<Box<NetTelemetry>>,
-    /// Network-wide configuration-payload slab, shared with every node
-    /// via [`NodeModel::attach_arena`].
-    arena: Arc<ConfigArena>,
     /// Flat neighbour table precomputed from the topology at construction;
     /// the phase-3 wire-routing loop probes this instead of re-deriving
     /// coordinates per flit. Shared process-wide per topology shape
@@ -293,27 +287,17 @@ impl<N: NodeModel> Network<N> {
             leak_slot: 0,
             leak_dlt: 0,
             telemetry: None,
-            arena: Arc::new(ConfigArena::new()),
             tables: TopoTables::shared(&mesh),
             faults: None,
             #[cfg(feature = "exhaustive")]
             step_order: None,
         };
-        let arena = net.arena.clone();
-        for node in &mut net.nodes {
-            node.attach_arena(&arena);
-        }
         net.wake_all();
         net
     }
 
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// The shared configuration-payload arena.
-    pub fn arena(&self) -> &Arc<ConfigArena> {
-        &self.arena
     }
 
     /// Queue a packet at `node`'s NIC. Measured data packets count toward
@@ -480,7 +464,6 @@ impl<N: NodeModel> Network<N> {
             telemetry,
             tables,
             stats,
-            arena,
             faults,
             ..
         } = self;
@@ -495,13 +478,11 @@ impl<N: NodeModel> Network<N> {
                 }
                 for (dir, flit) in out.flits.drain(..) {
                     // A flit emitted onto a dead link is dropped at the link
-                    // driver: free its config payload, refund the buffer
-                    // credit the emitter spent (packet-switched only — CS
-                    // flits are unbuffered), and queue the packet for a
-                    // global purge before phase 4.
+                    // driver: refund the buffer credit the emitter spent
+                    // (packet-switched only — CS flits are unbuffered), and
+                    // queue the packet for a global purge before phase 4.
                     if let Some(f) = faults.as_deref_mut() {
                         if f.down[i * 4 + dir.index()] {
-                            arena.free(flit.config);
                             stats.flits_dropped_fault += 1;
                             if flit.switching() == Switching::Packet {
                                 credit_slots[par ^ 1][i].push((dir, Credit { vc: flit.vc }));
@@ -977,7 +958,6 @@ impl<N: NodeModel> Network<N> {
                     continue;
                 }
                 let (_, f) = self.flit_slots[par][nb].remove(k);
-                self.arena.free(f.config);
                 self.inflight_flits -= 1;
                 self.stats.flits_dropped_fault += 1;
                 if f.switching() == Switching::Packet {
@@ -1014,8 +994,8 @@ impl<N: NodeModel> Network<N> {
 
     /// Globally purge a packet that lost a flit: sweep its stragglers off
     /// every wire and out of every node (buffers, VC state, partial
-    /// reassembly), freeing config payloads and refunding buffer credits so
-    /// the fault leaves no stranded occupancy and no arena leak.
+    /// reassembly), refunding buffer credits so the fault leaves no
+    /// stranded occupancy.
     fn purge_lost_packet(&mut self, now: Cycle, pid: PacketId) {
         let par_next = ((now + 1) & 1) as usize;
         let n = self.nodes.len();
@@ -1028,7 +1008,6 @@ impl<N: NodeModel> Network<N> {
                         continue;
                     }
                     let (from, f) = self.flit_slots[par][j].remove(k);
-                    self.arena.free(f.config);
                     self.inflight_flits -= 1;
                     self.stats.flits_dropped_fault += 1;
                     if f.switching() == Switching::Packet {
@@ -1054,7 +1033,7 @@ impl<N: NodeModel> Network<N> {
         let mut credits: Vec<(Direction, Credit)> = Vec::new();
         for i in 0..n {
             credits.clear();
-            let dropped = self.nodes[i].abort_packet(pid, &self.arena, &mut credits);
+            let dropped = self.nodes[i].abort_packet(pid, &mut credits);
             for &(dir, c) in &credits {
                 if let Some(nb) = self.tables.neighbor(i, dir) {
                     self.credit_slots[par_next][nb].push((dir.opposite(), c));
@@ -1182,7 +1161,6 @@ impl<N: NodeModel> Network<N> {
         timers.sort_unstable();
         timers.save(w);
         self.timer_at.save(w);
-        self.arena.save_state(w);
         match self.faults.as_deref() {
             None => w.bool(false),
             Some(f) => {
@@ -1254,7 +1232,6 @@ impl<N: NodeModel> Network<N> {
         if self.timer_at.len() != n {
             return Err(SnapshotError::Mismatch("per-node table length"));
         }
-        self.arena.load_state(r)?;
         self.faults = if r.bool()? {
             let timeline = Vec::load(r)?;
             let next = r.usize()?;

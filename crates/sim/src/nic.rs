@@ -2,10 +2,8 @@
 //! serialisation under credit flow control, and ejection/reassembly.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::arbiter::RoundRobin;
-use crate::arena::ConfigArena;
 use crate::config::RouterConfig;
 use crate::dense::RxTable;
 use crate::flit::{Flit, Packet, PacketId, Switching};
@@ -41,9 +39,6 @@ pub struct Nic {
     vc_rr: RoundRobin,
     /// Flits received so far per in-flight inbound packet.
     rx: RxTable,
-    /// Configuration-payload slab; replaced by the harness's shared arena
-    /// via [`Nic::set_arena`] when the node joins a network.
-    arena: Arc<ConfigArena>,
     delivered: Vec<DeliveredPacket>,
     // O(1) occupancy bookkeeping: flits across all queued packets and flits
     // held in partial reassembly, kept in sync by enqueue/next_flit and
@@ -67,7 +62,6 @@ impl Nic {
             inject_vc_limit: cfg.vcs_per_port,
             vc_rr: RoundRobin::new(cfg.vcs_per_port as usize),
             rx: RxTable::new(),
-            arena: Arc::new(ConfigArena::new()),
             delivered: Vec::with_capacity(8),
             queued_flits: 0,
             rx_flits: 0,
@@ -76,12 +70,6 @@ impl Nic {
 
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Adopt the network-wide payload arena (see
-    /// [`NodeModel::attach_arena`](crate::node::NodeModel::attach_arena)).
-    pub fn set_arena(&mut self, arena: Arc<ConfigArena>) {
-        self.arena = arena;
     }
 
     /// Queue a packet for injection.
@@ -141,7 +129,7 @@ impl Nic {
         if self.credits[s.vc as usize] == 0 {
             return None; // head-of-line stall at the source
         }
-        let mut flit = Flit::of_packet_in(&self.arena, &s.packet, s.next, Switching::Packet);
+        let mut flit = Flit::of_packet(&s.packet, s.next, Switching::Packet);
         flit.vc = s.vc;
         self.credits[s.vc as usize] -= 1;
         s.next += 1;
@@ -155,7 +143,7 @@ impl Nic {
     /// arrives.
     pub fn accept_ejected(&mut self, now: Cycle, flit: Flit) {
         debug_assert!(
-            flit.config.is_none(),
+            flit.config().is_none(),
             "configuration flits are consumed before the NIC"
         );
         self.rx.bump(flit.packet);
@@ -169,7 +157,7 @@ impl Nic {
                 dst: flit.dst(),
                 switching: flit.switching(),
                 len_flits: flit.seq + 1,
-                created: flit.created,
+                created: flit.created(),
                 delivered: now,
                 measured: flit.measured(),
             });

@@ -116,13 +116,6 @@ pub trait NodeModel {
         None
     }
 
-    /// Adopt the network-wide configuration-payload arena. The harness
-    /// calls this once at construction so every node serialises and
-    /// resolves [`ConfigRef`](crate::arena::ConfigRef) handles against the
-    /// same slab. Nodes start with a private arena, so standalone use
-    /// (unit tests, single-node rigs) works without a harness.
-    fn attach_arena(&mut self, _arena: &std::sync::Arc<crate::arena::ConfigArena>) {}
-
     /// Install a telemetry sink (the harness builds one per node when a
     /// trace is armed). The default drops it, so uninstrumented node
     /// models keep compiling and simply record nothing.
@@ -164,17 +157,11 @@ pub trait NodeModel {
     /// one of its flits on a faulted link: queued flits, per-VC buffer
     /// occupancy, partial reassembly. Buffer slots freed at inter-router
     /// input ports are refunded by pushing credits into `credits` (the
-    /// harness delivers them upstream over the credit wires), and interned
-    /// configuration payloads are released into `arena`. Returns the
+    /// harness delivers them upstream over the credit wires). Returns the
     /// number of flits discarded at this node so the harness can keep its
     /// occupancy cache and drop accounting exact. The default (no state to
     /// purge) suits stateless test probes.
-    fn abort_packet(
-        &mut self,
-        _pid: PacketId,
-        _arena: &crate::arena::ConfigArena,
-        _credits: &mut Vec<(Direction, Credit)>,
-    ) -> usize {
+    fn abort_packet(&mut self, _pid: PacketId, _credits: &mut Vec<(Direction, Credit)>) -> usize {
         0
     }
 }
@@ -305,10 +292,6 @@ impl NodeModel for PacketNode {
         }
     }
 
-    fn attach_arena(&mut self, arena: &std::sync::Arc<crate::arena::ConfigArena>) {
-        self.nic.set_arena(arena.clone());
-    }
-
     fn set_trace_sink(&mut self, sink: TraceSink) {
         self.router.pipeline.trace = sink;
     }
@@ -339,12 +322,7 @@ impl NodeModel for PacketNode {
         self.router.pipeline.set_route_overrides(overrides);
     }
 
-    fn abort_packet(
-        &mut self,
-        pid: PacketId,
-        arena: &crate::arena::ConfigArena,
-        credits: &mut Vec<(Direction, Credit)>,
-    ) -> usize {
-        self.nic.abort_packet(pid) + self.router.pipeline.purge_packet(pid, arena, credits)
+    fn abort_packet(&mut self, pid: PacketId, credits: &mut Vec<(Direction, Credit)>) -> usize {
+        self.nic.abort_packet(pid) + self.router.pipeline.purge_packet(pid, credits)
     }
 }

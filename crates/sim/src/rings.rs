@@ -14,10 +14,10 @@
 //! * `head < depth` and `len <= depth` at all times;
 //! * occupied slots are `(head + k) % depth` for `k in 0..len`, in FIFO
 //!   order;
-//! * vacated slots keep stale flit bytes — they are never read, never
-//!   serialised, and never own a [`ConfigArena`](crate::arena::ConfigArena)
-//!   reference (the pop/retain paths move or free payload handles before
-//!   the slot is vacated).
+//! * vacated slots keep stale flit bytes — they are never read and never
+//!   serialised. A flit owns nothing outside its 32 bytes (a
+//!   configuration payload rides in the flit), so vacating a slot
+//!   releases nothing.
 
 use crate::flit::{Flit, Packet, PacketId, Switching};
 use crate::geometry::NodeId;

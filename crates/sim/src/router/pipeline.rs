@@ -28,7 +28,6 @@ use std::sync::Arc;
 use noc_telemetry::{EventKind, TraceSink};
 
 use crate::arbiter::{load_arbiters, RoundRobin};
-use crate::arena::ConfigArena;
 use crate::config::RouterConfig;
 use crate::flit::{Credit, Flit, MsgClass, PacketId};
 use crate::geometry::{Direction, NodeId, Port};
@@ -949,29 +948,16 @@ impl PsPipeline {
     /// Freed buffer slots are refunded upstream: credits for inter-router
     /// input ports are pushed into `credits` (the harness delivers them
     /// over the credit wires exactly as a normal traversal would), local
-    /// -port slots go straight to `local_credits` for the NIC. Interned
-    /// configuration payloads on purged flits are released into `arena`.
-    /// If the purged packet owned a VC's pipeline state, that state is
-    /// torn down and its downstream VC allocation released. Returns the
-    /// number of flits discarded.
-    pub fn purge_packet(
-        &mut self,
-        pid: PacketId,
-        arena: &ConfigArena,
-        credits: &mut Vec<(Direction, Credit)>,
-    ) -> usize {
+    /// -port slots go straight to `local_credits` for the NIC. If the
+    /// purged packet owned a VC's pipeline state, that state is torn down
+    /// and its downstream VC allocation released. Returns the number of
+    /// flits discarded.
+    pub fn purge_packet(&mut self, pid: PacketId, credits: &mut Vec<(Direction, Credit)>) -> usize {
         let vcs = self.cfg.vcs_per_port as usize;
         let mut removed_total = 0usize;
         for i in 0..self.ctl.len() {
             let (p, v) = (i / vcs, (i % vcs) as u8);
-            let removed = self.buf.retain(i, |f| {
-                if f.packet == pid {
-                    arena.free(f.config);
-                    false
-                } else {
-                    true
-                }
-            });
+            let removed = self.buf.retain(i, |f| f.packet != pid);
             if removed > 0 {
                 match Port::from_index(p).direction() {
                     Some(d) => credits.extend((0..removed).map(|_| (d, Credit { vc: v }))),
@@ -988,14 +974,7 @@ impl PsPipeline {
             }
         }
         let before = self.ejected.len();
-        self.ejected.retain(|f| {
-            if f.packet == pid {
-                arena.free(f.config);
-                false
-            } else {
-                true
-            }
-        });
+        self.ejected.retain(|f| f.packet != pid);
         removed_total += before - self.ejected.len();
         self.rebuild_derived();
         removed_total

@@ -64,7 +64,11 @@ use crate::Cycle;
 /// VC count, the pipeline's occupancy counters, and the slot tables'
 /// output masks and valid counts. The NIC's `flits_injected` and the
 /// pipeline's `waiting`/`active` counters are gone.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// v7: a configuration payload rides in its flit. A flit writes its
+/// creation cycle or path id, then its slot, four node fields (the
+/// fourth an ack's circuit destination), its four bytes, the duration
+/// and the message tag; the harness writes no payload arena.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

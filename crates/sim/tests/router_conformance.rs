@@ -266,15 +266,16 @@ fn config_packets_route_adaptively_around_congestion() {
         noc_sim::ConfigKind::Setup(info),
         50,
     );
-    let arena = noc_sim::ConfigArena::new();
-    let mut f = Flit::of_packet_in(&arena, &p, 0, Switching::Packet);
+    let mut f = Flit::of_packet(&p, 0, Switching::Packet);
     f.vc = 3;
     r.accept_flit(50, Port::Local, f);
     let mut dir = None;
     for now in 50..70 {
         out.clear();
         r.step(now, &NullCtrl, &mut out);
-        if let Some((d, _)) = out.flits.iter().find(|(_, f)| f.packet == PacketId(999)) {
+        if let Some((d, f)) = out.flits.iter().find(|(_, f)| f.packet == PacketId(999)) {
+            // The payload rides through the pipeline untouched.
+            assert_eq!(f.config(), Some(noc_sim::ConfigKind::Setup(info)));
             dir = Some(*d);
             break;
         }

@@ -53,6 +53,16 @@ for SRC in crates/bench/src/bin/*.rs; do
     timeout 5 "$EXE" --help > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
     [[ $CODE == 0 ]] || { echo "$BIN --help exited $CODE, want 0"; exit 1; }
     grep -q -- "$LISTED" "$FLAG_TMP/out" || { echo "$BIN --help: no flag list"; exit 1; }
+    # Only three built-in figures write a --json envelope; the others
+    # take --json with --scenario alone and refuse it without.
+    case "$BIN" in
+        network_step | fig4_load_latency | fig5_energy_saving | ablation_profiled_circuits) continue ;;
+    esac
+    CODE=0
+    timeout 5 "$EXE" --quick --json "$FLAG_TMP/env.json" > "$FLAG_TMP/out" 2> "$FLAG_TMP/err" || CODE=$?
+    [[ $CODE == 2 ]] || { echo "$BIN --json without --scenario exited $CODE, want 2"; exit 1; }
+    grep -q '^error: --json needs --scenario' "$FLAG_TMP/err" || { echo "$BIN --json: no usage error"; exit 1; }
+    [[ ! -s "$FLAG_TMP/out" && ! -e "$FLAG_TMP/env.json" ]] || { echo "$BIN --json ran"; exit 1; }
 done
 # noc-serve checks its own flag table: a misspelt mode flag must not
 # fall through to the stdin one-shot mode, and a bad value exits 2.
@@ -82,9 +92,11 @@ echo "== clippy (exhaustive-schedule hook) =="
 # The feature-gated phase-2 override is outside the workspace clippy run
 # above; lint it explicitly.
 cargo clippy -p noc-sim --features exhaustive --all-targets "${OFFLINE[@]}" -- -D warnings
+cargo clippy -p tdm-noc --features exhaustive --all-targets "${OFFLINE[@]}" -- -D warnings
 
-echo "== exhaustive schedule permutations (2x2, all 24 orders) =="
+echo "== exhaustive schedule permutations (2x2, all 24 orders, packet and hybrid) =="
 cargo test -q -p noc-sim --features exhaustive --test exhaustive_order "${OFFLINE[@]}"
+cargo test -q -p tdm-noc --features exhaustive --test exhaustive_order "${OFFLINE[@]}"
 
 echo "== zero-allocation steady state (counting global allocator) =="
 cargo test -q -p noc-bench --test zero_alloc "${OFFLINE[@]}"
